@@ -1,4 +1,4 @@
-"""Assembly and direct solution of the discrete Stokes saddle problem.
+"""Assembly and solution of the discrete Stokes saddle problem.
 
 The weak form is: velocity gradients tested against velocity gradients,
 minus the pressure tested against the test-velocity divergence, with the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .femspace import (
     DofMap,
@@ -41,10 +41,14 @@ __all__ = [
 ]
 
 RESIDUAL_RTOL = 1e-9
+# pressure CG: relative tolerance (also scales the absolute one, so a
+# right-hand side at round-off level is not chased) and iteration cap
+CG_RTOL = 1e-12
+CG_MAXITER = 2000
 
 
 class SolverFailure(RuntimeError):
-    """Raised when the sparse factorization fails or the residual check trips."""
+    """Raised when a factorization fails, CG stalls, or the residual check trips."""
 
 
 @dataclass
@@ -218,7 +222,76 @@ def pinned_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
 
 
 def solve(system: StokesSystem) -> SolutionPair:
-    """Sparse direct solve of the saddle problem with residual verification.
+    """Pressure Schur-complement CG solve with residual verification.
+
+    Eliminating the free velocity leaves ``S p = -(r2 - m lam) - B A^-1 r1``
+    with ``S = B A^-1 B^T``, which is positive semidefinite with the
+    constants as its kernel (Verfuerth 1984).  Because the constant pressure
+    is orthogonal to the range of ``B``, the mean multiplier is known in
+    advance, ``lam = 1^T r2 / |Omega|``, and the system is consistent.  CG
+    preconditioned by the diagonal of the pressure mass converges in a number
+    of iterations that does not grow with the mesh size.  ``A^-1`` is one
+    sparse LU of the scalar P2 stiffness, exact because ``A = K (x) I_2``,
+    applied to both velocity components at once.  The zero-mean pressure
+    representative is verified against the full saddle system.
+    """
+    dm = system.dofmap
+    free = dm.free_umask
+    g = np.where(free, 0.0, system.g_vec)
+    r1 = system.rhs[free] - (system.a_mat @ g)[free]
+    r2 = system.b_mat @ g
+    if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
+        raise SolverFailure("non-finite load or boundary data")
+    fnode = free[0::2]
+    k_ff = system.a_mat[0::2, 0::2][fnode][:, fnode].tocsc()
+    try:
+        lu = splu(k_ff)
+    except (RuntimeError, ValueError) as exc:
+        raise SolverFailure(f"sparse factorization failed: {exc}") from exc
+
+    def a_inv(v: np.ndarray) -> np.ndarray:
+        return lu.solve(v.reshape(-1, 2)).reshape(-1)
+
+    b_f = system.b_mat[:, free].tocsr()
+    bt_f = b_f.T.tocsr()
+    if not dm.meets_stability:
+        _check_pressure_kernel(b_f, bt_f, system.a_mat.diagonal()[free])
+    m = system.mean_vec
+    lam = float(r2.sum()) / float(m.sum())
+    rhs_p = m * lam - r2 - b_f @ a_inv(r1)
+    n_p = dm.n_p
+    schur = LinearOperator((n_p, n_p), matvec=lambda q: b_f @ a_inv(bt_f @ q),
+                           dtype=float)
+    atol = CG_RTOL * (1.0 + float(np.abs(np.concatenate([r1, r2])).max()))
+    p, info = cg(schur, rhs_p, rtol=CG_RTOL, atol=atol, maxiter=CG_MAXITER,
+                 M=sp.diags(1.0 / system.mass_p.diagonal()))
+    if info != 0:
+        raise SolverFailure(
+            f"pressure CG did not converge within CG_MAXITER={CG_MAXITER} "
+            "iterations")
+    p = p - (m @ p) / m.sum()
+    return _verified_pair(system, a_inv(r1 + bt_f @ p), p)
+
+
+def _check_pressure_kernel(b_f: sp.csr_matrix, bt_f: sp.csr_matrix,
+                           a_diag: np.ndarray) -> None:
+    """Raise unless the kernel of ``B_f^T`` is exactly the constants.
+
+    ``B_f diag(A_ff)^-1 B_f^T`` has the kernel of ``B_f^T``, which always
+    holds the constants; with the first pressure pinned it is nonsingular
+    exactly when no spurious pressure mode exists.
+    """
+    s_d = (b_f @ sp.diags(1.0 / a_diag) @ bt_f).tocsc()[1:, 1:]
+    try:
+        splu(s_d)
+    except RuntimeError as exc:
+        raise SolverFailure(
+            f"spurious pressure mode: the divergence pairing is rank deficient "
+            f"on this partition ({exc})") from exc
+
+
+def solve_direct(system: StokesSystem) -> SolutionPair:
+    """Sparse direct solve of the pinned saddle system (reference for tests).
 
     The factorization works on the pinned companion system; the result is
     then shifted to the zero-mean pressure representative and verified
@@ -244,17 +317,26 @@ def solve(system: StokesSystem) -> SolutionPair:
         z = z + lu.solve(r)
         if not np.isfinite(z).all():
             raise SolverFailure("iterative refinement diverged")
-
-    dm = system.dofmap
     nf = int(free.sum())
-    u = system.g_vec.copy()
-    u[free] = z[:nf]
     p = z[nf:] - (system.mean_vec @ z[nf:]) / system.mean_vec.sum()
+    return _verified_pair(system, z[:nf], p)
+
+
+def _verified_pair(system: StokesSystem, u_free: np.ndarray,
+                   p: np.ndarray) -> SolutionPair:
+    """Check a zero-mean solution against the saddle system of record."""
+    if not (np.isfinite(u_free).all() and np.isfinite(p).all()):
+        raise SolverFailure("solver produced non-finite values")
+    dm = system.dofmap
+    free = dm.free_umask
+    nf = len(u_free)
+    u = system.g_vec.copy()
+    u[free] = u_free
 
     # verify against the saddle system of record; the multiplier absorbs any
     # data incompatibility in the continuity rows (zero for compatible data)
     kkt, rhs, _ = saddle_matrix(system)
-    z_full = np.concatenate([z[:nf], p, [0.0]])
+    z_full = np.concatenate([u_free, p, [0.0]])
     r_cont = (rhs - kkt @ z_full)[nf:nf + dm.n_p]
     m = system.mean_vec
     lam = float(m @ r_cont) / float(m @ m)
@@ -265,12 +347,12 @@ def solve(system: StokesSystem) -> SolutionPair:
         raise SolverFailure(
             f"solver residual {resid:.3e} exceeds tolerance {tol:.3e}"
         )
-    sol = SolutionPair(u=u, p=p, partition=system.partition, dofmap=dm,
-                       residual=resid, mean_multiplier=lam)
-    mean = abs(float(system.mean_vec @ p))
+    mean = abs(float(m @ p))
     scale = float(np.sqrt(pressure_l2_sq(system, p))) if dm.n_p else 0.0
-    assert mean <= 1e-10 * max(scale, 1.0), "discrete pressure mean not zero"
-    return sol
+    if mean > 1e-10 * max(scale, 1.0):
+        raise SolverFailure(f"discrete pressure mean {mean:.3e} is not zero")
+    return SolutionPair(u=u, p=p, partition=system.partition, dofmap=dm,
+                        residual=resid, mean_multiplier=lam)
 
 
 def velocity_energy_sq(system: StokesSystem, u: np.ndarray) -> float:

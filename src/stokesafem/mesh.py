@@ -483,9 +483,10 @@ def refine(part: Partition, marked: Iterable[int]) -> Partition:
     # monotone nesting: the dropped input leaves are exactly the refined ones
     # (completion may also bisect elements created mid-pass), and every marked
     # element was refined
-    assert set(marked) <= b.removed
     before = set(int(e) for e in part.leaves)
-    assert b.removed & before == before - set(int(e) for e in out.leaves)
+    if not (set(marked) <= b.removed
+            and b.removed & before == before - set(int(e) for e in out.leaves)):
+        raise RefinementError("refinement is not nested in its input partition")
     return out
 
 
@@ -522,8 +523,8 @@ def overlay(p: Partition, q: Partition) -> Partition:
         else:
             out.append(t)
     result = Partition(f, np.asarray(out, dtype=np.int64))
-    assert result.n_leaves <= p.n_leaves + q.n_leaves - f.n_roots, \
-        "overlay cardinality bound violated"
+    if result.n_leaves > p.n_leaves + q.n_leaves - f.n_roots:
+        raise RefinementError("overlay cardinality bound violated")
     return result
 
 

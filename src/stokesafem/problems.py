@@ -5,6 +5,7 @@ rotated gradient (curl) of a scalar potential so its divergence vanishes
 identically, and the load is derived as f = -laplace(u) + grad(p).  Every
 registered problem re-verifies the momentum and divergence identities at
 random interior points, which guards the whole symbolic/numeric pipeline.
+SymPy is imported only when a manufactured problem is first built.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import sympy as sym
 
 from .mesh import Partition, l_shape_partition, unit_square_partition
 
@@ -23,8 +23,6 @@ __all__ = [
     "builtin_problems",
     "get_problem",
 ]
-
-_X, _Y = sym.symbols("x y", real=True)
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,16 @@ class ProblemDef:
     description: str = ""
 
 
+def _symbols():
+    """The sympy module and the coordinate symbols x, y."""
+    import sympy as sym
+
+    return sym, *sym.symbols("x y", real=True)
+
+
 def _lambdify_vec(exprs) -> Callable[[np.ndarray], np.ndarray]:
-    fns = [sym.lambdify((_X, _Y), e, "numpy") for e in exprs]
+    sym, x, y = _symbols()
+    fns = [sym.lambdify((x, y), e, "numpy") for e in exprs]
 
     def call(xy: np.ndarray) -> np.ndarray:
         xy = np.atleast_2d(xy)
@@ -60,7 +66,8 @@ def _lambdify_vec(exprs) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _lambdify_scalar(expr) -> Callable[[np.ndarray], np.ndarray]:
-    fn = sym.lambdify((_X, _Y), expr, "numpy")
+    sym, x, y = _symbols()
+    fn = sym.lambdify((x, y), expr, "numpy")
 
     def call(xy: np.ndarray) -> np.ndarray:
         xy = np.atleast_2d(xy)
@@ -71,9 +78,10 @@ def _lambdify_scalar(expr) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _lambdify_grad(u1, u2) -> Callable[[np.ndarray], np.ndarray]:
-    parts = [[sym.diff(u1, _X), sym.diff(u1, _Y)],
-             [sym.diff(u2, _X), sym.diff(u2, _Y)]]
-    fns = [[sym.lambdify((_X, _Y), e, "numpy") for e in row] for row in parts]
+    sym, x, y = _symbols()
+    parts = [[sym.diff(u1, x), sym.diff(u1, y)],
+             [sym.diff(u2, x), sym.diff(u2, y)]]
+    fns = [[sym.lambdify((x, y), e, "numpy") for e in row] for row in parts]
 
     def call(xy: np.ndarray) -> np.ndarray:
         xy = np.atleast_2d(xy)
@@ -90,11 +98,12 @@ def _lambdify_grad(u1, u2) -> Callable[[np.ndarray], np.ndarray]:
 def _manufacture(name, make_partition, u1, u2, p_expr, description,
                  g_is_zero: bool) -> ProblemDef:
     """Build a problem with f = -laplace(u) + grad(p) from symbolic fields."""
-    div = sym.simplify(sym.diff(u1, _X) + sym.diff(u2, _Y))
+    sym, x, y = _symbols()
+    div = sym.simplify(sym.diff(u1, x) + sym.diff(u2, y))
     if div != 0:
         raise ValueError(f"{name}: velocity field is not divergence-free")
-    f1 = sym.expand(-sym.diff(u1, _X, 2) - sym.diff(u1, _Y, 2) + sym.diff(p_expr, _X))
-    f2 = sym.expand(-sym.diff(u2, _X, 2) - sym.diff(u2, _Y, 2) + sym.diff(p_expr, _Y))
+    f1 = sym.expand(-sym.diff(u1, x, 2) - sym.diff(u1, y, 2) + sym.diff(p_expr, x))
+    f2 = sym.expand(-sym.diff(u2, x, 2) - sym.diff(u2, y, 2) + sym.diff(p_expr, y))
     u_fn = _lambdify_vec([u1, u2])
     prob = ProblemDef(
         name=name,
@@ -112,16 +121,17 @@ def _manufacture(name, make_partition, u1, u2, p_expr, description,
 def _verify_registration(prob: ProblemDef, u_sym, p_sym, n_points: int = 100,
                          tol: float = 1e-8) -> None:
     """Check momentum balance and incompressibility at random interior points."""
+    sym, x, y = _symbols()
     part = prob.make_partition()
     rng = np.random.default_rng(0)
     pos = rng.integers(0, part.n_leaves, size=n_points)
     lam = rng.dirichlet((1.0, 1.0, 1.0), size=n_points)
     pts = np.einsum("nv,nvd->nd", lam, part.corner_xy[pos])
 
-    lap = [sym.diff(c, _X, 2) + sym.diff(c, _Y, 2) for c in u_sym]
-    grad_p = [sym.diff(p_sym, _X), sym.diff(p_sym, _Y)]
+    lap = [sym.diff(c, x, 2) + sym.diff(c, y, 2) for c in u_sym]
+    grad_p = [sym.diff(p_sym, x), sym.diff(p_sym, y)]
     momentum = _lambdify_vec([-lap[0] + grad_p[0], -lap[1] + grad_p[1]])
-    divergence = _lambdify_scalar(sym.diff(u_sym[0], _X) + sym.diff(u_sym[1], _Y))
+    divergence = _lambdify_scalar(sym.diff(u_sym[0], x) + sym.diff(u_sym[1], y))
 
     f_vals = prob.f(pts)
     scale = 1.0 + float(np.abs(f_vals).max())
@@ -134,20 +144,22 @@ def _verify_registration(prob: ProblemDef, u_sym, p_sym, n_points: int = 100,
 def _linear_patch() -> ProblemDef:
     # u = (y, x) is linear, divergence-free and harmonic with p = 0, so the
     # load vanishes and the flow is driven purely by its boundary trace
+    sym, x, y = _symbols()
     return _manufacture(
         "linear-patch",
         unit_square_partition,
-        _Y, _X, sym.Integer(0),
+        y, x, sym.Integer(0),
         "patch test: linear shear flow reproduced exactly by the discrete space",
         g_is_zero=False,
     )
 
 
 def _smooth_mms() -> ProblemDef:
-    psi = (_X * (1 - _X) * _Y * (1 - _Y)) ** 2
-    u1 = sym.diff(psi, _Y)
-    u2 = -sym.diff(psi, _X)
-    p = _X ** 3 + _Y ** 3 - sym.Rational(1, 2)
+    sym, x, y = _symbols()
+    psi = (x * (1 - x) * y * (1 - y)) ** 2
+    u1 = sym.diff(psi, y)
+    u2 = -sym.diff(psi, x)
+    p = x ** 3 + y ** 3 - sym.Rational(1, 2)
     return _manufacture(
         "smooth-mms",
         unit_square_partition,

@@ -5,10 +5,16 @@ diagnostic.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stokesafem import assembly
 from stokesafem.assembly import (
+    RESIDUAL_RTOL,
     SolverFailure,
     assemble,
     error_norms,
@@ -16,6 +22,7 @@ from stokesafem.assembly import (
     pressure_l2_sq,
     saddle_matrix,
     solve,
+    solve_direct,
     velocity_energy_sq,
 )
 from stokesafem.femspace import (
@@ -24,8 +31,13 @@ from stokesafem.femspace import (
     p2_grads,
     tri_rule,
 )
-from stokesafem.mesh import refine, two_triangle_square, unit_square_partition
-from stokesafem.problems import ExactSolution, builtin_problems
+from stokesafem.mesh import (
+    partition_from_arrays,
+    refine,
+    two_triangle_square,
+    unit_square_partition,
+)
+from stokesafem.problems import ExactSolution, builtin_problems, get_problem
 
 
 def uniform_refine(part, levels=1):
@@ -173,6 +185,82 @@ def test_solver_failure_on_singular_system(mms):
         sysm, a_mat=sp.csr_matrix(sysm.a_mat.shape))
     with pytest.raises(SolverFailure):
         solve(broken)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    problem=st.sampled_from(["smooth-mms", "linear-patch", "lshape-smoothf"]),
+    rounds=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schur_cg_matches_direct_solve(problem, rounds, seed):
+    # random closure refinements of the unit-square and L-shape roots
+    prob = get_problem(problem)
+    part = prob.make_partition()
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        k = int(rng.integers(1, part.n_leaves + 1))
+        part = refine(part, rng.choice(part.leaves, size=k, replace=False).tolist())
+    dm = build_dofmap(part)
+    sysm = assemble(part, dm, prob.f, prob.g)
+    ref = solve_direct(sysm)
+    sol = solve(sysm)
+    _, rhs, _ = saddle_matrix(sysm)
+    assert sol.residual <= RESIDUAL_RTOL * (1.0 + np.abs(rhs).max())
+    u_scale = np.abs(ref.u).max()
+    # the patch pressure is exactly zero, so pressures are also compared on
+    # the velocity scale
+    p_scale = max(np.abs(ref.p).max(), u_scale)
+    assert np.abs(sol.u - ref.u).max() <= 1e-8 * u_scale
+    assert np.abs(sol.p - ref.p).max() <= 1e-8 * p_scale
+
+
+def test_spurious_pressure_mode_raises():
+    part = two_triangle_square()
+    with pytest.warns(UserWarning, match="stability"):
+        dm = build_dofmap(part)
+    sysm = assemble(part, dm, lambda xy: np.ones((len(xy), 2)))
+    with pytest.raises(SolverFailure, match="spurious pressure mode"):
+        solve(sysm)
+
+
+def test_flagged_but_stable_mesh_solves(mms):
+    # the corner triangle has no interior vertex, so the partition is
+    # flagged, but the five triangles around the centre pin every pressure
+    verts = [(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1), (0, 0.5), (0.5, 0.5)]
+    tris = [(0, 1, 5), (1, 2, 6), (2, 3, 6), (3, 4, 6), (4, 5, 6), (5, 1, 6)]
+    part = partition_from_arrays(verts, tris)
+    with pytest.warns(UserWarning, match="stability"):
+        dm = build_dofmap(part)
+    assert not dm.meets_stability
+    sysm = assemble(part, dm, mms.f, mms.g)
+    sol = solve(sysm)
+    ref = solve_direct(sysm)
+    assert np.abs(sol.u - ref.u).max() <= 1e-8 * np.abs(ref.u).max()
+    assert np.abs(sol.p - ref.p).max() <= 1e-8 * np.abs(ref.p).max()
+
+
+@pytest.mark.parametrize("f, g", [
+    (lambda xy: np.full_like(xy, np.nan), None),
+    (lambda xy: np.zeros_like(xy), lambda xy: np.full_like(xy, np.inf)),
+], ids=["nan-load", "inf-boundary"])
+def test_non_finite_data_fails_fast(f, g):
+    part = uniform_refine(unit_square_partition(), 1)
+    dm = build_dofmap(part)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        sysm = assemble(part, dm, f, g)
+    with pytest.raises(SolverFailure, match="non-finite load"):
+        solve(sysm)
+
+
+def test_cg_iteration_cap_is_named(mms, monkeypatch):
+    part = uniform_refine(unit_square_partition(), 2)
+    dm = build_dofmap(part)
+    sysm = assemble(part, dm, mms.f, mms.g)
+    monkeypatch.setattr(assembly, "CG_MAXITER", 1)
+    with pytest.raises(SolverFailure, match="CG_MAXITER=1"):
+        solve(sysm)
 
 
 def test_galerkin_orthogonality(mms):
