@@ -208,8 +208,8 @@ def _solve_and_estimate(part: Partition, prob: ProblemDef, k: int):
     return system, sol, ind, (e0, e1, e2, osc_sq, err_u, err_p, total)
 
 
-def _step_diff_sq(prev: SolutionPair, cur: SolutionPair, system) -> float:
-    lifted = prolong(prev, cur.dofmap)
+def _step_diff_sq(lifted: SolutionPair, cur: SolutionPair, system) -> float:
+    """Squared combined norm of ``cur`` minus an earlier iterate prolonged onto it."""
     du = cur.u - lifted.u
     dp = cur.p - lifted.p
     return float(du @ (system.a_mat @ du) + dp @ (system.mass_p @ dp))
@@ -234,7 +234,8 @@ def adaptive_run(cfg: AdaptiveConfig, problem: ProblemDef | None = None) -> Adap
         system, sol, ind, scalars = _solve_and_estimate(part, prob, k)
         e0, e1, e2, osc_sq, err_u, err_p, total = scalars
         if prev_sol is not None:
-            trace.rows[-1].step_diff_sq = _step_diff_sq(prev_sol, sol, system)
+            trace.rows[-1].step_diff_sq = _step_diff_sq(
+                prolong(prev_sol, sol.dofmap), sol, system)
         row = TraceRow(
             k=k, N=part.n_leaves - leaves0, leaves=part.n_leaves,
             n_u=sol.dofmap.n_u, n_p=sol.dofmap.n_p,
@@ -297,7 +298,8 @@ def uniform_run(problem: ProblemDef | str, levels: int,
         system, sol, ind, scalars = _solve_and_estimate(part, prob, k)
         e0, e1, e2, osc_sq, err_u, err_p, total = scalars
         if prev_sol is not None:
-            trace.rows[-1].step_diff_sq = _step_diff_sq(prev_sol, sol, system)
+            trace.rows[-1].step_diff_sq = _step_diff_sq(
+                prolong(prev_sol, sol.dofmap), sol, system)
         row = TraceRow(
             k=k, N=part.n_leaves - leaves0, leaves=part.n_leaves,
             n_u=sol.dofmap.n_u, n_p=sol.dofmap.n_p,
@@ -334,10 +336,7 @@ def _finalize(trace: AdaptiveTrace, prob: ProblemDef, sol, ind, system,
         fin = history[-1]
         ref = np.empty(len(history))
         for i, s in enumerate(history[:-1]):
-            lifted = prolong(s, fin.dofmap)
-            du = fin.u - lifted.u
-            dp = fin.p - lifted.p
-            ref[i] = float(du @ (system.a_mat @ du) + dp @ (system.mass_p @ dp))
+            ref[i] = _step_diff_sq(prolong(s, fin.dofmap), fin, system)
         ref[-1] = 0.0
         trace.ref_err_sq = ref
 

@@ -18,14 +18,15 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .femspace import (
     DofMap,
-    ScalarField,
+    ElementGeometry,
     SolutionPair,
     VectorField,
+    corner_gradients,
+    element_geometry,
+    p1_values,
     p2_grads,
     p2_values,
-    p1_values,
     tri_rule,
-    P2_HESSIANS,
 )
 from .mesh import Partition
 
@@ -51,32 +52,25 @@ class SolverFailure(RuntimeError):
     """Raised when a factorization fails, CG stalls, or the residual check trips."""
 
 
-@dataclass
-class ElementGeometry:
-    """Per-element affine maps, shared by assembly and the estimators."""
-
-    xy: np.ndarray      # (T, 3, 2) corner coordinates
-    b_mat: np.ndarray   # (T, 2, 2) reference-to-physical Jacobian
-    binv: np.ndarray    # (T, 2, 2)
-    det: np.ndarray     # (T,) Jacobian determinant = 2 * area
-    area: np.ndarray    # (T,)
-
-
-def element_geometry(part: Partition) -> ElementGeometry:
-    xy = part.corner_xy
-    b_mat = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=2)
-    det = b_mat[:, 0, 0] * b_mat[:, 1, 1] - b_mat[:, 0, 1] * b_mat[:, 1, 0]
-    binv = np.empty_like(b_mat)
-    binv[:, 0, 0] = b_mat[:, 1, 1] / det
-    binv[:, 0, 1] = -b_mat[:, 0, 1] / det
-    binv[:, 1, 0] = -b_mat[:, 1, 0] / det
-    binv[:, 1, 1] = b_mat[:, 0, 0] / det
-    return ElementGeometry(xy=xy, b_mat=b_mat, binv=binv, det=det, area=0.5 * det)
+# Reference-element tables from the degree-6 rule.  Every element integrand
+# below is a polynomial of degree <= 2 on the reference cell times a constant
+# of the affine map, so the tables make the local matrices exact.
+_RULE = tri_rule()
+_W = _RULE.tri_weights
+_P1_Q = p1_values(_RULE.tri_bary[:, 1:])                  # (nq, 3)
+_P2_GRADS_Q = p2_grads(_RULE.tri_bary[:, 1:])             # (nq, 6, 2)
+# R[(k, l), (b, c)] = sum_q w_q d_k phi_b d_l phi_c
+_STIFF_REF = np.einsum("q,qbk,qcl->klbc", _W, _P2_GRADS_Q, _P2_GRADS_Q).reshape(4, 36)
+# Q[k, (b, c)] = sum_q w_q psi_b d_k phi_c
+_DIV_REF = np.einsum("q,qb,qck->kbc", _W, _P1_Q, _P2_GRADS_Q).reshape(2, 18)
+_MASS_REF = np.einsum("q,qb,qc->bc", _W, _P1_Q, _P1_Q).reshape(1, 9)
+_LOAD_REF = (_W[:, None] * p2_values(_RULE.tri_bary[:, 1:])).T   # (6, nq)
 
 
-def quad_points_physical(geo: ElementGeometry, bary: np.ndarray) -> np.ndarray:
-    """(T, nq, 2) physical quadrature points."""
-    return np.einsum("qv,tvd->tqd", bary, geo.xy)
+def load_at_quadrature(geo: ElementGeometry, f: VectorField) -> np.ndarray:
+    """(T, nq, 2) values of a vector field at the physical quadrature points."""
+    xq = _RULE.tri_bary @ geo.xy
+    return np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)
 
 
 @dataclass
@@ -111,41 +105,32 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     g : optional callable with the Dirichlet velocity trace; defaults to zero
     """
     geo = element_geometry(part)
-    rule = tri_rule()
-    nq = len(rule.tri_weights)
     T = part.n_leaves
+    det = geo.det
+    binv_t = geo.binv.transpose(0, 2, 1)
 
-    ref_grads = p2_grads(rule.tri_bary[:, 1:])          # (nq, 6, 2)
-    ref_vals = p2_values(rule.tri_bary[:, 1:])          # (nq, 6)
-    pref_vals = p1_values(rule.tri_bary[:, 1:])         # (nq, 3)
-    wdet = rule.tri_weights[None, :] * geo.det[:, None]  # (T, nq)
-
-    # physical basis gradients at each quadrature point: (T, nq, 6, 2)
-    phys = np.einsum("qbk,tkl->tqbl", ref_grads, geo.binv)
-
-    # scalar quadratic stiffness
-    k_loc = np.einsum("tq,tqbl,tqcl->tbc", wdet, phys, phys)
+    # scalar quadratic stiffness: det * sum_kl (B^-1 B^-T)_kl R_kl
+    c_mat = (geo.binv @ binv_t).reshape(T, 4)
+    k_loc = det[:, None] * (c_mat @ _STIFF_REF)                   # (T, 36)
     nn = dm.n_nodes
     rows = np.repeat(dm.cell_nodes, 6, axis=1).reshape(-1)
     cols = np.tile(dm.cell_nodes, (1, 6)).reshape(-1)
     k_scalar = sp.coo_matrix((k_loc.reshape(-1), (rows, cols)), shape=(nn, nn)).tocsr()
     a_mat = sp.kron(k_scalar, sp.identity(2, format="csr"), format="csr")
 
-    # divergence pairing, columns interleaved by velocity component
-    bx_loc = np.einsum("tq,qb,tqcx->tbc", wdet, pref_vals,
-                       phys[:, :, :, :1]).reshape(T, 3, 6)
-    by_loc = np.einsum("tq,qb,tqcx->tbc", wdet, pref_vals,
-                       phys[:, :, :, 1:]).reshape(T, 3, 6)
-    prow = np.repeat(dm.cell_pnodes, 6, axis=1).reshape(-1)
-    ucol = np.tile(dm.cell_nodes, (1, 3)).reshape(-1)
+    # divergence pairing det * B^-T Q, one (3, 6) block per velocity
+    # component l, in column 2 * node + l
+    b_loc = det[:, None, None] * (binv_t @ _DIV_REF)              # (T, 2, 18)
     np_, nu = dm.n_p, dm.n_u
-    bx = sp.coo_matrix((bx_loc.reshape(-1), (prow, ucol)), shape=(np_, nn))
-    by = sp.coo_matrix((by_loc.reshape(-1), (prow, ucol)), shape=(np_, nn))
-    b_mat = (sp.kron(bx.tocsr(), sp.csr_matrix([[1.0, 0.0]]))
-             + sp.kron(by.tocsr(), sp.csr_matrix([[0.0, 1.0]]))).tocsr()
+    shape = (T, 2, 3, 6)
+    prow = np.broadcast_to(dm.cell_pnodes[:, None, :, None], shape)
+    ucol = np.broadcast_to(2 * dm.cell_nodes[:, None, None, :]
+                           + np.arange(2)[:, None, None], shape)
+    b_mat = sp.coo_matrix((b_loc.reshape(-1), (prow.reshape(-1), ucol.reshape(-1))),
+                          shape=(np_, nu)).tocsr()
 
     # pressure mass and mean vector
-    mp_loc = np.einsum("tq,qb,qc->tbc", wdet, pref_vals, pref_vals)
+    mp_loc = det[:, None] * _MASS_REF
     prow_m = np.repeat(dm.cell_pnodes, 3, axis=1).reshape(-1)
     pcol_m = np.tile(dm.cell_pnodes, (1, 3)).reshape(-1)
     mass_p = sp.coo_matrix((mp_loc.reshape(-1), (prow_m, pcol_m)),
@@ -153,12 +138,9 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     mean_vec = np.asarray(mass_p.sum(axis=1)).ravel()
 
     # load vector
-    xq = quad_points_physical(geo, rule.tri_bary)
-    fq = np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(T, nq, 2)
-    load_loc = np.einsum("tq,qb,tqc->tbc", wdet, ref_vals, fq)   # (T, 6, 2)
-    rhs = np.zeros(nu)
-    udofs = dm.cell_udofs().reshape(T, 6, 2)
-    np.add.at(rhs, udofs.reshape(-1), load_loc.reshape(-1))
+    load_loc = det[:, None, None] * (_LOAD_REF @ load_at_quadrature(geo, f))
+    rhs = np.bincount(dm.cell_udofs().reshape(-1), weights=load_loc.reshape(-1),
+                      minlength=nu)
 
     # Dirichlet lift
     g_vec = np.zeros(nu)
@@ -173,14 +155,13 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
 
 
 def saddle_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """Reduced symmetric saddle matrix with the zero-mean multiplier row."""
-    dm = system.dofmap
-    free = dm.free_umask
+    """Reduced symmetric saddle matrix with the zero-mean multiplier row.
+
+    Reference for tests; the solver checks its residual blockwise.
+    """
+    free, r1, r2 = _reduced_data(system)
     a_ff = system.a_mat[free][:, free]
     b_f = system.b_mat[:, free]
-    g_d = system.g_vec[~free]
-    r1 = system.rhs[free] - system.a_mat[free][:, ~free] @ g_d
-    r2 = system.b_mat[:, ~free] @ g_d
     m = sp.csr_matrix(system.mean_vec[:, None])
     kkt = sp.bmat(
         [[a_ff, -b_f.T, None],
@@ -203,20 +184,14 @@ def pinned_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
     factorization blow up on strongly graded meshes.  The zero-mean pressure
     representative is recovered by a constant shift after the solve.
     """
-    dm = system.dofmap
-    free = dm.free_umask
-    a_ff = system.a_mat[free][:, free]
-    b_f = system.b_mat[:, free]
-    g_d = system.g_vec[~free]
-    r1 = system.rhs[free] - system.a_mat[free][:, ~free] @ g_d
-    r2 = system.b_mat[:, ~free] @ g_d
-    nf = a_ff.shape[0]
-    mat = sp.bmat([[a_ff, -b_f.T], [-b_f, None]], format="csr")
+    kkt, rhs, free = saddle_matrix(system)
+    nf = int(free.sum())
+    mat = kkt[:-1, :-1].tocsr()   # without the multiplier
     row_scale = np.ones(mat.shape[0])
     row_scale[nf] = 0.0
     mat = sp.diags(row_scale) @ mat
     mat = (mat + sp.coo_matrix(([1.0], ([nf], [nf])), shape=mat.shape)).tocsc()
-    rhs = np.concatenate([r1, r2])
+    rhs = rhs[:-1].copy()
     rhs[nf] = 0.0
     return mat, rhs, free
 
@@ -236,10 +211,7 @@ def solve(system: StokesSystem) -> SolutionPair:
     representative is verified against the full saddle system.
     """
     dm = system.dofmap
-    free = dm.free_umask
-    g = np.where(free, 0.0, system.g_vec)
-    r1 = system.rhs[free] - (system.a_mat @ g)[free]
-    r2 = system.b_mat @ g
+    free, r1, r2 = _reduced_data(system)
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise SolverFailure("non-finite load or boundary data")
     fnode = free[0::2]
@@ -322,32 +294,47 @@ def solve_direct(system: StokesSystem) -> SolutionPair:
     return _verified_pair(system, z[:nf], p)
 
 
+def _reduced_data(system: StokesSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Free-dof mask and the momentum/continuity data after the Dirichlet lift."""
+    free = system.dofmap.free_umask
+    g = np.where(free, 0.0, system.g_vec)
+    return free, system.rhs[free] - (system.a_mat @ g)[free], system.b_mat @ g
+
+
+def _saddle_residual(system: StokesSystem, u: np.ndarray,
+                     p: np.ndarray) -> tuple[float, float]:
+    """Max-norm residual of the reduced saddle system, and its multiplier.
+
+    Formed blockwise from full-size products, ``u`` holding the boundary
+    values.  The multiplier absorbs any data incompatibility in the
+    continuity rows (zero for compatible data).
+    """
+    free = system.dofmap.free_umask
+    m = system.mean_vec
+    bu = system.b_mat @ u
+    lam = float(m @ bu) / float(m @ m)
+    r_mom = (system.a_mat @ u - system.b_mat.T @ p - system.rhs)[free]
+    resid = max(float(np.abs(r_mom).max(initial=0.0)),
+                float(np.abs(bu - m * lam).max()), abs(float(m @ p)))
+    return resid, lam
+
+
 def _verified_pair(system: StokesSystem, u_free: np.ndarray,
                    p: np.ndarray) -> SolutionPair:
     """Check a zero-mean solution against the saddle system of record."""
     if not (np.isfinite(u_free).all() and np.isfinite(p).all()):
         raise SolverFailure("solver produced non-finite values")
     dm = system.dofmap
-    free = dm.free_umask
-    nf = len(u_free)
+    free, r1, r2 = _reduced_data(system)
     u = system.g_vec.copy()
     u[free] = u_free
-
-    # verify against the saddle system of record; the multiplier absorbs any
-    # data incompatibility in the continuity rows (zero for compatible data)
-    kkt, rhs, _ = saddle_matrix(system)
-    z_full = np.concatenate([u_free, p, [0.0]])
-    r_cont = (rhs - kkt @ z_full)[nf:nf + dm.n_p]
-    m = system.mean_vec
-    lam = float(m @ r_cont) / float(m @ m)
-    z_full[-1] = lam
-    resid = float(np.abs(kkt @ z_full - rhs).max())
-    tol = RESIDUAL_RTOL * (1.0 + float(np.abs(rhs).max()))
+    resid, lam = _saddle_residual(system, u, p)
+    tol = RESIDUAL_RTOL * (1.0 + float(np.abs(np.concatenate([r1, r2])).max()))
     if resid > tol:
         raise SolverFailure(
             f"solver residual {resid:.3e} exceeds tolerance {tol:.3e}"
         )
-    mean = abs(float(m @ p))
+    mean = abs(float(system.mean_vec @ p))
     scale = float(np.sqrt(pressure_l2_sq(system, p))) if dm.n_p else 0.0
     if mean > 1e-10 * max(scale, 1.0):
         raise SolverFailure(f"discrete pressure mean {mean:.3e} is not zero")
@@ -372,23 +359,18 @@ def error_norms(sol: SolutionPair, exact) -> tuple[float, float]:
     """
     part, dm = sol.partition, sol.dofmap
     geo = element_geometry(part)
-    rule = tri_rule()
-    nq = len(rule.tri_weights)
     T = part.n_leaves
-    wdet = rule.tri_weights[None, :] * geo.det[:, None]
+    wdet = geo.det[:, None] * _W
 
-    phys = np.einsum("qbk,tkl->tqbl", p2_grads(rule.tri_bary[:, 1:]), geo.binv)
-    coeff = sol.u_nodes()[dm.cell_nodes]                     # (T, 6, 2)
-    grad_h = np.einsum("tbc,tqbl->tqcl", coeff, phys)        # (T, nq, 2, 2)
-
-    xq = quad_points_physical(geo, rule.tri_bary).reshape(-1, 2)
-    grad_ex = np.asarray(exact.grad_u(xq), dtype=float).reshape(T, nq, 2, 2)
+    # the discrete gradient is affine: interpolate its corner values
+    grad_h = _P1_Q @ corner_gradients(sol, geo).reshape(T, 3, 4)  # (T, nq, 4)
+    xq = (_RULE.tri_bary @ geo.xy).reshape(-1, 2)
+    grad_ex = np.asarray(exact.grad_u(xq), dtype=float).reshape(T, -1, 4)
     diff = grad_ex - grad_h
-    err_u_sq = float(np.einsum("tq,tqcl->", wdet, diff * diff))
+    err_u_sq = float((wdet * (diff * diff).sum(axis=2)).sum())
 
-    pvals = p1_values(rule.tri_bary[:, 1:])
-    p_h = np.einsum("tb,qb->tq", sol.p[dm.cell_pnodes], pvals)
-    p_ex = np.asarray(exact.p(xq), dtype=float).reshape(T, nq)
+    p_h = sol.p[dm.cell_pnodes] @ _P1_Q.T
+    p_ex = np.asarray(exact.p(xq), dtype=float).reshape(T, -1)
     dp = p_ex - p_h
     total_area = float(geo.area.sum())
     shift = float((wdet * dp).sum()) / total_area

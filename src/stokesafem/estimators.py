@@ -23,13 +23,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .assembly import element_geometry, quad_points_physical
+from .assembly import load_at_quadrature
 from .femspace import (
     P1_GRADS,
     P2_HESSIANS,
+    ElementGeometry,
     SolutionPair,
     VectorField,
-    p2_grads,
+    corner_gradients,
+    element_geometry,
     tri_rule,
 )
 from .mesh import Partition
@@ -38,6 +40,7 @@ __all__ = [
     "ESTIMATOR_KINDS",
     "ElementIndicators",
     "compute_indicators",
+    "element_oscillation",
     "eta",
     "marking_shares",
     "oscillation",
@@ -63,14 +66,19 @@ class ElementIndicators:
         return len(self.vol)
 
 
+def element_oscillation(geo: ElementGeometry, fq: np.ndarray) -> np.ndarray:
+    """(T,) h^2 ||f - mean(f)||^2 per element from (T, nq, 2) quadrature values."""
+    w = tri_rule().tri_weights
+    f_mean = geo.det[:, None] * (w @ fq) / geo.area[:, None]
+    dev = fq - f_mean[:, None, :]
+    return geo.area * geo.det * ((dev * dev).sum(axis=2) @ w)
+
+
 def compute_indicators(sol: SolutionPair, f: VectorField) -> ElementIndicators:
     """Evaluate all indicator ingredients for one discrete solution."""
     part, dm = sol.partition, sol.dofmap
     geo = element_geometry(part)
-    rule = tri_rule()
     T = part.n_leaves
-    nq = len(rule.tri_weights)
-    wdet = rule.tri_weights[None, :] * geo.det[:, None]
     area = geo.area
     h_sq = area   # h = sqrt(area), so h^2 is the area itself
 
@@ -79,28 +87,19 @@ def compute_indicators(sol: SolutionPair, f: VectorField) -> ElementIndicators:
 
     # laplacian of the quadratic velocity is constant per element:
     # lap phi_b = sum_{a,b} (Binv Binv^T)[a,b] * Hess_ref[b][a,b]
-    c_mat = np.einsum("tab,tcb->tac", geo.binv, geo.binv)        # (T, 2, 2)
-    lap_basis = np.einsum("tab,nab->tn", c_mat, P2_HESSIANS)     # (T, 6)
-    lap_u = np.einsum("tn,tnc->tc", lap_basis, coeff)            # (T, 2)
+    c_mat = (geo.binv @ geo.binv.transpose(0, 2, 1)).reshape(T, 4)
+    lap_basis = c_mat @ P2_HESSIANS.reshape(6, 4).T               # (T, 6)
+    lap_u = (lap_basis[:, None, :] @ coeff)[:, 0]                 # (T, 2)
 
     # gradient of the linear pressure is constant per element
-    grad_p = np.einsum("tb,bk,tkl->tl", pcoeff, P1_GRADS, geo.binv)  # (T, 2)
+    grad_p = ((pcoeff @ P1_GRADS)[:, None, :] @ geo.binv)[:, 0]   # (T, 2)
 
-    xq = quad_points_physical(geo, rule.tri_bary)
-    fq = np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(T, nq, 2)
-
+    fq = load_at_quadrature(geo, f)
     resid = fq + (lap_u - grad_p)[:, None, :]
-    vol = h_sq * np.einsum("tq,tqc->t", wdet, resid * resid)
+    vol = h_sq * geo.det * ((resid * resid).sum(axis=2) @ tri_rule().tri_weights)
+    osc = element_oscillation(geo, fq)
 
-    f_mean = np.einsum("tq,tqc->tc", wdet, fq) / area[:, None]
-    f_dev = fq - f_mean[:, None, :]
-    osc = h_sq * np.einsum("tq,tqc->t", wdet, f_dev * f_dev)
-
-    # velocity gradient at the three element corners (it is affine)
-    ref_corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    corner_grads = p2_grads(ref_corners)                          # (3, 6, 2)
-    phys = np.einsum("vbk,tkl->tvbl", corner_grads, geo.binv)     # (T, 3, 6, 2)
-    grad_v = np.einsum("tbc,tvbl->tvcl", coeff, phys)             # (T, 3, 2, 2)
+    grad_v = corner_gradients(sol, geo)                           # (T, 3, 2, 2)
     div_v = grad_v[:, :, 0, 0] + grad_v[:, :, 1, 1]               # (T, 3)
 
     # exact integral of the squared affine divergence over the element
@@ -108,46 +107,29 @@ def compute_indicators(sol: SolutionPair, f: VectorField) -> ElementIndicators:
     div_l2 = area / 6.0 * (d0 * d0 + d1 * d1 + d2 * d2
                            + d0 * d1 + d1 * d2 + d2 * d0)
 
-    # trace integral over the element boundary, edge by edge
-    xy = geo.xy
-    h_tau = np.sqrt(area)
-    div_edge = np.zeros(T)
-    for i, j in ((1, 2), (2, 0), (0, 1)):
-        elen = np.linalg.norm(xy[:, i] - xy[:, j], axis=1)
-        di, dj = div_v[:, i], div_v[:, j]
-        div_edge += elen * (di * di + di * dj + dj * dj) / 3.0
-    div_edge *= h_tau
+    # trace integral over the element boundary; edge i joins corners j, k
+    j, k = [1, 2, 0], [2, 0, 1]
+    elen = np.linalg.norm(geo.xy[:, j] - geo.xy[:, k], axis=2)
+    dj, dk = div_v[:, j], div_v[:, k]
+    div_edge = np.sqrt(area) * (elen * (dj * dj + dj * dk + dk * dk)).sum(axis=1) / 3.0
 
     # normal-derivative jumps across interior edges; the jump of the affine
     # gradient is integrated exactly from its values at the edge endpoints
     e_verts = part.interior_edge_verts
     e_elems = part.interior_edge_elems
-    m = len(e_verts)
-    jump = np.zeros(m)
-    if m:
-        tris = part.leaf_tris
-        pa = part.coords(e_verts[:, 0])
-        pb = part.coords(e_verts[:, 1])
-        tang = pb - pa
-        elen = np.linalg.norm(tang, axis=1)
-        normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
-
-        def corner_grad(side: int, vert: np.ndarray) -> np.ndarray:
-            """Velocity gradient of one adjacent element at one endpoint."""
-            elems = e_elems[:, side]
-            loc = np.argmax(tris[elems] == vert[:, None], axis=1)
-            return grad_v[elems, loc]
-
-        ja = np.einsum("mcl,ml->mc",
-                       corner_grad(0, e_verts[:, 0]) - corner_grad(1, e_verts[:, 0]),
-                       normal)
-        jb = np.einsum("mcl,ml->mc",
-                       corner_grad(0, e_verts[:, 1]) - corner_grad(1, e_verts[:, 1]),
-                       normal)
-        # weighted term h_e * ||J||^2_{L2(e)}; the edge L2 norm of the affine
-        # jump contributes one factor elen, the residual weight another
-        jump = elen * elen * ((ja * ja).sum(axis=1) + (ja * jb).sum(axis=1)
-                              + (jb * jb).sum(axis=1)) / 3.0
+    tang = part.coords(e_verts[:, 1]) - part.coords(e_verts[:, 0])
+    elen = np.linalg.norm(tang, axis=1)
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
+    # local corner of each adjacent element at each endpoint: (m, side, end)
+    loc = np.argmax(part.leaf_tris[e_elems][:, :, None, :]
+                    == e_verts[:, None, :, None], axis=3)
+    g_end = grad_v[e_elems[:, :, None], loc]                      # (m, 2, 2, 2, 2)
+    j_end = ((g_end[:, 0] - g_end[:, 1]) @ normal[:, None, :, None])[..., 0]
+    ja, jb = j_end[:, 0], j_end[:, 1]
+    # weighted term h_e * ||J||^2_{L2(e)}; the edge L2 norm of the affine
+    # jump contributes one factor elen, the residual weight another
+    jump = elen * elen * ((ja * ja).sum(axis=1) + (ja * jb).sum(axis=1)
+                          + (jb * jb).sum(axis=1)) / 3.0
 
     return ElementIndicators(
         partition=part, vol=vol, div_l2=div_l2, div_edge=div_edge, osc=osc,

@@ -18,10 +18,13 @@ from .mesh import Partition
 
 __all__ = [
     "DofMap",
+    "ElementGeometry",
     "QuadratureRule",
     "SolutionPair",
     "build_dofmap",
+    "corner_gradients",
     "edge_rule",
+    "element_geometry",
     "eval_pressure",
     "eval_velocity",
     "eval_velocity_gradient",
@@ -88,18 +91,20 @@ def _build_edge_rule() -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-_TRI_BARY, _TRI_W = _build_tri_rule()
-_EDGE_T, _EDGE_W = _build_edge_rule()
+_TRI_RULE = QuadratureRule(*_build_tri_rule(), *_build_edge_rule())
+for _arr in vars(_TRI_RULE).values():
+    _arr.setflags(write=False)
+del _arr
 
 
 def tri_rule() -> QuadratureRule:
-    """The quadrature rule used throughout (degree-6 triangle, degree-7 edge)."""
-    return QuadratureRule(_TRI_BARY.copy(), _TRI_W.copy(),
-                          _EDGE_T.copy(), _EDGE_W.copy())
+    """The shared, read-only quadrature rule (degree-6 triangle, degree-7 edge)."""
+    return _TRI_RULE
 
 
 def edge_rule() -> tuple[np.ndarray, np.ndarray]:
-    return _EDGE_T.copy(), _EDGE_W.copy()
+    """Read-only points and weights of the edge rule on (0, 1)."""
+    return _TRI_RULE.edge_t, _TRI_RULE.edge_weights
 
 
 # -- reference basis -----------------------------------------------------
@@ -161,6 +166,36 @@ _REF_NODES = np.array([
     [0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
     [0.5, 0.5], [0.0, 0.5], [0.5, 0.0],
 ])
+
+
+# velocity gradient at the three corners: (6 basis, 3 corners * 2 directions)
+_CORNER_GRADS = p2_grads(_REF_NODES[:3]).transpose(1, 0, 2).reshape(6, 6)
+
+
+# -- element geometry ----------------------------------------------------
+
+
+@dataclass
+class ElementGeometry:
+    """Per-element affine maps, shared by assembly and the estimators."""
+
+    xy: np.ndarray      # (T, 3, 2) corner coordinates
+    binv: np.ndarray    # (T, 2, 2) inverse reference-to-physical Jacobian
+    det: np.ndarray     # (T,) Jacobian determinant = 2 * area
+    area: np.ndarray    # (T,)
+
+
+def element_geometry(part: Partition) -> ElementGeometry:
+    """Affine maps of every leaf, with closed-form 2x2 inverses."""
+    xy = part.corner_xy
+    b_mat = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=2)
+    det = b_mat[:, 0, 0] * b_mat[:, 1, 1] - b_mat[:, 0, 1] * b_mat[:, 1, 0]
+    binv = np.empty_like(b_mat)
+    binv[:, 0, 0] = b_mat[:, 1, 1] / det
+    binv[:, 0, 1] = -b_mat[:, 0, 1] / det
+    binv[:, 1, 0] = -b_mat[:, 1, 0] / det
+    binv[:, 1, 1] = b_mat[:, 0, 0] / det
+    return ElementGeometry(xy=xy, binv=binv, det=det, area=0.5 * det)
 
 
 # -- dof map -------------------------------------------------------------
@@ -304,6 +339,16 @@ class SolutionPair:
         return self.u.reshape(-1, 2)
 
 
+def corner_gradients(sol: SolutionPair, geo: ElementGeometry) -> np.ndarray:
+    """(T, 3, 2, 2) velocity gradient at each leaf's corners.
+
+    Entry [t, v, k, l] is d u_k / d x_l at corner v; the gradient is affine.
+    """
+    coeff = sol.u_nodes()[sol.dofmap.cell_nodes]                 # (T, 6, 2)
+    ref = (coeff.transpose(0, 2, 1) @ _CORNER_GRADS).reshape(-1, 2, 3, 2)
+    return ref.transpose(0, 2, 1, 3) @ geo.binv[:, None]
+
+
 def _pressure_weights(dm: DofMap) -> np.ndarray:
     """Integral of each pressure basis function (row sums of the mass matrix)."""
     areas = dm.partition.areas
@@ -326,32 +371,26 @@ def prolong(coarse: SolutionPair, fine_dm: DofMap) -> SolutionPair:
     """Exact re-expansion of a coarse solution on a refining partition."""
     cpart = coarse.partition
     fpart = fine_dm.partition
-    anc = fpart.ancestor_leaf_in(cpart)   # coarse leaf id per fine leaf
-    cpos = np.asarray([cpart.leaf_pos[int(a)] for a in anc], dtype=np.int64)
+    # coarse leaf position per fine leaf; leaves are sorted
+    cpos = np.searchsorted(cpart.leaves, fpart.ancestor_leaf_in(cpart))
+    T = len(cpos)
 
     cdm = coarse.dofmap
-    cxy = cpart.corner_xy[cpos]                       # (T, 3, 2)
-    b_mat = np.stack([cxy[:, 1] - cxy[:, 0], cxy[:, 2] - cxy[:, 0]], axis=2)
-    binv = np.linalg.inv(b_mat)
-
+    geo = element_geometry(cpart)
     cu = coarse.u_nodes()[cdm.cell_nodes[cpos]]       # (T, 6, 2)
     cp = coarse.p[cdm.cell_pnodes[cpos]]              # (T, 3)
 
+    # reference coordinates of the fine nodes in their coarse ancestor; the
+    # first three nodes are the fine vertices, which carry the pressure
     fnode_xy = fine_dm.node_xy[fine_dm.cell_nodes]    # (T, 6, 2)
-    ref = np.einsum("tkl,tnl->tnk", binv, fnode_xy - cxy[:, None, 0])
-    ref_flat = ref.reshape(-1, 2)
-    vals = p2_values(ref_flat).reshape(len(cpos), 6, 6)     # (T, nodes, basis)
-    uvals = np.einsum("tnb,tbc->tnc", vals, cu)             # (T, 6, 2)
+    ref = (fnode_xy - geo.xy[cpos, :1]) @ geo.binv[cpos].transpose(0, 2, 1)
+    uvals = p2_values(ref.reshape(-1, 2)).reshape(T, 6, 6) @ cu
+    pvals = p1_values(ref[:, :3].reshape(-1, 2)).reshape(T, 3, 3) @ cp[:, :, None]
 
     u = np.zeros((fine_dm.n_nodes, 2))
     u[fine_dm.cell_nodes.reshape(-1)] = uvals.reshape(-1, 2)
-
-    fvert_xy = fine_dm.node_xy[fine_dm.cell_pnodes]
-    refp = np.einsum("tkl,tnl->tnk", binv, fvert_xy - cxy[:, None, 0])
-    pvals = p1_values(refp.reshape(-1, 2)).reshape(len(cpos), 3, 3)
-    pcell = np.einsum("tnb,tb->tn", pvals, cp)
     p = np.zeros(fine_dm.n_p)
-    p[fine_dm.cell_pnodes.reshape(-1)] = pcell.reshape(-1)
+    p[fine_dm.cell_pnodes.reshape(-1)] = pvals.reshape(-1)
 
     return SolutionPair(u=u.reshape(-1), p=p, partition=fpart, dofmap=fine_dm)
 
@@ -365,11 +404,10 @@ def _locate_ref(sol: SolutionPair, points: np.ndarray):
     elems = part.locate(pts)
     if (elems < 0).any():
         raise ValueError("points outside the meshed domain")
-    pos = np.asarray([part.leaf_pos[int(e)] for e in elems], dtype=np.int64)
-    xy = part.corner_xy[pos]
-    b_mat = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=2)
-    binv = np.linalg.inv(b_mat)
-    ref = np.einsum("nkl,nl->nk", binv, pts - xy[:, 0])
+    pos = np.searchsorted(part.leaves, elems)
+    geo = element_geometry(part)
+    binv = geo.binv[pos]
+    ref = ((pts - geo.xy[pos, 0])[:, None, :] @ binv.transpose(0, 2, 1))[:, 0]
     return pos, ref, binv
 
 

@@ -24,8 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import element_geometry, quad_points_physical
-from .femspace import VectorField, tri_rule
+from .assembly import load_at_quadrature
+from .estimators import element_oscillation
+from .femspace import VectorField, element_geometry
 from .mesh import Partition, refine
 
 __all__ = [
@@ -187,15 +188,7 @@ def osc_indicator(f: VectorField) -> LocalIndicator:
 
     def compute(part: Partition) -> np.ndarray:
         geo = element_geometry(part)
-        rule = tri_rule()
-        wdet = rule.tri_weights[None, :] * geo.det[:, None]
-        xq = quad_points_physical(geo, rule.tri_bary)
-        nq = len(rule.tri_weights)
-        fq = np.asarray(f(xq.reshape(-1, 2)), dtype=float)
-        fq = fq.reshape(part.n_leaves, nq, 2)
-        f_mean = np.einsum("tq,tqc->tc", wdet, fq) / geo.area[:, None]
-        dev = fq - f_mean[:, None, :]
-        return geo.area * np.einsum("tq,tqc->t", wdet, dev * dev)
+        return element_oscillation(geo, load_at_quadrature(geo, f))
 
     return LocalIndicator(name="osc", fn=compute, subadditive=True)
 

@@ -215,6 +215,52 @@ def test_schur_cg_matches_direct_solve(problem, rounds, seed):
     assert np.abs(sol.p - ref.p).max() <= 1e-8 * p_scale
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    problem=st.sampled_from(["smooth-mms", "lshape-smoothf"]),
+    rounds=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blockwise_residual_matches_kkt_residual(problem, rounds, seed):
+    # the residual gate, formed blockwise, against the assembled saddle matrix
+    prob = get_problem(problem)
+    part = prob.make_partition()
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        k = int(rng.integers(1, part.n_leaves + 1))
+        part = refine(part, rng.choice(part.leaves, size=k, replace=False).tolist())
+    dm = build_dofmap(part)
+    sysm = assemble(part, dm, prob.f, prob.g)
+    kkt, rhs, free = saddle_matrix(sysm)
+    m = sysm.mean_vec
+
+    def kkt_residual(u_free, p):
+        z = np.concatenate([u_free, p, [0.0]])
+        r_cont = (rhs - kkt @ z)[len(u_free):len(u_free) + len(p)]
+        z[-1] = float(m @ r_cont) / float(m @ m)
+        return float(np.abs(kkt @ z - rhs).max()), z[-1]
+
+    # an arbitrary pair, whose residual is far from round-off
+    u = sysm.g_vec.copy()
+    u[free] = rng.standard_normal(int(free.sum()))
+    p = rng.standard_normal(dm.n_p)
+    resid, lam = assembly._saddle_residual(sysm, u, p)
+    ref, lam_ref = kkt_residual(u[free], p)
+    assert abs(resid - ref) <= 1e-12 * ref
+    bu_scale = float(np.abs(m) @ np.abs(sysm.b_mat @ u)) / float(m @ m)
+    assert abs(lam - lam_ref) <= 1e-12 * bu_scale
+
+    # the solution passes, and its residual agrees at round-off level
+    sol = solve(sysm)
+    data = 1.0 + float(np.abs(rhs).max())
+    assert abs(sol.residual - kkt_residual(sol.u[free], sol.p)[0]) <= 1e-12 * data
+    # a perturbed zero-mean pressure trips the gate
+    dp = rng.standard_normal(dm.n_p)
+    dp -= (m @ dp) / m.sum()
+    with pytest.raises(SolverFailure, match="residual"):
+        assembly._verified_pair(sysm, sol.u[free], sol.p + 1e-4 * data * dp)
+
+
 def test_spurious_pressure_mode_raises():
     part = two_triangle_square()
     with pytest.warns(UserWarning, match="stability"):

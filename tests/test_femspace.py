@@ -17,6 +17,7 @@ from stokesafem.femspace import (
     P1_GRADS,
     P2_HESSIANS,
     build_dofmap,
+    edge_rule,
     eval_pressure,
     eval_velocity,
     eval_velocity_gradient,
@@ -67,6 +68,15 @@ def test_rule_weights_positive_and_normalized():
     assert r.tri_weights.sum() == pytest.approx(0.5, abs=1e-15)
     assert r.edge_weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert (r.tri_bary > 0).all() and (r.tri_bary < 1).all()
+
+
+def test_rules_are_shared_and_read_only():
+    r = tri_rule()
+    assert tri_rule() is r
+    for arr in (r.tri_bary, r.tri_weights, r.edge_t, r.edge_weights, *edge_rule()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    assert r.tri_weights.sum() == pytest.approx(0.5, abs=1e-15)
 
 
 # -- basis ---------------------------------------------------------------
