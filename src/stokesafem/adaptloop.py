@@ -1,10 +1,12 @@
 """Adaptive solve-estimate-mark-refine driver with convergence monitors.
 
 One iteration solves the discrete Stokes problem, evaluates the residual
-indicators, selects a minimal bulk-carrying element set (greedy marking on
-sorted shares), and refines it conformingly.  Every iteration appends a fully
-populated trace row; the trace feeds the rate, decay, quasi-orthogonality,
-and completion monitors, and serializes to a deterministic CSV.
+indicators, marks elements, and refines them conformingly.  ``adaptive_run``
+and ``uniform_run`` share the loop and differ only in the marking step: a
+minimal bulk-carrying set (greedy marking on sorted shares), or every leaf.
+Every iteration appends a fully populated trace row; the trace feeds the
+rate, decay, quasi-orthogonality, and completion monitors, and serializes to
+a deterministic CSV.
 
 Conventions:
 
@@ -15,20 +17,28 @@ Conventions:
   finer space (``nan`` in the last row);
 * the total error column is ``sqrt(err_u^2 + err_p^2 + osc)`` when an exact
   solution is registered, else ``nan``;
-* the loop stops when the estimator falls below ``rel_tol`` times its initial
-  value (or below an absolute floor), when marking selects nothing, or when
-  the dof/iteration budget is reached.  The final row has ``n_marked = 0``.
+* both runs stop at the dof/iteration budget (uniform: ``levels`` rounds);
+  the adaptive run also stops when the estimator falls below ``rel_tol``
+  times its initial value (or below an absolute floor), or when marking
+  selects nothing.  The final row has ``n_marked = 0``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .assembly import SolverFailure, assemble, error_norms, solve
+from .assembly import (
+    SolverFailure,
+    assemble,
+    error_norms,
+    pressure_l2_sq,
+    solve,
+    velocity_energy_sq,
+)
 from .estimators import (
     ESTIMATOR_KINDS,
     ElementIndicators,
@@ -210,9 +220,8 @@ def _solve_and_estimate(part: Partition, prob: ProblemDef, k: int):
 
 def _step_diff_sq(lifted: SolutionPair, cur: SolutionPair, system) -> float:
     """Squared combined norm of ``cur`` minus an earlier iterate prolonged onto it."""
-    du = cur.u - lifted.u
-    dp = cur.p - lifted.p
-    return float(du @ (system.a_mat @ du) + dp @ (system.mass_p @ dp))
+    return (velocity_energy_sq(system, cur.u - lifted.u)
+            + pressure_l2_sq(system, cur.p - lifted.p))
 
 
 # -- the driver ----------------------------------------------------------
@@ -221,60 +230,29 @@ def _step_diff_sq(lifted: SolutionPair, cur: SolutionPair, system) -> float:
 def adaptive_run(cfg: AdaptiveConfig, problem: ProblemDef | None = None) -> AdaptiveTrace:
     """Run the adaptive loop until the budget or the tolerance is reached."""
     prob = problem if problem is not None else get_problem(cfg.problem)
-    part = prob.make_partition()
-    trace = AdaptiveTrace(mode="adaptive", problem=prob.name,
-                          estimator=cfg.estimator, theta=cfg.theta,
-                          exact_available=prob.exact is not None)
-    history: list[tuple[SolutionPair, object]] = []
-    prev_sol = None
     eta_init_sq = None
-    leaves0 = part.n_leaves
 
-    for k in range(cfg.max_iterations):
-        system, sol, ind, scalars = _solve_and_estimate(part, prob, k)
-        e0, e1, e2, osc_sq, err_u, err_p, total = scalars
-        if prev_sol is not None:
-            trace.rows[-1].step_diff_sq = _step_diff_sq(
-                prolong(prev_sol, sol.dofmap), sol, system)
-        row = TraceRow(
-            k=k, N=part.n_leaves - leaves0, leaves=part.n_leaves,
-            n_u=sol.dofmap.n_u, n_p=sol.dofmap.n_p,
-            eta0=math.sqrt(e0), eta1=math.sqrt(e1), eta2=math.sqrt(e2),
-            osc=math.sqrt(osc_sq),
-            err_u=err_u, err_p=err_p, total_err=total,
-            n_marked=0, step_diff_sq=_NAN,
-        )
-        trace.rows.append(row)
-        if cfg.monitors:
-            history.append(sol)
-        prev_sol = sol
-
-        eta_sq = {"eta0": e0, "eta1": e1, "eta2": e2}[cfg.estimator]
+    def mark_bulk(k: int, part: Partition, ind, eta_sq: float):
+        nonlocal eta_init_sq
         if eta_init_sq is None:
             eta_init_sq = eta_sq
-        converged = (eta_sq <= cfg.abs_floor ** 2
-                     or eta_sq <= cfg.rel_tol ** 2 * eta_init_sq)
-        out_of_budget = (sol.dofmap.n_dofs >= cfg.max_dofs
-                         or k == cfg.max_iterations - 1)
-        if converged or out_of_budget:
-            break
-
+        if (eta_sq <= cfg.abs_floor ** 2
+                or eta_sq <= cfg.rel_tol ** 2 * eta_init_sq):
+            return None
         shares = marking_shares(cfg.estimator, ind)
         marked_pos = dorfler_mark(shares, cfg.theta)
         if len(marked_pos) == 0:
-            break
+            return None
         captured = float(shares[marked_pos].sum())
         total_shares = float(shares.sum())
         if captured < cfg.theta * total_shares * (1.0 - 1e-12):
             raise AssertionError(
                 f"iteration {k}: marked set captures {captured} "
                 f"< theta * total = {cfg.theta * total_shares}")
-        row.n_marked = len(marked_pos)
-        row.marked_fraction = captured / total_shares
-        part = refine(part, [part.leaves[i] for i in marked_pos])
+        return marked_pos, captured / total_shares
 
-    _finalize(trace, prob, sol, ind, system, history if cfg.monitors else None)
-    return trace
+    return _run(prob, "adaptive", cfg.estimator, cfg.theta, mark_bulk,
+                cfg.max_iterations, cfg.max_dofs, cfg.monitors)
 
 
 def uniform_run(problem: ProblemDef | str, levels: int,
@@ -286,15 +264,27 @@ def uniform_run(problem: ProblemDef | str, levels: int,
         raise ValueError("levels must be >= 0")
     if estimator not in ESTIMATOR_KINDS:
         raise ValueError(f"estimator must be one of {ESTIMATOR_KINDS}")
+    return _run(prob, "uniform", estimator, 1.0,
+                lambda k, part, ind, eta_sq: (np.arange(part.n_leaves), 1.0),
+                levels + 1, max_dofs, monitors)
+
+
+def _run(prob: ProblemDef, mode: str, estimator: str, theta: float, mark,
+         max_iterations: int, max_dofs: int, monitors: bool) -> AdaptiveTrace:
+    """The solve-estimate-mark-refine loop shared by both drivers.
+
+    ``mark(k, part, ind, eta_sq)`` returns the leaf positions to refine and
+    the share fraction they capture, or ``None`` to stop.
+    """
     part = prob.make_partition()
-    trace = AdaptiveTrace(mode="uniform", problem=prob.name,
-                          estimator=estimator, theta=1.0,
-                          exact_available=prob.exact is not None)
-    history = []
+    trace = AdaptiveTrace(mode=mode, problem=prob.name, estimator=estimator,
+                          theta=theta, exact_available=prob.exact is not None)
+    # the iterates serve only as reference errors when no exact solution exists
+    history = [] if monitors and prob.exact is None else None
     prev_sol = None
     leaves0 = part.n_leaves
 
-    for k in range(levels + 1):
+    for k in range(max_iterations):
         system, sol, ind, scalars = _solve_and_estimate(part, prob, k)
         e0, e1, e2, osc_sq, err_u, err_p, total = scalars
         if prev_sol is not None:
@@ -309,28 +299,30 @@ def uniform_run(problem: ProblemDef | str, levels: int,
             n_marked=0, step_diff_sq=_NAN,
         )
         trace.rows.append(row)
-        if monitors:
+        if history is not None:
             history.append(sol)
         prev_sol = sol
-        if k == levels or sol.dofmap.n_dofs >= max_dofs:
+        if sol.dofmap.n_dofs >= max_dofs or k == max_iterations - 1:
             break
-        row.n_marked = part.n_leaves
-        row.marked_fraction = 1.0
-        part = refine(part, part.leaves)
+        marked = mark(k, part, ind, scalars[ESTIMATOR_KINDS.index(estimator)])
+        if marked is None:
+            break
+        marked_pos, row.marked_fraction = marked
+        row.n_marked = len(marked_pos)
+        part = refine(part, part.leaves[marked_pos])
 
-    _finalize(trace, prob, sol, ind, system, history if monitors else None)
+    _finalize(trace, sol, ind, system, history)
     return trace
 
 
-def _finalize(trace: AdaptiveTrace, prob: ProblemDef, sol, ind, system,
-              history) -> None:
+def _finalize(trace: AdaptiveTrace, sol, ind, system, history) -> None:
     trace.final_partition = sol.partition
     trace.final_solution = sol
     trace.final_indicators = ind
     ns = trace.column("N")
     if len(ns) > 1 and np.any(np.diff(ns) <= 0):
         raise AssertionError("leaf counts must strictly increase across rows")
-    if history is not None and prob.exact is None and len(history) > 1:
+    if history is not None and len(history) > 1:
         # squared distance of each iterate to the final one, used as the
         # reference error when no exact solution exists
         fin = history[-1]
@@ -473,25 +465,7 @@ class MonitorReport:
     reference: str
 
     def as_dict(self) -> dict:
-        out = {
-            "problem": self.problem,
-            "mode": self.mode,
-            "estimator": self.estimator,
-            "n_iterations": self.n_iterations,
-            "qo_constant": self.qo_constant,
-            "qo_values": list(self.qo_values),
-            "decay_rho": self.decay_rho,
-            "decay_rho_max": self.decay_rho_max,
-            "decay_r2": self.decay_r2,
-            "decay_non_decaying": self.decay_non_decaying,
-            "rate_eta": self.rate_eta,
-            "rate_eta_r2": self.rate_eta_r2,
-            "rate_total_err": self.rate_total_err,
-            "rate_total_err_r2": self.rate_total_err_r2,
-            "completion": self.completion,
-            "reference": self.reference,
-        }
-        return out
+        return asdict(self)
 
 
 def monitor_report(trace: AdaptiveTrace) -> MonitorReport:

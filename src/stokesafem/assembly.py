@@ -79,12 +79,17 @@ class StokesSystem:
 
     partition: Partition
     dofmap: DofMap
-    a_mat: sp.csr_matrix     # (n_u, n_u) velocity stiffness
+    k_mat: sp.csr_matrix     # (n_nodes, n_nodes) scalar P2 stiffness K
     b_mat: sp.csr_matrix     # (n_p, n_u) divergence pairing
     mass_p: sp.csr_matrix    # (n_p, n_p) pressure mass
     mean_vec: np.ndarray     # (n_p,) integrals of the pressure basis
     rhs: np.ndarray          # (n_u,) load vector
     g_vec: np.ndarray        # (n_u,) Dirichlet lift (zero off the boundary)
+
+    @property
+    def a_mat(self) -> sp.csr_matrix:
+        """(n_u, n_u) velocity stiffness ``K (x) I_2``, built on each access."""
+        return sp.kron(self.k_mat, sp.identity(2, format="csr"), format="csr")
 
     @property
     def n_u(self) -> int:
@@ -115,8 +120,7 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     nn = dm.n_nodes
     rows = np.repeat(dm.cell_nodes, 6, axis=1).reshape(-1)
     cols = np.tile(dm.cell_nodes, (1, 6)).reshape(-1)
-    k_scalar = sp.coo_matrix((k_loc.reshape(-1), (rows, cols)), shape=(nn, nn)).tocsr()
-    a_mat = sp.kron(k_scalar, sp.identity(2, format="csr"), format="csr")
+    k_mat = sp.coo_matrix((k_loc.reshape(-1), (rows, cols)), shape=(nn, nn)).tocsr()
 
     # divergence pairing det * B^-T Q, one (3, 6) block per velocity
     # component l, in column 2 * node + l
@@ -150,7 +154,7 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
         g_vec[2 * dm.boundary_nodes] = gv[:, 0]
         g_vec[2 * dm.boundary_nodes + 1] = gv[:, 1]
 
-    return StokesSystem(partition=part, dofmap=dm, a_mat=a_mat, b_mat=b_mat,
+    return StokesSystem(partition=part, dofmap=dm, k_mat=k_mat, b_mat=b_mat,
                         mass_p=mass_p, mean_vec=mean_vec, rhs=rhs, g_vec=g_vec)
 
 
@@ -215,7 +219,7 @@ def solve(system: StokesSystem) -> SolutionPair:
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise SolverFailure("non-finite load or boundary data")
     fnode = free[0::2]
-    k_ff = system.a_mat[0::2, 0::2][fnode][:, fnode].tocsc()
+    k_ff = system.k_mat[fnode][:, fnode].tocsc()
     try:
         lu = splu(k_ff)
     except (RuntimeError, ValueError) as exc:
@@ -227,7 +231,8 @@ def solve(system: StokesSystem) -> SolutionPair:
     b_f = system.b_mat[:, free].tocsr()
     bt_f = b_f.T.tocsr()
     if not dm.meets_stability:
-        _check_pressure_kernel(b_f, bt_f, system.a_mat.diagonal()[free])
+        a_diag = np.repeat(system.k_mat.diagonal(), 2)
+        _check_pressure_kernel(b_f, bt_f, a_diag[free])
     m = system.mean_vec
     lam = float(r2.sum()) / float(m.sum())
     rhs_p = m * lam - r2 - b_f @ a_inv(r1)
@@ -298,7 +303,12 @@ def _reduced_data(system: StokesSystem) -> tuple[np.ndarray, np.ndarray, np.ndar
     """Free-dof mask and the momentum/continuity data after the Dirichlet lift."""
     free = system.dofmap.free_umask
     g = np.where(free, 0.0, system.g_vec)
-    return free, system.rhs[free] - (system.a_mat @ g)[free], system.b_mat @ g
+    return free, system.rhs[free] - _a_dot(system, g)[free], system.b_mat @ g
+
+
+def _a_dot(system: StokesSystem, u: np.ndarray) -> np.ndarray:
+    """``A u`` for the velocity stiffness, ``K`` applied per component."""
+    return (system.k_mat @ u.reshape(-1, 2)).reshape(-1)
 
 
 def _saddle_residual(system: StokesSystem, u: np.ndarray,
@@ -313,7 +323,7 @@ def _saddle_residual(system: StokesSystem, u: np.ndarray,
     m = system.mean_vec
     bu = system.b_mat @ u
     lam = float(m @ bu) / float(m @ m)
-    r_mom = (system.a_mat @ u - system.b_mat.T @ p - system.rhs)[free]
+    r_mom = (_a_dot(system, u) - system.b_mat.T @ p - system.rhs)[free]
     resid = max(float(np.abs(r_mom).max(initial=0.0)),
                 float(np.abs(bu - m * lam).max()), abs(float(m @ p)))
     return resid, lam
@@ -344,7 +354,7 @@ def _verified_pair(system: StokesSystem, u_free: np.ndarray,
 
 def velocity_energy_sq(system: StokesSystem, u: np.ndarray) -> float:
     """Squared gradient seminorm of a velocity coefficient vector."""
-    return float(u @ (system.a_mat @ u))
+    return float(u @ _a_dot(system, u))
 
 
 def pressure_l2_sq(system: StokesSystem, p: np.ndarray) -> float:

@@ -149,7 +149,7 @@ def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
             bucket_counts[j] = bucket_counts.get(j, 0) + 1
             bucket_members.setdefault(j, []).append(int(part.leaves[pos]))
         rounds.append(len(positions))
-        part = refine(part, [part.leaves[i] for i in positions])
+        part = refine(part, part.leaves[positions])
 
     _assert_bucket_disjoint(part.forest, bucket_members)
     for j, m_j in bucket_counts.items():

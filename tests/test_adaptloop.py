@@ -303,6 +303,51 @@ def test_zero_data_stops_immediately():
     assert trace.rows[0].eta1 == 0.0
 
 
+def test_uniform_run_refines_zero_data_through_every_level():
+    # uniform refinement marks every leaf and never stops on convergence
+    def zero_f(xy):
+        return np.zeros((len(np.atleast_2d(xy)), 2))
+
+    prob = ProblemDef(name="zero", make_partition=unit_square_partition,
+                      f=zero_f, g=None, exact=None)
+    trace = uniform_run(prob, levels=3)
+    np.testing.assert_array_equal(trace.column("leaves"), [4, 8, 16, 32])
+    np.testing.assert_array_equal(trace.column("eta1"), 0.0)
+    np.testing.assert_array_equal(trace.column("n_marked"), [4, 8, 16, 0])
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "uniform"])
+def test_single_iteration_run(mode):
+    if mode == "adaptive":
+        trace = adaptive_run(AdaptiveConfig(problem="smooth-mms",
+                                            max_iterations=1))
+    else:
+        trace = uniform_run("smooth-mms", levels=0)
+    assert trace.mode == mode
+    assert len(trace.rows) == 1
+    assert trace.rows[0].n_marked == 0
+    assert math.isnan(trace.rows[0].step_diff_sq)
+    assert trace.final_partition.n_leaves == trace.rows[0].leaves
+
+
+@pytest.mark.parametrize("monitors", [True, False])
+@pytest.mark.parametrize("problem", ["smooth-mms", "lshape-smoothf"])
+@pytest.mark.parametrize("mode", ["adaptive", "uniform"])
+def test_reference_errors_only_without_exact_solution(mode, problem, monitors):
+    if mode == "adaptive":
+        trace = adaptive_run(AdaptiveConfig(problem=problem, max_dofs=400,
+                                            monitors=monitors))
+    else:
+        trace = uniform_run(problem, levels=2, monitors=monitors)
+    assert len(trace.rows) >= 3
+    if monitors and not trace.exact_available:
+        ref = trace.ref_err_sq
+        assert ref is not None and len(ref) == len(trace.rows)
+        assert ref[-1] == 0.0 and np.all(ref[:-1] > 0.0)
+    else:
+        assert trace.ref_err_sq is None
+
+
 def test_solver_failure_carries_iteration_context():
     # a one-element "mesh" cannot carry the mixed pair; the assembled saddle
     # system on the two-triangle square is rank deficient yet consistent, so
@@ -329,6 +374,8 @@ def test_uniform_run_structure():
     np.testing.assert_array_equal(leaves, [4, 8, 16])
     assert trace.rows[0].n_marked == 4 and trace.rows[1].n_marked == 8
     assert trace.rows[2].n_marked == 0
+    np.testing.assert_array_equal(trace.column("marked_fraction")[:-1], 1.0)
+    assert math.isnan(trace.rows[-1].marked_fraction)
     # added elements per marked element is then exactly 1
     assert completion_constant(trace) == pytest.approx(1.0)
     for row in trace.rows:

@@ -182,7 +182,7 @@ def test_solver_failure_on_singular_system(mms):
     dm = build_dofmap(part)
     sysm = assemble(part, dm, mms.f, mms.g)
     broken = dataclasses.replace(
-        sysm, a_mat=sp.csr_matrix(sysm.a_mat.shape))
+        sysm, k_mat=sp.csr_matrix(sysm.k_mat.shape))
     with pytest.raises(SolverFailure):
         solve(broken)
 

@@ -17,7 +17,8 @@ import pytest
 import stokesafem.cli as cli
 from stokesafem.assembly import SolverFailure
 from stokesafem.cli import main
-from stokesafem.mesh import load_mesh
+from stokesafem.mesh import load_mesh, unit_square_partition
+from stokesafem.problems import ProblemDef
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -124,6 +125,21 @@ def test_exit_code_on_solver_failure(monkeypatch, capsys, tmp_path):
     rc = main(["run", "--out", str(tmp_path)])
     assert rc == 3
     assert "solver failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "uniform"])
+def test_exit_code_on_non_finite_data(monkeypatch, capsys, tmp_path, mode):
+    def nan_f(xy):
+        return np.full((len(np.atleast_2d(xy)), 2), np.nan)
+
+    prob = ProblemDef(name="nan-load", make_partition=unit_square_partition,
+                      f=nan_f, g=None, exact=None)
+    monkeypatch.setattr(cli, "get_problem", lambda name: prob)
+    rc = main(["run", "--mode", mode, "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "solver failure: iteration 0: non-finite" in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_on_budget_error(tmp_path, capsys):

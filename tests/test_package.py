@@ -1,10 +1,11 @@
-"""Package-wide properties: runtime checks that survive ``python -O`` and
-import-time cost.
+"""Package-wide properties: runtime checks that survive ``python -O``,
+import-time cost, and the names the benchmark tracer wraps.
 """
 
 from __future__ import annotations
 
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import stokesafem
 
 PKG = Path(stokesafem.__file__).resolve().parent
+BENCHMARKS = PKG.parents[1] / "benchmarks"
 
 
 def test_no_assert_statements_in_package():
@@ -32,3 +34,31 @@ def test_sympy_is_imported_only_for_manufactured_problems():
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_sees_every_layer():
+    # benchmarks/tracing.py rebinds adaptloop/assembly module globals by name
+    # and tells the two prolongations apart by the caller's function name;
+    # renaming either would silently zero its per-layer metrics
+    code = """
+import json, sys
+sys.path[:0] = sys.argv[1:]
+import tracing
+from stokesafem import adaptloop
+tracer = tracing.Tracer()
+tracing.install(tracer)
+adaptloop.adaptive_run(adaptloop.AdaptiveConfig(problem="lshape-smoothf",
+                                                max_iterations=3))
+adaptloop.uniform_run("lshape-smoothf", levels=2)
+print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
+                  "nnz": tracer.metrics()["assembly.nnz"]}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(PKG.parent), str(BENCHMARKS)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    for span in ("femspace.prolong_ref", "femspace.prolong_step",
+                 "adaptloop.mark", "mesh.refine", "assembly.factor"):
+        assert span in out["spans"]
+    assert out["nnz"] > 0
