@@ -201,8 +201,8 @@ def _check_indicator_inequalities(osc_sq: float, e0: float, e1: float,
 
 def _solve_and_estimate(part: Partition, prob: ProblemDef, k: int):
     dm = build_dofmap(part)
-    system = assemble(part, dm, prob.f, prob.g)
     try:
+        system = assemble(part, dm, prob.f, prob.g)
         sol = solve(system)
     except SolverFailure as exc:
         raise SolverFailure(f"iteration {k}: {exc}") from exc

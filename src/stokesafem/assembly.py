@@ -142,7 +142,10 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     mean_vec = np.asarray(mass_p.sum(axis=1)).ravel()
 
     # load vector
-    load_loc = det[:, None, None] * (_LOAD_REF @ load_at_quadrature(geo, f))
+    f_q = load_at_quadrature(geo, f)
+    if not np.isfinite(f_q).all():
+        raise SolverFailure("non-finite load data at the quadrature points")
+    load_loc = det[:, None, None] * (_LOAD_REF @ f_q)
     rhs = np.bincount(dm.cell_udofs().reshape(-1), weights=load_loc.reshape(-1),
                       minlength=nu)
 

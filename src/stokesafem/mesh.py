@@ -14,6 +14,14 @@ returns the smallest common refinement of two snapshots over the same initial
 partition.  Element and vertex ids are dense integers, stable across
 snapshots, with children assigned in creation order and edge midpoints
 deduplicated through a shared edge-to-midpoint map.
+
+Cost model of ``refine``: the whole-mesh work (mark validation, the edge
+table, the conformity and nesting checks, the forest's NumPy mirrors) is
+vectorized NumPy or C-level container construction, and pure Python runs only
+once per bisection.  The completion stays sequential and recursive, so the
+ids, and the order in which they are created, depend only on the input
+snapshot and the marked set.  Edges are keyed by the integer code
+``lo << 32 | hi`` of their sorted vertex pair everywhere.
 """
 
 from __future__ import annotations
@@ -48,15 +56,35 @@ class RefinementError(RuntimeError):
     """Raised when marked refinement cannot be completed."""
 
 
-def _edge_key(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
+_LO_MASK = (1 << 32) - 1
+
+
+def _edge_code(a: int, b: int) -> int:
+    """Integer key ``lo << 32 | hi`` of the edge between vertices a and b."""
+    return a << 32 | b if a < b else b << 32 | a
+
+
+class _Mirror:
+    """NumPy copy of an append-only list, extended by the rows added since
+    the last call."""
+
+    def __init__(self, dtype, row_shape: tuple[int, ...] = ()):
+        self._arr = np.empty((0, *row_shape), dtype=dtype)
+
+    def sync(self, rows: list) -> np.ndarray:
+        n = len(self._arr)
+        if len(rows) > n:
+            tail = np.asarray(rows[n:], dtype=self._arr.dtype)
+            self._arr = np.concatenate([self._arr, tail])
+            self._arr.flags.writeable = False
+        return self._arr
 
 
 class Forest:
     """Append-only bisection forest shared by all snapshots of one mesh."""
 
     def __init__(self, verts: Sequence[Sequence[float]], tris: Sequence[Sequence[int]],
-                 boundary_edges: Iterable[tuple[int, int]]):
+                 boundary_codes: Iterable[int]):
         self.verts: list[tuple[float, float]] = [tuple(map(float, v)) for v in verts]
         self.tri: list[tuple[int, int, int]] = [tuple(map(int, t)) for t in tris]
         n = len(self.tri)
@@ -66,13 +94,15 @@ class Forest:
         self.gen: list[int] = [0] * n
         self.root: list[int] = list(range(n))
         self.n_roots = n
-        # edge (sorted vertex pair) -> midpoint vertex id, for deduplication
-        self.midpoint: dict[tuple[int, int], int] = {}
-        # every edge key that lies on the domain boundary (never pruned;
-        # superseded keys are harmless because lookups only use leaf edges)
-        self.boundary: set[tuple[int, int]] = set(boundary_edges)
-        self._tri_np: np.ndarray | None = None
-        self._verts_np: np.ndarray | None = None
+        # edge code -> midpoint vertex id, for deduplication
+        self.midpoint: dict[int, int] = {}
+        # code of every edge that lies on the domain boundary (never pruned;
+        # superseded codes are harmless because lookups only use leaf edges)
+        self.boundary: set[int] = set(boundary_codes)
+        self._tri_np = _Mirror(np.int64, (3,))
+        self._verts_np = _Mirror(float, (2,))
+        self._gen_np = _Mirror(np.int64)
+        self._parent_np = _Mirror(np.int64)
 
     @property
     def n_elements(self) -> int:
@@ -83,17 +113,19 @@ class Forest:
         return len(self.verts)
 
     def tri_array(self) -> np.ndarray:
-        if self._tri_np is None or len(self._tri_np) != len(self.tri):
-            self._tri_np = np.asarray(self.tri, dtype=np.int64)
-        return self._tri_np
+        return self._tri_np.sync(self.tri)
 
     def verts_array(self) -> np.ndarray:
-        if self._verts_np is None or len(self._verts_np) != len(self.verts):
-            self._verts_np = np.asarray(self.verts, dtype=float)
-        return self._verts_np
+        return self._verts_np.sync(self.verts)
+
+    def gen_array(self) -> np.ndarray:
+        return self._gen_np.sync(self.gen)
+
+    def parent_array(self) -> np.ndarray:
+        return self._parent_np.sync(self.parent)
 
     def _split_edge(self, a: int, b: int) -> int:
-        key = _edge_key(a, b)
+        key = _edge_code(a, b)
         m = self.midpoint.get(key)
         if m is None:
             xa, ya = self.verts[a]
@@ -102,8 +134,8 @@ class Forest:
             self.verts.append(((xa + xb) / 2.0, (ya + yb) / 2.0))
             self.midpoint[key] = m
             if key in self.boundary:
-                self.boundary.add(_edge_key(a, m))
-                self.boundary.add(_edge_key(m, b))
+                self.boundary.add(_edge_code(a, m))
+                self.boundary.add(_edge_code(m, b))
         return m
 
     def ensure_children(self, t: int) -> tuple[int, int]:
@@ -119,20 +151,14 @@ class Forest:
         # midpoint at local position 2, making it the children's peak
         self.tri.append((v2, v0, m))
         self.tri.append((v1, v2, m))
-        c1 = c0 + 1
-        for _ in range(2):
-            self.parent.append(t)
-            self.child0.append(-1)
-            self.child1.append(-1)
-            self.gen.append(g)
-            self.root.append(r)
+        self.parent.extend((t, t))
+        self.child0.extend((-1, -1))
+        self.child1.extend((-1, -1))
+        self.gen.extend((g, g))
+        self.root.extend((r, r))
         self.child0[t] = c0
-        self.child1[t] = c1
-        return c0, c1
-
-    def refinement_edge(self, t: int) -> tuple[int, int]:
-        v0, v1, _ = self.tri[t]
-        return _edge_key(v0, v1)
+        self.child1[t] = c0 + 1
+        return c0, c0 + 1
 
 
 @dataclass(frozen=True)
@@ -153,7 +179,7 @@ class Partition:
         self.forest = forest
         leaves = np.asarray(leaves, dtype=np.int64)
         self.leaves = np.sort(leaves)
-        if len(np.unique(self.leaves)) != len(self.leaves):
+        if (self.leaves[1:] == self.leaves[:-1]).any():
             raise ValueError("duplicate leaf ids")
 
     # -- basic queries ---------------------------------------------------
@@ -183,7 +209,7 @@ class Partition:
 
     @cached_property
     def generations(self) -> np.ndarray:
-        return np.asarray(self.forest.gen, dtype=np.int64)[self.leaves]
+        return self.forest.gen_array()[self.leaves]
 
     def coords(self, vert_ids: np.ndarray) -> np.ndarray:
         return self.forest.verts_array()[vert_ids]
@@ -226,28 +252,34 @@ class Partition:
         local = np.tile(np.arange(3), n)
         lo = pairs.min(axis=1)
         hi = pairs.max(axis=1)
-        code = lo.astype(np.int64) * (1 << 32) + hi
-        order = np.argsort(code, kind="stable")
-        code_s = code[order]
-        uniq, start, counts = np.unique(code_s, return_index=True, return_counts=True)
+        code = lo.astype(np.int64) << 32 | hi
+        o = np.argsort(code, kind="stable")
+        code_s = code[o]
+        # runs of equal codes in the sorted list are the distinct edges
+        first = np.ones(len(code_s), dtype=bool)
+        first[1:] = code_s[1:] != code_s[:-1]
+        start = np.flatnonzero(first)
+        counts = np.diff(np.r_[start, len(code_s)])
+        uniq = code_s[start]
         int_rows = start[counts == 2]
         bnd_rows = start[counts == 1]
-        bad = uniq[counts > 2]
-        o = order
-        tables = {
-            "edge_verts": np.stack([uniq >> 32, uniq & ((1 << 32) - 1)], axis=1),
+
+        def split(codes):
+            return np.stack([codes >> 32, codes & _LO_MASK], axis=1)
+
+        return {
+            "edge_verts": split(uniq),
             "edge_counts": counts,
-            "int_verts": np.stack([code_s[int_rows] >> 32,
-                                   code_s[int_rows] & ((1 << 32) - 1)], axis=1),
+            "int_codes": code_s[int_rows],
+            "int_verts": split(code_s[int_rows]),
             "int_elems": np.stack([owner[o[int_rows]], owner[o[int_rows + 1]]], axis=1),
             "int_local": np.stack([local[o[int_rows]], local[o[int_rows + 1]]], axis=1),
-            "bnd_verts": np.stack([code_s[bnd_rows] >> 32,
-                                   code_s[bnd_rows] & ((1 << 32) - 1)], axis=1),
+            "bnd_codes": code_s[bnd_rows],
+            "bnd_verts": split(code_s[bnd_rows]),
             "bnd_elems": owner[o[bnd_rows]],
             "bnd_local": local[o[bnd_rows]],
-            "n_bad": int(len(bad)),
+            "n_bad": int((counts > 2).sum()),
         }
-        return tables
 
     @property
     def n_edges(self) -> int:
@@ -285,10 +317,9 @@ class Partition:
         defects = []
         if t["n_bad"]:
             defects.append(f"{t['n_bad']} edges shared by more than two leaves")
-        bad_single = [
-            (int(u), int(v)) for u, v in t["bnd_verts"]
-            if (int(u), int(v)) not in self.forest.boundary
-        ]
+        boundary = self.forest.boundary
+        bad_single = [(c >> 32, c & _LO_MASK) for c in t["bnd_codes"].tolist()
+                      if c not in boundary]
         if bad_single:
             defects.append(
                 f"hanging interior edges with a single adjacent leaf: {bad_single[:5]}"
@@ -380,11 +411,12 @@ class Partition:
         """
         if coarse.forest is not self.forest:
             raise ValueError("partitions belong to different forests")
-        parent = np.asarray(self.forest.parent, dtype=np.int64)
-        mask = np.zeros(self.forest.n_elements, dtype=bool)
+        parent = self.forest.parent_array()
+        mask = np.zeros(len(parent), dtype=bool)
         mask[coarse.leaves] = True
         anc = self.leaves.copy()
-        for _ in range(max(self.forest.gen) + 1):
+        # a leaf of generation g reaches its root after g steps
+        for _ in range(int(self.generations.max(initial=0)) + 1):
             todo = ~mask[anc]
             if not todo.any():
                 return anc
@@ -399,41 +431,48 @@ class Partition:
 
 
 class _Builder:
-    """Mutable working state for one refinement pass over a snapshot."""
+    """Mutable working state for one bisection pass over a snapshot.
+
+    ``edge_leaves`` maps the code of every current leaf edge to the one or two
+    leaves that have it as a full edge.  It is seeded from the snapshot's
+    cached edge table and then updated once per bisection.
+    """
 
     def __init__(self, part: Partition):
         self.forest = part.forest
-        self.leafset: set[int] = set(int(e) for e in part.leaves)
-        self.removed: set[int] = set()
-        edge_leaves: dict[tuple[int, int], list[int]] = {}
-        tri = self.forest.tri
-        for t in self.leafset:
-            v0, v1, v2 = tri[t]
-            for key in (_edge_key(v1, v2), _edge_key(v2, v0), _edge_key(v0, v1)):
-                edge_leaves.setdefault(key, []).append(t)
-        self.edge_leaves = edge_leaves
-
-    def is_leaf(self, t: int) -> bool:
-        return t in self.leafset
+        self.leafset: set[int] = set(part.leaves.tolist())
+        self.removed: list[int] = []
+        t = part._edge_tables
+        leaves = part.leaves
+        edge_leaves = dict(zip(t["int_codes"].tolist(), leaves[t["int_elems"]].tolist()))
+        edge_leaves.update(zip(t["bnd_codes"].tolist(),
+                               leaves[t["bnd_elems"], None].tolist()))
+        self.edge_leaves: dict[int, list[int]] = edge_leaves
 
     def bisect_leaf(self, t: int) -> tuple[int, int]:
         f = self.forest
+        el = self.edge_leaves
         v0, v1, v2 = f.tri[t]
-        for key in (_edge_key(v1, v2), _edge_key(v2, v0), _edge_key(v0, v1)):
-            self.edge_leaves[key].remove(t)
         c0, c1 = f.ensure_children(t)
+        m = f.tri[c0][2]
+        # the refinement edge is split; the other two edges pass to the
+        # children, c0 = (v2, v0, m) and c1 = (v1, v2, m)
+        el[_edge_code(v0, v1)].remove(t)
+        for key, c in ((_edge_code(v2, v0), c0), (_edge_code(v1, v2), c1)):
+            pair = el[key]
+            pair[pair.index(t)] = c
+        el.setdefault(_edge_code(v0, m), []).append(c0)
+        el.setdefault(_edge_code(m, v1), []).append(c1)
+        el[_edge_code(v2, m)] = [c0, c1]
         self.leafset.remove(t)
-        self.removed.add(t)
-        for c in (c0, c1):
-            self.leafset.add(c)
-            w0, w1, w2 = f.tri[c]
-            for key in (_edge_key(w1, w2), _edge_key(w2, w0), _edge_key(w0, w1)):
-                self.edge_leaves.setdefault(key, []).append(c)
+        self.leafset.add(c0)
+        self.leafset.add(c1)
+        self.removed.append(t)
         return c0, c1
 
     def conforming_bisect(self, t: int) -> None:
         """Bisect leaf ``t``, recursively pre-refining incompatible neighbors."""
-        f = self.forest
+        tri = self.forest.tri
         chain = [t]
         on_chain = {t}
         while chain:
@@ -442,10 +481,11 @@ class _Builder:
                 chain.pop()
                 on_chain.discard(t)
                 continue
-            key = f.refinement_edge(t)
-            others = [s for s in self.edge_leaves.get(key, ()) if s != t]
+            v0, v1, _ = tri[t]
+            key = _edge_code(v0, v1)
+            others = [s for s in self.edge_leaves[key] if s != t]
             nb = others[0] if others else None
-            if nb is None or f.refinement_edge(nb) == key:
+            if nb is None or _edge_code(tri[nb][0], tri[nb][1]) == key:
                 self.bisect_leaf(t)
                 if nb is not None:
                     self.bisect_leaf(nb)
@@ -461,41 +501,49 @@ class _Builder:
                 on_chain.add(nb)
 
     def snapshot(self) -> Partition:
-        return Partition(self.forest, np.fromiter(self.leafset, dtype=np.int64))
+        return Partition(self.forest, np.fromiter(self.leafset, dtype=np.int64,
+                                                  count=len(self.leafset)))
+
+
+def _leaf_ids(part: Partition, ids, message: str) -> np.ndarray:
+    """Sorted distinct ids; ``message`` names the smallest one that is not a leaf."""
+    ids = np.unique(np.asarray(ids if isinstance(ids, np.ndarray) else list(ids),
+                               dtype=np.int64))
+    stray = ids[~np.isin(ids, part.leaves, assume_unique=True)]
+    if len(stray):
+        raise ValueError(message.format(stray[0]))
+    return ids
 
 
 def refine(part: Partition, marked: Iterable[int]) -> Partition:
     """Bisect every marked leaf at least once and complete to conformity."""
-    marked = sorted(int(m) for m in set(marked))
-    pos = part.leaf_pos
-    for m in marked:
-        if m not in pos:
-            raise ValueError(f"marked element {m} is not a leaf of the partition")
+    marked = _leaf_ids(part, marked, "marked element {} is not a leaf of the partition")
     part.check_conforming()
-    if not marked:
+    if not len(marked):
         return part
     b = _Builder(part)
-    for t in marked:
-        if b.is_leaf(t):
+    for t in marked.tolist():
+        if t in b.leafset:
             b.conforming_bisect(t)
     out = b.snapshot()
     out.check_conforming()
     # monotone nesting: the dropped input leaves are exactly the refined ones
     # (completion may also bisect elements created mid-pass), and every marked
     # element was refined
-    before = set(int(e) for e in part.leaves)
-    if not (set(marked) <= b.removed
-            and b.removed & before == before - set(int(e) for e in out.leaves)):
+    removed = np.asarray(b.removed, dtype=np.int64)
+    dropped = np.setdiff1d(part.leaves, out.leaves, assume_unique=True)
+    if not (np.isin(marked, removed).all()
+            and np.array_equal(np.intersect1d(removed, part.leaves, assume_unique=True),
+                               dropped)):
         raise RefinementError("refinement is not nested in its input partition")
     return out
 
 
 def bisect(part: Partition, elem: int) -> Partition:
     """Single raw bisection of one leaf; the result may be non-conforming."""
-    if int(elem) not in part.leaf_pos:
-        raise ValueError(f"element {elem} is not a leaf of the partition")
+    elem = int(_leaf_ids(part, [elem], "element {} is not a leaf of the partition")[0])
     b = _Builder(part)
-    b.bisect_leaf(int(elem))
+    b.bisect_leaf(elem)
     return b.snapshot()
 
 
@@ -579,22 +627,37 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
     longest edge (ties broken by the smallest opposite vertex id) sits
     opposite local vertex 2; otherwise the stored order is trusted.
     """
-    varr = np.asarray(verts, dtype=float)
+    try:
+        varr = np.asarray(verts, dtype=float)
+        tarr = np.asarray(tris, dtype=np.int64)
+    except TypeError as exc:
+        raise ValueError(f"malformed mesh arrays: {exc}") from exc
+    if varr.ndim != 2 or varr.shape[1] != 2:
+        raise ValueError(f"vertices must be (x, y) pairs, got shape {varr.shape}")
+    if not np.isfinite(varr).all():
+        raise ValueError("vertex coordinates must be finite")
+    if tarr.ndim != 2 or tarr.shape[1] != 3:
+        raise ValueError(f"triangles must be vertex-id triples, got shape {tarr.shape}")
+    stray = tarr[(tarr < 0) | (tarr >= len(varr))]
+    if len(stray):
+        raise ValueError(f"vertex id {stray[0]} out of range for {len(varr)} vertices")
     tlist = _normalize_tris(varr, tris, relabel_longest_edge)
-    counts: dict[tuple[int, int], int] = {}
+    counts: dict[int, int] = {}
     for a, b, c in tlist:
-        for key in (_edge_key(a, b), _edge_key(b, c), _edge_key(c, a)):
+        for key in (_edge_code(a, b), _edge_code(b, c), _edge_code(c, a)):
             counts[key] = counts.get(key, 0) + 1
     detected = {k for k, n in counts.items() if n == 1}
     if boundary is None:
         bset = detected
     else:
-        bset = {_edge_key(int(u), int(v)) for u, v in boundary}
+        bset = {_edge_code(int(u), int(v)) for u, v in boundary}
         if bset != detected:
             raise ValueError("boundary markers disagree with single-sided edges")
     forest = Forest(varr, tlist, bset)
     part = Partition(forest, np.arange(len(tlist)))
-    part.check_conforming()
+    defects = part.conformity_defects()
+    if defects:
+        raise ValueError("non-conforming mesh: " + "; ".join(defects))
     return part
 
 

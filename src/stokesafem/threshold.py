@@ -18,7 +18,6 @@ indicators for calibration studies.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -92,28 +91,38 @@ class ThresholdReport:
         return self.partition.n_leaves
 
 
-def _bucket_index(area: float) -> int:
-    """j such that 2^(-j-1) <= area < 2^(-j)."""
-    x = -math.log2(area)
-    m = round(x)
-    if abs(x - m) < 1e-9:
-        return int(m) - 1
-    return int(math.floor(x))
+def _bucket_indices(areas: np.ndarray) -> np.ndarray:
+    """Per area the j with 2^(-j-1) <= area < 2^(-j); a -log2(area) within
+    1e-9 of an integer m counts as exactly 2^(-m), so lands in bucket m-1."""
+    x = -np.log2(areas)
+    m = np.round(x)
+    return np.where(np.abs(x - m) < 1e-9, m - 1, np.floor(x)).astype(np.int64)
 
 
-def _assert_bucket_disjoint(forest, bucket_members: dict[int, list[int]]) -> None:
+def _assert_bucket_disjoint(forest, bucket_members) -> None:
+    parent = forest.parent_array()
     for j, members in bucket_members.items():
-        ids = set(members)
+        members = np.asarray(members, dtype=np.int64)
+        ids = np.unique(members)
         if len(ids) != len(members):
             raise AssertionError(f"bucket {j}: element marked twice")
-        for elem in members:
-            parent = forest.parent[elem]
-            while parent >= 0:
-                if parent in ids:
-                    raise AssertionError(
-                        f"bucket {j}: element {elem} has marked ancestor "
-                        f"{parent}; interiors overlap")
-                parent = forest.parent[parent]
+        # walk every member's ancestor chain one level per step, recording
+        # the nearest marked ancestor
+        hit = np.full(len(members), -1, dtype=np.int64)
+        live = np.arange(len(members))
+        anc = parent[members]
+        while len(live):
+            keep = anc >= 0
+            live, anc = live[keep], anc[keep]
+            marked = np.isin(anc, ids)
+            hit[live[marked]] = anc[marked]
+            live, anc = live[~marked], parent[anc[~marked]]
+        bad = np.flatnonzero(hit >= 0)
+        if len(bad):
+            i = bad[0]
+            raise AssertionError(
+                f"bucket {j}: element {members[i]} has marked ancestor "
+                f"{hit[i]}; interiors overlap")
 
 
 def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
@@ -126,8 +135,7 @@ def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
     n_initial = part.n_leaves
     total_area = part.total_area
     rounds: list[int] = []
-    bucket_counts: dict[int, int] = {}
-    bucket_members: dict[int, list[int]] = {}
+    bucket_members: dict[int, list[np.ndarray]] = {}
 
     while True:
         values = indicator(part)
@@ -143,15 +151,16 @@ def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
                 f"element {part.leaves[worst]} (indicator "
                 f"{values[worst]:.6g} > eps {eps:.6g}) reached the "
                 f"generation cap {max_generation}")
-        areas = part.areas[positions]
-        for pos, area in zip(positions, areas):
-            j = _bucket_index(float(area))
-            bucket_counts[j] = bucket_counts.get(j, 0) + 1
-            bucket_members.setdefault(j, []).append(int(part.leaves[pos]))
+        marked = part.leaves[positions]
+        js = _bucket_indices(part.areas[positions])
+        for j in np.unique(js).tolist():
+            bucket_members.setdefault(j, []).append(marked[js == j])
         rounds.append(len(positions))
-        part = refine(part, part.leaves[positions])
+        part = refine(part, marked)
 
-    _assert_bucket_disjoint(part.forest, bucket_members)
+    members = {j: np.concatenate(m) for j, m in sorted(bucket_members.items())}
+    _assert_bucket_disjoint(part.forest, members)
+    bucket_counts = {j: len(m) for j, m in members.items()}
     for j, m_j in bucket_counts.items():
         bound = 2.0 ** (j + 1) * total_area
         if m_j > bound * (1.0 + 1e-12):
@@ -166,7 +175,7 @@ def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
         eps=eps, indicator=indicator.name, partition=part,
         n_initial=n_initial, n_added=part.n_leaves - n_initial,
         sum_e=float(final_values.sum()), rounds=rounds,
-        buckets=dict(sorted(bucket_counts.items())),
+        buckets=bucket_counts,
     )
 
 

@@ -235,6 +235,21 @@ def test_mesh_info_rejects_missing_file(capsys):
     assert "cannot load mesh" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vertices, triangles", [
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 5]]),
+    ([[0, 0], [1, 0], [0, float("nan")]], [[0, 1, 2]]),
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, -1]]),
+    ([[0, 0], [1, 0], [0, 1], [0.5, 2], [0.5, -1]], [[0, 1, 2], [0, 1, 3], [1, 0, 4]]),
+], ids=["id-past-end", "nan-coordinate", "negative-id", "edge-in-three-triangles"])
+def test_mesh_info_rejects_malformed_mesh(tmp_path, capsys, vertices, triangles):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": vertices, "triangles": triangles}))
+    assert main(["mesh-info", "--mesh", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: cannot load mesh" in err
+    assert "Traceback" not in err
+
+
 # -- infsup --------------------------------------------------------------
 
 

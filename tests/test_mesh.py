@@ -8,6 +8,7 @@ angle bound for star sizes.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -434,3 +435,40 @@ def test_load_mesh_rejects_malformed(tmp_path):
     path.write_text('{"vertices": [[0,0],[1,0],[0,1]]}')
     with pytest.raises(ValueError):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("payload, match", [
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 5]]},
+     "out of range"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, -1]]},
+     "out of range"),
+    ({"vertices": [[0, 0], [1, 0], [0, float("nan")]], "triangles": [[0, 1, 2]]},
+     "finite"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1], [0.5, 2], [0.5, -1]],
+      "triangles": [[0, 1, 2], [0, 1, 3], [1, 0, 4]]},
+     "shared by more than two"),
+], ids=["id-past-end", "negative-id", "nan-coordinate", "edge-in-three-triangles"])
+def test_load_mesh_rejects_malformed_arrays(tmp_path, payload, match):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        load_mesh(path)
+
+
+# -- forest mirrors ------------------------------------------------------
+
+
+def test_forest_mirrors_follow_growth():
+    p = l_shape_partition()
+    f = p.forest
+    early = f.tri_array()
+    for _ in range(4):
+        p = refine(p, p.leaves[::3])
+        assert np.array_equal(f.tri_array(), np.asarray(f.tri, dtype=np.int64))
+        assert np.array_equal(f.verts_array(), np.asarray(f.verts, dtype=float))
+        assert np.array_equal(f.gen_array(), np.asarray(f.gen, dtype=np.int64))
+        assert np.array_equal(f.parent_array(), np.asarray(f.parent, dtype=np.int64))
+    # arrays handed out earlier keep their rows and cannot be written
+    assert np.array_equal(early, np.asarray(f.tri[:len(early)], dtype=np.int64))
+    with pytest.raises(ValueError):
+        f.tri_array()[0, 0] = 1

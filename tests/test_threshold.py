@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stokesafem.threshold import (
     BudgetExceeded,
     LocalIndicator,
     _assert_bucket_disjoint,
+    _bucket_indices,
     class_seminorm,
     eps_sweep,
     greedy_threshold,
@@ -149,6 +152,38 @@ def test_bucket_disjointness_guard():
     with pytest.raises(AssertionError, match="marked twice"):
         _assert_bucket_disjoint(forest, {0: [child, child]})
     _assert_bucket_disjoint(forest, {0: [child], 1: [parent]})  # fine
+
+
+def scalar_bucket_index(area: float) -> int:
+    """The per-element rule the vectorized bucket index replaced."""
+    x = -math.log2(area)
+    m = round(x)
+    if abs(x - m) < 1e-9:
+        return int(m) - 1
+    return int(math.floor(x))
+
+
+def test_bucket_indices_match_scalar_rule():
+    powers = 2.0 ** -np.arange(0, 60)
+    rng = np.random.default_rng(11)
+    areas = np.concatenate([powers, powers * (1 + 1e-12), powers * (1 - 1e-12),
+                            10.0 ** rng.uniform(-15, 0, 2000)])
+    want = [scalar_bucket_index(float(a)) for a in areas]
+    assert _bucket_indices(areas).tolist() == want
+    # an exact power 2^-m is the top of bucket m - 1
+    assert _bucket_indices(powers).tolist() == list(range(-1, 59))
+
+
+def test_bucket_disjointness_guard_names_first_offender():
+    part = unit_square_partition()
+    fine = refine(refine(part, part.leaves), [4])
+    forest = fine.forest
+    leaf = int(fine.leaves[-1])
+    parent = forest.parent[leaf]
+    grandparent = forest.parent[parent]
+    with pytest.raises(AssertionError,
+                       match=f"element {leaf} has marked ancestor {parent};"):
+        _assert_bucket_disjoint(forest, {3: [grandparent, leaf, parent]})
 
 
 # -- indicator parsing ---------------------------------------------------
