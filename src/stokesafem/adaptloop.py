@@ -77,6 +77,8 @@ TRACE_COLUMNS = (
 )
 
 _NAN = float("nan")
+# marking shares closer than this, relative to the largest, count as tied
+DORFLER_TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -164,9 +166,15 @@ class AdaptiveTrace:
 def dorfler_mark(shares: np.ndarray, theta: float) -> np.ndarray:
     """Minimal-cardinality index set whose shares reach ``theta`` of the total.
 
-    Shares are sorted descending (ties broken by ascending index) and the
-    shortest prefix reaching ``theta * total`` is returned, as ascending
-    indices.  Returns an empty array when every share is zero.
+    Shares are sorted descending and the shortest prefix reaching
+    ``theta * total`` is returned, as ascending indices.  The sort key is
+    each share rounded to ``DORFLER_TIE_RTOL`` times the largest one, ties
+    broken by ascending index: shares equal by symmetry then keep their
+    order whatever round-off the solver leaves in their last bits, and so
+    do the ids of the refined mesh.  The prefix sums use the true shares, so
+    the set reaches the target; its cardinality is minimal up to shares
+    closer than the tolerance.  Returns an empty array when every share is
+    zero.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
@@ -175,11 +183,13 @@ def dorfler_mark(shares: np.ndarray, theta: float) -> np.ndarray:
         raise ValueError("shares must be a nonempty 1-d array")
     if np.any(shares < 0.0) or not np.all(np.isfinite(shares)):
         raise ValueError("shares must be finite and nonnegative")
-    order = np.lexsort((np.arange(len(shares)), -shares))
+    top = shares.max()
+    if top == 0.0:
+        return np.empty(0, dtype=np.int64)
+    key = np.rint(shares / top / DORFLER_TIE_RTOL)
+    order = np.lexsort((np.arange(len(shares)), -key))
     cum = np.cumsum(shares[order])
     total = cum[-1]
-    if total == 0.0:
-        return np.empty(0, dtype=np.int64)
     cut = int(np.searchsorted(cum, theta * total, side="left"))
     return np.sort(order[: cut + 1])
 

@@ -61,6 +61,19 @@ def test_dorfler_hand_examples():
     assert len(dorfler_mark([0.0, 0.0], 0.7)) == 0
 
 
+def test_dorfler_ulp_perturbation_keeps_marked_set():
+    # shares equal by symmetry differ only in round-off; moving each by one
+    # ulp either way must not reorder them
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        shares = rng.choice(rng.uniform(0.0, 1.0, size=4), size=n)
+        theta = float(rng.uniform(0.05, 1.0))
+        shares_ulp = np.nextafter(shares, rng.choice([-np.inf, np.inf], size=n))
+        np.testing.assert_array_equal(dorfler_mark(shares_ulp, theta),
+                                      dorfler_mark(shares, theta))
+
+
 def test_dorfler_validation():
     with pytest.raises(ValueError, match="theta"):
         dorfler_mark([1.0], 0.0)
