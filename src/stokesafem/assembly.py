@@ -181,7 +181,7 @@ def saddle_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
 
 
 def pinned_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
-    """Nonsingular companion system used for factorization only.
+    """Nonsingular companion system for a direct factorization (reference).
 
     The continuity rows carry an exact rank-1 redundancy: the linear pressure
     basis sums to one, and discrete velocities vanishing on the boundary have
@@ -210,23 +210,22 @@ def solve(system: StokesSystem) -> SolutionPair:
     with ``S = B A^-1 B^T``, which is positive semidefinite with the
     constants as its kernel (Verfuerth 1984).  Because the constant pressure
     is orthogonal to the range of ``B``, the mean multiplier is known in
-    advance, ``lam = 1^T r2 / |Omega|``, and the system is consistent.  CG
-    preconditioned by the diagonal of the pressure mass converges in a number
-    of iterations that does not grow with the mesh size.  ``A^-1`` is one
-    sparse LU of the scalar P2 stiffness, exact because ``A = K (x) I_2``,
-    applied to both velocity components at once.  The zero-mean pressure
-    representative is verified against the full saddle system.
+    advance, ``lam = 1^T r2 / |Omega|``, and the system is consistent.  The
+    pressure mass ``M_p`` is spectrally equivalent to ``S`` (Elman, Silvester
+    & Wathen, ch. 4), so CG preconditioned by ``M_p^-1`` converges in a
+    number of iterations that does not grow with the mesh size.  ``A^-1`` is
+    one sparse LU of the scalar P2 stiffness, exact because
+    ``A = K (x) I_2``, applied to both velocity components at once.  Both
+    ``K_ff`` and ``M_p`` are symmetric positive definite, so both are
+    factored in SuperLU's symmetric mode (see ``_spd_lu``).  The zero-mean
+    pressure representative is verified against the full saddle system.
     """
     dm = system.dofmap
     free, r1, r2 = _reduced_data(system)
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise SolverFailure("non-finite load or boundary data")
     fnode = free[0::2]
-    k_ff = system.k_mat[fnode][:, fnode].tocsc()
-    try:
-        lu = splu(k_ff)
-    except (RuntimeError, ValueError) as exc:
-        raise SolverFailure(f"sparse factorization failed: {exc}") from exc
+    lu = _spd_lu(system.k_mat[fnode][:, fnode])
 
     def a_inv(v: np.ndarray) -> np.ndarray:
         return lu.solve(v.reshape(-1, 2)).reshape(-1)
@@ -242,15 +241,31 @@ def solve(system: StokesSystem) -> SolutionPair:
     n_p = dm.n_p
     schur = LinearOperator((n_p, n_p), matvec=lambda q: b_f @ a_inv(bt_f @ q),
                            dtype=float)
+    mass_lu = _spd_lu(system.mass_p)
+    precond = LinearOperator((n_p, n_p), matvec=mass_lu.solve, dtype=float)
     atol = CG_RTOL * (1.0 + float(np.abs(np.concatenate([r1, r2])).max()))
     p, info = cg(schur, rhs_p, rtol=CG_RTOL, atol=atol, maxiter=CG_MAXITER,
-                 M=sp.diags(1.0 / system.mass_p.diagonal()))
+                 M=precond)
     if info != 0:
         raise SolverFailure(
             f"pressure CG did not converge within CG_MAXITER={CG_MAXITER} "
             "iterations")
     p = p - (m @ p) / m.sum()
     return _verified_pair(system, a_inv(r1 + bt_f @ p), p)
+
+
+def _spd_lu(mat: sp.spmatrix):
+    """Sparse LU of a symmetric positive definite matrix.
+
+    SuperLU's symmetric mode: a minimum-degree ordering of ``A^T + A``
+    applied to rows and columns alike, and no pivoting, which keeps the
+    fill near that of a Cholesky factor.
+    """
+    try:
+        return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except (RuntimeError, ValueError) as exc:
+        raise SolverFailure(f"sparse factorization failed: {exc}") from exc
 
 
 def _check_pressure_kernel(b_f: sp.csr_matrix, bt_f: sp.csr_matrix,
@@ -268,38 +283,6 @@ def _check_pressure_kernel(b_f: sp.csr_matrix, bt_f: sp.csr_matrix,
         raise SolverFailure(
             f"spurious pressure mode: the divergence pairing is rank deficient "
             f"on this partition ({exc})") from exc
-
-
-def solve_direct(system: StokesSystem) -> SolutionPair:
-    """Sparse direct solve of the pinned saddle system (reference for tests).
-
-    The factorization works on the pinned companion system; the result is
-    then shifted to the zero-mean pressure representative and verified
-    against the full saddle system including the mean-constraint row.
-    """
-    pinned, prhs, free = pinned_matrix(system)
-    try:
-        lu = splu(pinned)
-        z = lu.solve(prhs)
-    except (RuntimeError, ValueError) as exc:
-        raise SolverFailure(f"sparse factorization failed: {exc}") from exc
-    if not np.isfinite(z).all():
-        raise SolverFailure("sparse factorization produced non-finite values "
-                            "(singular saddle matrix)")
-    # iterative refinement: strongly graded meshes make the system
-    # ill-conditioned; correcting with the existing factorization recovers
-    # a small residual at negligible cost
-    ptol = RESIDUAL_RTOL * (1.0 + float(np.abs(prhs).max()))
-    for _ in range(3):
-        r = prhs - pinned @ z
-        if float(np.abs(r).max()) <= 0.05 * ptol:
-            break
-        z = z + lu.solve(r)
-        if not np.isfinite(z).all():
-            raise SolverFailure("iterative refinement diverged")
-    nf = int(free.sum())
-    p = z[nf:] - (system.mean_vec @ z[nf:]) / system.mean_vec.sum()
-    return _verified_pair(system, z[:nf], p)
 
 
 def _reduced_data(system: StokesSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
