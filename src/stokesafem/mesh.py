@@ -630,14 +630,23 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
     try:
         varr = np.asarray(verts, dtype=float)
         tarr = np.asarray(tris, dtype=np.int64)
+        integral = np.array_equal(tarr, np.asarray(tris, dtype=float))
     except TypeError as exc:
         raise ValueError(f"malformed mesh arrays: {exc}") from exc
     if varr.ndim != 2 or varr.shape[1] != 2:
         raise ValueError(f"vertices must be (x, y) pairs, got shape {varr.shape}")
     if not np.isfinite(varr).all():
         raise ValueError("vertex coordinates must be finite")
+    # two vertices at one point would leave a crack that no edge check sees
+    order = np.lexsort(varr.T)
+    same = np.flatnonzero((varr[order[1:]] == varr[order[:-1]]).all(axis=1))
+    if len(same):
+        i, j = sorted(order[same[0]:same[0] + 2].tolist())
+        raise ValueError(f"duplicate vertices {i} and {j} at {varr[i].tolist()}")
     if tarr.ndim != 2 or tarr.shape[1] != 3:
         raise ValueError(f"triangles must be vertex-id triples, got shape {tarr.shape}")
+    if not integral:
+        raise ValueError("vertex ids must be integers")
     stray = tarr[(tarr < 0) | (tarr >= len(varr))]
     if len(stray):
         raise ValueError(f"vertex id {stray[0]} out of range for {len(varr)} vertices")

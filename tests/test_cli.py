@@ -240,7 +240,10 @@ def test_mesh_info_rejects_missing_file(capsys):
     ([[0, 0], [1, 0], [0, float("nan")]], [[0, 1, 2]]),
     ([[0, 0], [1, 0], [0, 1]], [[0, 1, -1]]),
     ([[0, 0], [1, 0], [0, 1], [0.5, 2], [0.5, -1]], [[0, 1, 2], [0, 1, 3], [1, 0, 4]]),
-], ids=["id-past-end", "nan-coordinate", "negative-id", "edge-in-three-triangles"])
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2.5]]),
+    ([[0, 0], [1, 0], [0, 1], [1, 1], [1, 0]], [[0, 1, 2], [4, 3, 2]]),
+], ids=["id-past-end", "nan-coordinate", "negative-id", "edge-in-three-triangles",
+        "fractional-id", "duplicate-vertex"])
 def test_mesh_info_rejects_malformed_mesh(tmp_path, capsys, vertices, triangles):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"vertices": vertices, "triangles": triangles}))

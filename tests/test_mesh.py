@@ -447,7 +447,13 @@ def test_load_mesh_rejects_malformed(tmp_path):
     ({"vertices": [[0, 0], [1, 0], [0, 1], [0.5, 2], [0.5, -1]],
       "triangles": [[0, 1, 2], [0, 1, 3], [1, 0, 4]]},
      "shared by more than two"),
-], ids=["id-past-end", "negative-id", "nan-coordinate", "edge-in-three-triangles"])
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2.5]]},
+     "integers"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [1, 0]],
+      "triangles": [[0, 1, 2], [4, 3, 2]]},
+     "duplicate vertices 1 and 4"),
+], ids=["id-past-end", "negative-id", "nan-coordinate", "edge-in-three-triangles",
+        "fractional-id", "duplicate-vertex"])
 def test_load_mesh_rejects_malformed_arrays(tmp_path, payload, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,11 @@ from pathlib import Path
 import stokesafem
 
 PKG = Path(stokesafem.__file__).resolve().parent
-BENCHMARKS = PKG.parents[1] / "benchmarks"
+ROOT = PKG.parents[1]
+BENCHMARKS = ROOT / "benchmarks"
+# acceptance criteria that build their own runs in a few seconds and bound
+# no wall time (criterion 01's 1 s would also time a cold interpreter's imports)
+FAST_CRITERIA = ("05", "10", "12", "13")
 
 
 def test_no_assert_statements_in_package():
@@ -25,6 +30,22 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in stokesafem: {found}"
+
+
+def test_fast_acceptance_criteria_pass_under_optimize():
+    # the criteria must still pass, with every runtime check they reach
+    # still active, when ``python -O`` strips asserts from the package
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(PKG.parent),
+                                                       os.environ.get("PYTHONPATH")]))}
+    selected = " or ".join(f"criterion_{n}" for n in FAST_CRITERIA)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_acceptance.py"), "-k", selected],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr
+    for n in FAST_CRITERIA:
+        assert f"[criterion {n}] PASS" in proc.stdout
 
 
 def test_sympy_is_imported_only_for_manufactured_problems():
