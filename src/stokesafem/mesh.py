@@ -617,6 +617,14 @@ def _normalize_tris(verts: np.ndarray, tris: Sequence[Sequence[int]],
     return out
 
 
+def _vertex_ids(values) -> np.ndarray:
+    """Vertex ids as int64; a fractional id raises instead of truncating."""
+    ids = np.asarray(values, dtype=np.int64)
+    if not np.array_equal(ids, np.asarray(values, dtype=float)):
+        raise ValueError("vertex ids must be integers")
+    return ids
+
+
 def partition_from_arrays(verts: Sequence[Sequence[float]],
                           tris: Sequence[Sequence[int]],
                           boundary: Iterable[Sequence[int]] | None = None,
@@ -629,8 +637,7 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
     """
     try:
         varr = np.asarray(verts, dtype=float)
-        tarr = np.asarray(tris, dtype=np.int64)
-        integral = np.array_equal(tarr, np.asarray(tris, dtype=float))
+        tarr = _vertex_ids(tris)
     except TypeError as exc:
         raise ValueError(f"malformed mesh arrays: {exc}") from exc
     if varr.ndim != 2 or varr.shape[1] != 2:
@@ -645,8 +652,6 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
         raise ValueError(f"duplicate vertices {i} and {j} at {varr[i].tolist()}")
     if tarr.ndim != 2 or tarr.shape[1] != 3:
         raise ValueError(f"triangles must be vertex-id triples, got shape {tarr.shape}")
-    if not integral:
-        raise ValueError("vertex ids must be integers")
     stray = tarr[(tarr < 0) | (tarr >= len(varr))]
     if len(stray):
         raise ValueError(f"vertex id {stray[0]} out of range for {len(varr)} vertices")
@@ -659,7 +664,7 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
     if boundary is None:
         bset = detected
     else:
-        bset = {_edge_code(int(u), int(v)) for u, v in boundary}
+        bset = {_edge_code(u, v) for u, v in _vertex_ids(list(boundary)).tolist()}
         if bset != detected:
             raise ValueError("boundary markers disagree with single-sided edges")
     forest = Forest(varr, tlist, bset)

@@ -449,11 +449,14 @@ def test_load_mesh_rejects_malformed(tmp_path):
      "shared by more than two"),
     ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2.5]]},
      "integers"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]],
+      "boundary_markers": [[0, 1.5], [1, 2], [2, 0]]},
+     "integers"),
     ({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [1, 0]],
       "triangles": [[0, 1, 2], [4, 3, 2]]},
      "duplicate vertices 1 and 4"),
 ], ids=["id-past-end", "negative-id", "nan-coordinate", "edge-in-three-triangles",
-        "fractional-id", "duplicate-vertex"])
+        "fractional-id", "fractional-boundary-id", "duplicate-vertex"])
 def test_load_mesh_rejects_malformed_arrays(tmp_path, payload, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

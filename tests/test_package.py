@@ -17,7 +17,8 @@ PKG = Path(stokesafem.__file__).resolve().parent
 ROOT = PKG.parents[1]
 BENCHMARKS = ROOT / "benchmarks"
 # acceptance criteria that build their own runs in a few seconds and bound
-# no wall time (criterion 01's 1 s would also time a cold interpreter's imports)
+# no wall time (criterion 01's 1 s also times the sympy import, which takes
+# seconds under -O without cached optimized bytecode)
 FAST_CRITERIA = ("05", "10", "12", "13")
 
 
