@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -617,10 +618,28 @@ def _normalize_tris(verts: np.ndarray, tris: Sequence[Sequence[int]],
     return out
 
 
+def _reals(values, message: str) -> np.ndarray:
+    """Nested sequences of real numbers as a float array.  NumPy alone would
+    read the string ``"2"`` as 2 and ``True`` as 1; here any non-number,
+    bool or number too large for a float raises ``ValueError(message)``."""
+    obj = np.asarray(values, dtype=object)
+    kinds = set(map(type, obj.ravel().tolist()))
+    if not all(issubclass(k, numbers.Real) and not issubclass(k, (bool, np.bool_))
+               for k in kinds):
+        raise ValueError(message)
+    try:
+        return obj.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"{message}: {exc}") from exc
+
+
 def _vertex_ids(values) -> np.ndarray:
-    """Vertex ids as int64; a fractional id raises instead of truncating."""
-    ids = np.asarray(values, dtype=np.int64)
-    if not np.array_equal(ids, np.asarray(values, dtype=float)):
+    """Vertex ids as int64; a fractional, non-finite or out-of-int64 id
+    raises instead of being cast."""
+    reals = _reals(values, "vertex ids must be integers")
+    fits = np.abs(reals) < 2.0 ** 63          # False for NaN and inf too
+    ids = np.where(fits, reals, 0.0).astype(np.int64)
+    if not (fits.all() and np.array_equal(ids, reals)):
         raise ValueError("vertex ids must be integers")
     return ids
 
@@ -635,11 +654,8 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
     longest edge (ties broken by the smallest opposite vertex id) sits
     opposite local vertex 2; otherwise the stored order is trusted.
     """
-    try:
-        varr = np.asarray(verts, dtype=float)
-        tarr = _vertex_ids(tris)
-    except TypeError as exc:
-        raise ValueError(f"malformed mesh arrays: {exc}") from exc
+    varr = _reals(verts, "vertex coordinates must be numbers")
+    tarr = _vertex_ids(tris)
     if varr.ndim != 2 or varr.shape[1] != 2:
         raise ValueError(f"vertices must be (x, y) pairs, got shape {varr.shape}")
     if not np.isfinite(varr).all():
@@ -664,7 +680,11 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
     if boundary is None:
         bset = detected
     else:
-        bset = {_edge_code(u, v) for u, v in _vertex_ids(list(boundary)).tolist()}
+        bids = _vertex_ids(boundary)
+        if bids.size and (bids.ndim != 2 or bids.shape[1] != 2):
+            raise ValueError("boundary markers must be vertex-id pairs, "
+                             f"got shape {bids.shape}")
+        bset = {_edge_code(u, v) for u, v in bids.reshape(-1, 2).tolist()}
         if bset != detected:
             raise ValueError("boundary markers disagree with single-sided edges")
     forest = Forest(varr, tlist, bset)
@@ -709,21 +729,37 @@ def l_shape_partition() -> Partition:
     return partition_from_arrays(verts, tris)
 
 
+def _json_rows(rows: np.ndarray, item: str) -> str:
+    """``json.dumps(rows.tolist(), indent=1)`` for a list nested one level
+    deep in an object; ``item`` is ``%r`` (float repr, as json writes a
+    finite float) or ``%d``."""
+    if not len(rows):
+        return "[]"
+    row = "  [\n" + ",\n".join(["   " + item] * rows.shape[1]) + "\n  ]"
+    body = ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
+    return "[\n" + body + "\n ]"
+
+
 def save_mesh(part: Partition, path) -> None:
-    """Write the leaf mesh as JSON with densely renumbered vertices."""
+    """Write the leaf mesh as JSON with densely renumbered vertices.
+
+    The file is byte for byte ``json.dumps(payload, indent=1) + "\\n"`` for
+    ``payload = {"vertices": ..., "triangles": ..., "boundary_markers": ...}``
+    (vertex coordinates as float reprs, ids as ints), written from row
+    templates instead of the pure-Python JSON encoder.
+    """
     vids = part.active_vert_ids
     renum = np.full(part.forest.n_vertices, -1, dtype=np.int64)
     renum[vids] = np.arange(len(vids))
-    tris = renum[part.leaf_tris]
-    bnd = part.boundary_edge_verts
-    payload = {
-        "vertices": part.coords(vids).tolist(),
-        "triangles": tris.tolist(),
-        "boundary_markers": renum[bnd].tolist(),
-    }
+    xy = part.coords(vids)
+    if not np.isfinite(xy).all():
+        raise ValueError("vertex coordinates must be finite")
+    text = (f'{{\n "vertices": {_json_rows(xy, "%r")},\n'
+            f' "triangles": {_json_rows(renum[part.leaf_tris], "%d")},\n'
+            f' "boundary_markers": {_json_rows(renum[part.boundary_edge_verts], "%d")}'
+            "\n}\n")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_mesh(path) -> Partition:

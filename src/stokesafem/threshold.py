@@ -11,6 +11,13 @@ Marked elements are tallied into dyadic area buckets
 pairwise disjoint interiors (asserted via ancestor chains), which yields the
 per-bucket cardinality bound ``m_j <= 2^{j+1} |Omega|`` (asserted).
 
+Cost model: each forest element is evaluated once per sweep.  Indicator
+values are stored by forest element id, every round evaluates only the
+leaves created since the previous one, and the runs of ``eps_sweep`` share
+one store because their snapshots share one append-only forest.  A pass
+thus costs O(#created elements) indicator evaluations, as in the
+thresholding theory of Binev, Dahmen and DeVore (2004).
+
 Built-in indicators: the data-oscillation indicator (element-size-weighted
 distance of the load to its elementwise mean) and synthetic power-of-area
 indicators for calibration studies.
@@ -49,10 +56,14 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class LocalIndicator:
-    """Nonnegative per-leaf quantity driving threshold refinement.
+    """Nonnegative per-element quantity driving threshold refinement.
 
     ``fn`` maps a partition to one value per leaf (aligned with
-    ``partition.leaves``).  ``subadditive`` declares whether summing the
+    ``partition.leaves``).  A value must depend only on its element and the
+    data, never on the other leaves: ``fn`` may receive any batch of forest
+    elements wrapped as a ``Partition``, which need not cover the domain or
+    be conforming, and the threshold driver evaluates each element once and
+    reuses the value.  ``subadditive`` declares whether summing the
     indicator over disjoint elements is bounded by a global quantity; it is
     informational and not enforced.
     """
@@ -125,31 +136,55 @@ def _assert_bucket_disjoint(forest, bucket_members) -> None:
                 f"{hit[i]}; interiors overlap")
 
 
-def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
-                     max_generation: int = 40) -> ThresholdReport:
-    """Refine all leaves whose indicator exceeds ``eps`` until none does."""
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if max_generation < 1:
-        raise ValueError("max_generation must be >= 1")
+class _ElementValues:
+    """Indicator values of one forest's elements, each evaluated once.
+
+    ``values[e]`` is NaN until element ``e`` has been evaluated.  The forest
+    is append-only and ``ensure_children`` reuses children, so an id names
+    the same triangle in every snapshot and its value never goes stale.
+    """
+
+    def __init__(self, indicator: LocalIndicator, forest):
+        self.indicator = indicator
+        self.forest = forest
+        self.values = np.full(forest.n_elements, np.nan)
+
+    def __call__(self, part: Partition) -> np.ndarray:
+        """Values on ``part.leaves``, evaluating only the leaves still unseen."""
+        if part.forest is not self.forest:
+            raise ValueError("partition belongs to another forest")
+        grow = self.forest.n_elements - len(self.values)
+        if grow > 0:
+            self.values = np.concatenate([self.values, np.full(grow, np.nan)])
+        out = self.values[part.leaves]
+        missing = np.isnan(out)
+        if missing.any():
+            ids = part.leaves[missing]
+            out[missing] = self.values[ids] = self.indicator(
+                Partition(self.forest, ids))
+        return out
+
+
+def _threshold(part: Partition, values: _ElementValues, eps: float,
+               max_generation: int) -> ThresholdReport:
     n_initial = part.n_leaves
     total_area = part.total_area
     rounds: list[int] = []
     bucket_members: dict[int, list[np.ndarray]] = {}
 
     while True:
-        values = indicator(part)
-        above = values > eps
+        leaf_values = values(part)
+        above = leaf_values > eps
         if not above.any():
             break
         positions = np.flatnonzero(above)
         gens = part.generations[positions]
         capped = positions[gens >= max_generation]
         if len(capped):
-            worst = capped[int(np.argmax(values[capped]))]
+            worst = capped[int(np.argmax(leaf_values[capped]))]
             raise BudgetExceeded(
                 f"element {part.leaves[worst]} (indicator "
-                f"{values[worst]:.6g} > eps {eps:.6g}) reached the "
+                f"{leaf_values[worst]:.6g} > eps {eps:.6g}) reached the "
                 f"generation cap {max_generation}")
         marked = part.leaves[positions]
         js = _bucket_indices(part.areas[positions])
@@ -168,25 +203,44 @@ def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
                 f"bucket {j}: {m_j} marked elements exceed the disjointness "
                 f"bound {bound}")
 
-    final_values = indicator(part)
-    if len(final_values) and final_values.max() > eps:
+    if len(leaf_values) and leaf_values.max() > eps:
         raise AssertionError("final partition still has an element above eps")
     return ThresholdReport(
-        eps=eps, indicator=indicator.name, partition=part,
+        eps=eps, indicator=values.indicator.name, partition=part,
         n_initial=n_initial, n_added=part.n_leaves - n_initial,
-        sum_e=float(final_values.sum()), rounds=rounds,
+        sum_e=float(leaf_values.sum()), rounds=rounds,
         buckets=bucket_counts,
     )
 
 
+def _sweep(part: Partition, indicator: LocalIndicator, eps_values: list,
+           max_generation: int) -> list[ThresholdReport]:
+    for eps in eps_values:
+        if not eps > 0.0:
+            raise ValueError(f"eps must be positive, got {eps}")
+    if max_generation < 1:
+        raise ValueError("max_generation must be >= 1")
+    values = _ElementValues(indicator, part.forest)
+    return [_threshold(part, values, eps, max_generation) for eps in eps_values]
+
+
+def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
+                     max_generation: int = 40) -> ThresholdReport:
+    """Refine all leaves whose indicator exceeds ``eps`` until none does."""
+    return _sweep(part, indicator, [eps], max_generation)[0]
+
+
 def eps_sweep(part: Partition, indicator: LocalIndicator, eps_values,
               max_generation: int = 40) -> list[ThresholdReport]:
-    """Independent threshold runs from the same initial partition."""
+    """Independent threshold runs from the same initial partition.
+
+    The runs share one forest, so each forest element is evaluated once
+    for the whole sweep.
+    """
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise ValueError("eps sweep needs at least one value")
-    return [greedy_threshold(part, indicator, eps, max_generation)
-            for eps in eps_values]
+    return _sweep(part, indicator, eps_values, max_generation)
 
 
 # -- built-in indicators -------------------------------------------------

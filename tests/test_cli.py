@@ -235,18 +235,28 @@ def test_mesh_info_rejects_missing_file(capsys):
     assert "cannot load mesh" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("vertices, triangles", [
-    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 5]]),
-    ([[0, 0], [1, 0], [0, float("nan")]], [[0, 1, 2]]),
-    ([[0, 0], [1, 0], [0, 1]], [[0, 1, -1]]),
-    ([[0, 0], [1, 0], [0, 1], [0.5, 2], [0.5, -1]], [[0, 1, 2], [0, 1, 3], [1, 0, 4]]),
-    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2.5]]),
-    ([[0, 0], [1, 0], [0, 1], [1, 1], [1, 0]], [[0, 1, 2], [4, 3, 2]]),
+TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("payload", [
+    {"vertices": TRIANGLE, "triangles": [[0, 1, 5]]},
+    {"vertices": [[0, 0], [1, 0], [0, float("nan")]], "triangles": [[0, 1, 2]]},
+    {"vertices": TRIANGLE, "triangles": [[0, 1, -1]]},
+    {"vertices": [[0, 0], [1, 0], [0, 1], [0.5, 2], [0.5, -1]],
+     "triangles": [[0, 1, 2], [0, 1, 3], [1, 0, 4]]},
+    {"vertices": TRIANGLE, "triangles": [[0, 1, 2.5]]},
+    {"vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [1, 0]],
+     "triangles": [[0, 1, 2], [4, 3, 2]]},
+    {"vertices": TRIANGLE, "triangles": [[0, 1, 2]], "boundary_markers": 5},
+    {"vertices": TRIANGLE, "triangles": [[0, 1, 1e30]]},
+    {"vertices": TRIANGLE, "triangles": [[0, 1, "2"]]},
+    {"vertices": TRIANGLE, "triangles": [[0, True, 2]]},
 ], ids=["id-past-end", "nan-coordinate", "negative-id", "edge-in-three-triangles",
-        "fractional-id", "duplicate-vertex"])
-def test_mesh_info_rejects_malformed_mesh(tmp_path, capsys, vertices, triangles):
+        "fractional-id", "duplicate-vertex", "scalar-boundary-markers",
+        "id-overflow", "string-id", "bool-id"])
+def test_mesh_info_rejects_malformed_mesh(tmp_path, capsys, payload):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"vertices": vertices, "triangles": triangles}))
+    path.write_text(json.dumps(payload))
     assert main(["mesh-info", "--mesh", str(path)]) == 2
     err = capsys.readouterr().err
     assert "configuration error: cannot load mesh" in err

@@ -10,14 +10,22 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from stokesafem.mesh import (
     MeshStats,
     Partition,
     RefinementError,
+    _json_rows,
     bisect,
     l_shape_partition,
     load_mesh,
@@ -30,6 +38,8 @@ from stokesafem.mesh import (
     two_triangle_square,
     unit_square_partition,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def euler_characteristic(part: Partition) -> int:
@@ -430,6 +440,51 @@ def test_mesh_json_round_trip(tmp_path):
     assert np.allclose(ca, cb)
 
 
+def json_encoder_text(part: Partition) -> str:
+    """The mesh file as the standard-library encoder writes it."""
+    vids = part.active_vert_ids
+    renum = np.full(part.forest.n_vertices, -1, dtype=np.int64)
+    renum[vids] = np.arange(len(vids))
+    payload = {
+        "vertices": part.coords(vids).tolist(),
+        "triangles": renum[part.leaf_tris].tolist(),
+        "boundary_markers": renum[part.boundary_edge_verts].tolist(),
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(root=st.sampled_from(["square", "lshape"]), rounds=st.integers(0, 5),
+       data=st.data())
+def test_save_mesh_writes_json_encoder_bytes(root, rounds, data):
+    part = {"square": unit_square_partition, "lshape": l_shape_partition}[root]()
+    for _ in range(rounds):
+        pos = data.draw(st.lists(st.integers(0, part.n_leaves - 1), min_size=1,
+                                 max_size=12, unique=True))
+        part = refine(part, part.leaves[pos])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.json"
+        save_mesh(part, path)
+        assert path.read_text() == json_encoder_text(part)
+        back = load_mesh(path)
+    # leaf order, vertex coordinates and boundary survive the round trip
+    assert np.array_equal(back.corner_xy, part.corner_xy)
+    assert np.array_equal(back.forest.verts_array(), part.coords(part.active_vert_ids))
+    assert len(back.boundary_edge_verts) == len(part.boundary_edge_verts)
+
+
+def test_save_mesh_empty_rows_and_nonfinite_coordinates(tmp_path):
+    assert _json_rows(np.zeros((0, 2), dtype=np.int64), "%d") == json.dumps([], indent=1)
+    part = partition_from_arrays([(0.0, 0.0), (1e308, 0.0), (1e308, 1.0)], [(0, 1, 2)])
+    # the second uniform pass halves the edge (1e308, 0)-(1e308, 1), whose
+    # midpoint overflows to x = inf
+    once = refine(part, part.leaves)
+    fine = refine(once, once.leaves)
+    assert not np.isfinite(fine.corner_xy).all()
+    with pytest.raises(ValueError, match="finite"):
+        save_mesh(fine, tmp_path / "mesh.json")
+
+
 def test_load_mesh_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"vertices": [[0,0],[1,0],[0,1]]}')
@@ -455,13 +510,112 @@ def test_load_mesh_rejects_malformed(tmp_path):
     ({"vertices": [[0, 0], [1, 0], [0, 1], [1, 1], [1, 0]],
       "triangles": [[0, 1, 2], [4, 3, 2]]},
      "duplicate vertices 1 and 4"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 2]],
+      "boundary_markers": 5},
+     "vertex-id pairs"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, 1e30]]},
+     "integers"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, 1, "2"]]},
+     "integers"),
+    ({"vertices": [[0, 0], [1, 0], [0, 1]], "triangles": [[0, True, 2]]},
+     "integers"),
+    ({"vertices": [[0, 0], [1, 0], [0, "1"]], "triangles": [[0, 1, 2]]},
+     "numbers"),
+    ({"vertices": [[0, 0], [10 ** 400, 0], [0, 1]], "triangles": [[0, 1, 2]]},
+     "numbers"),
 ], ids=["id-past-end", "negative-id", "nan-coordinate", "edge-in-three-triangles",
-        "fractional-id", "fractional-boundary-id", "duplicate-vertex"])
+        "fractional-id", "fractional-boundary-id", "duplicate-vertex",
+        "scalar-boundary-markers", "id-overflow", "string-id", "bool-id",
+        "string-coordinate", "int-coordinate-overflow"])
 def test_load_mesh_rejects_malformed_arrays(tmp_path, payload, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=match):
         load_mesh(path)
+
+
+# a valid unit-square mesh file that the fuzz payloads are mutations of
+VALID_MESH = {
+    "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 0.5]],
+    "triangles": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
+    "boundary_markers": [[0, 1], [1, 2], [2, 3], [3, 0]],
+}
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.sampled_from([0, 1, 2, 4, 5, -1, 2.5, -0.5, 1e30, -1e30, 2 ** 63,
+                     10 ** 400, float("nan"), float("inf"), "2", "x"]),
+    st.integers(-10, 10), st.floats(allow_nan=True, allow_infinity=True),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def mutated(draw, value):
+    """``value`` with one node, chosen by a random walk, replaced."""
+    if isinstance(value, (list, dict)) and value and draw(st.booleans()):
+        keys = list(range(len(value))) if isinstance(value, list) else sorted(value)
+        key = draw(st.sampled_from(keys))
+        out = list(value) if isinstance(value, list) else dict(value)
+        out[key] = draw(mutated(value[key]))
+        return out
+    return draw(JSON_VALUES)
+
+
+@st.composite
+def mesh_payloads(draw):
+    """Mutated mesh files, files with keys dropped and arbitrary JSON."""
+    kind = draw(st.sampled_from(["mutate", "drop", "any"]))
+    if kind == "any":
+        return draw(JSON_VALUES)
+    if kind == "drop":
+        drop = draw(st.sets(st.sampled_from(sorted(VALID_MESH)), min_size=1))
+        return {k: v for k, v in VALID_MESH.items() if k not in drop}
+    return draw(mutated(VALID_MESH))
+
+
+def write_payload(directory, payload) -> Path:
+    path = Path(directory) / "mesh.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=mesh_payloads())
+def test_load_mesh_fuzz_loads_or_raises_value_error(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_payload(tmp, payload)
+        try:
+            part = load_mesh(path)
+        except ValueError:
+            return
+    assert part.is_conforming()
+
+
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(payload=mesh_payloads())
+def test_mesh_info_fuzz_sample_exits_2_without_traceback(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_payload(tmp, payload)
+        try:
+            load_mesh(path)
+        except ValueError:
+            pass
+        else:
+            assume(False)   # the sample is of malformed files only
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                           os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "stokesafem", "mesh-info", "--mesh", str(path)],
+            capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # -- forest mirrors ------------------------------------------------------

@@ -11,6 +11,7 @@ from stokesafem.mesh import l_shape_partition, refine, unit_square_partition
 from stokesafem.threshold import (
     BudgetExceeded,
     LocalIndicator,
+    _ElementValues,
     _assert_bucket_disjoint,
     _bucket_indices,
     class_seminorm,
@@ -139,6 +140,46 @@ def test_indicator_validation_wrong_shape():
     neg = LocalIndicator(name="neg", fn=lambda part: -part.areas)
     with pytest.raises(ValueError, match="nonnegative"):
         neg(part)
+
+
+def test_sweep_evaluates_each_forest_element_once():
+    osc = osc_indicator(singular_load)
+    batches = []
+
+    def counted(part):
+        batches.append(part.leaves.copy())
+        return osc.fn(part)
+
+    part = unit_square_partition()
+    reports = eps_sweep(part, LocalIndicator(name="counted", fn=counted),
+                        [1e-4, 1e-5, 1e-6])
+    ids = np.concatenate(batches)
+    assert len(np.unique(ids)) == len(ids)
+    assert len(ids) <= part.forest.n_elements
+    # the stored values are the values of a fresh evaluation
+    for rep in reports:
+        assert rep.sum_e == pytest.approx(osc(rep.partition).sum(), rel=1e-12)
+
+
+def test_batches_of_new_elements_are_still_validated():
+    # elements of generation >= 2 are created by the second refinement, so
+    # they first reach the indicator in a batch of their own in round 3
+    def late_negative(part):
+        return np.where(part.generations >= 2, -1.0, part.areas)
+
+    ind = LocalIndicator(name="late-negative", fn=late_negative)
+    with pytest.raises(ValueError, match="nonnegative"):
+        greedy_threshold(unit_square_partition(), ind, 2.0 ** -8)
+    # a run that never creates generation 2 passes
+    rep = greedy_threshold(unit_square_partition(), ind, 2.0 ** -3)
+    assert rep.rounds == [4] and rep.n_leaves == 8
+
+
+def test_element_values_reject_another_forest():
+    values = _ElementValues(synthetic_area_indicator(1.0),
+                            unit_square_partition().forest)
+    with pytest.raises(ValueError, match="another forest"):
+        values(unit_square_partition())
 
 
 def test_bucket_disjointness_guard():
