@@ -66,12 +66,27 @@ class ElementIndicators:
         return len(self.vol)
 
 
-def element_oscillation(geo: ElementGeometry, fq: np.ndarray) -> np.ndarray:
-    """(T,) h^2 ||f - mean(f)||^2 per element from (T, nq, 2) quadrature values."""
+def element_oscillation(geo: ElementGeometry, fq: np.ndarray, *,
+                        batch_invariant: bool = False) -> np.ndarray:
+    """(T,) h^2 ||f - mean(f)||^2 per element from (T, nq, 2) quadrature values.
+
+    The quadrature sum is a BLAS matrix-vector product, which may add up the
+    rows of one batch in different orders (the tail rows of a block take
+    another kernel), so a value can move by an ulp with the batch it is
+    evaluated in.  ``batch_invariant`` adds the quadrature points one by one
+    instead, so each value depends only on its own element, bit for bit.
+    """
     w = tri_rule().tri_weights
     f_mean = geo.det[:, None] * (w @ fq) / geo.area[:, None]
     dev = fq - f_mean[:, None, :]
-    return geo.area * geo.det * ((dev * dev).sum(axis=2) @ w)
+    dev_sq = (dev * dev).sum(axis=2)
+    if batch_invariant:
+        quad = dev_sq[:, 0] * w[0]
+        for q in range(1, len(w)):
+            quad = quad + dev_sq[:, q] * w[q]
+    else:
+        quad = dev_sq @ w
+    return geo.area * geo.det * quad
 
 
 def compute_indicators(sol: SolutionPair, f: VectorField) -> ElementIndicators:

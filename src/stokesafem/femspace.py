@@ -258,10 +258,6 @@ class DofMap:
         return out
 
 
-def _encode(pairs: np.ndarray) -> np.ndarray:
-    return pairs[:, 0].astype(np.int64) * (1 << 32) + pairs[:, 1]
-
-
 def build_dofmap(part: Partition) -> DofMap:
     """Construct the Taylor-Hood dof tables for a conforming partition.
 
@@ -276,13 +272,8 @@ def build_dofmap(part: Partition) -> DofMap:
     vmap[vert_ids] = np.arange(len(vert_ids))
 
     # deterministic edge numbering: lexicographic in (min, max) vertex id
-    local_pairs = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]],
-                           axis=1).reshape(-1, 2)
-    lo, hi = local_pairs.min(axis=1), local_pairs.max(axis=1)
-    codes = lo * (1 << 32) + hi
-    uniq = np.unique(codes)
-    edge_idx = np.searchsorted(uniq, codes).reshape(-1, 3)
-    edge_verts = np.stack([uniq >> 32, uniq & ((1 << 32) - 1)], axis=1)
+    edge_verts = part.edge_verts
+    edge_idx = part.leaf_edges
 
     nv = len(vert_ids)
     cell_nodes = np.concatenate([vmap[tris], nv + edge_idx], axis=1)
@@ -293,8 +284,7 @@ def build_dofmap(part: Partition) -> DofMap:
     node_xy = np.vstack([vxy, exy])
 
     bnd = part.boundary_edge_verts
-    bcodes = _encode(np.sort(bnd, axis=1))
-    bedge_nodes = nv + np.searchsorted(uniq, bcodes)
+    bedge_nodes = nv + edge_idx[part.boundary_edge_elems, part.boundary_edge_local]
     bvert_nodes = np.unique(vmap[bnd])
     boundary_nodes = np.unique(np.concatenate([bvert_nodes, bedge_nodes]))
 

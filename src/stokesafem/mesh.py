@@ -15,20 +15,26 @@ partition.  Element and vertex ids are dense integers, stable across
 snapshots, with children assigned in creation order and edge midpoints
 deduplicated through a shared edge-to-midpoint map.
 
-Cost model of ``refine``: the whole-mesh work (mark validation, the edge
-table, the conformity and nesting checks, the forest's NumPy mirrors) is
-vectorized NumPy or C-level container construction, and pure Python runs only
-once per bisection.  The completion stays sequential and recursive, so the
-ids, and the order in which they are created, depend only on the input
-snapshot and the marked set.  Edges are keyed by the integer code
-``lo << 32 | hi`` of their sorted vertex pair everywhere.
+Cost model of ``refine``: O(bisections + refined patch) per call.  The
+forest keeps the leaf set and edge map that the latest ``refine`` ended with,
+and the next ``refine`` of that output continues from them; a snapshot's
+input conformity check runs once, and a ``refine`` output is checked on the
+refined patch only.  Pure Python runs once per bisection; what remains per
+call is a few C-speed passes over id arrays (the mark lookup, the nesting
+masks, the output's sorted leaves).  Whole-mesh work is left only where a
+snapshot is refined a second time (or is not the latest output), which
+rebuilds the edge map from the snapshot's edge table.  The completion stays
+sequential and recursive, so the ids, and the order in which they are
+created, depend only on the input snapshot and the marked set.  Edges are
+keyed by the integer code ``lo << 32 | hi`` of their sorted vertex pair
+everywhere.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -65,6 +71,69 @@ def _edge_code(a: int, b: int) -> int:
     return a << 32 | b if a < b else b << 32 | a
 
 
+def _edge_codes(tris: np.ndarray) -> np.ndarray:
+    """(3n,) edge codes of n triangles; entry 3k + i is the edge of triangle
+    k opposite its local vertex i."""
+    pairs = np.stack([
+        tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]],
+    ], axis=1).reshape(-1, 2)
+    lo = pairs.min(axis=1).astype(np.int64)
+    return lo << 32 | pairs.max(axis=1)
+
+
+def _split_codes(codes: np.ndarray) -> np.ndarray:
+    return np.stack([codes >> 32, codes & _LO_MASK], axis=1)
+
+
+def _runs(sorted_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in a sorted array."""
+    first = np.ones(len(sorted_codes), dtype=bool)
+    first[1:] = sorted_codes[1:] != sorted_codes[:-1]
+    start = np.flatnonzero(first)
+    return start, np.diff(np.r_[start, len(sorted_codes)])
+
+
+def _edge_table(tris: np.ndarray) -> dict:
+    """Distinct edges of a triangle list from one sort of their codes."""
+    n = len(tris)
+    code = _edge_codes(tris)
+    owner = np.repeat(np.arange(n), 3)
+    local = np.tile(np.arange(3), n)
+    o = np.argsort(code, kind="stable")
+    code_s = code[o]
+    # runs of equal codes in the sorted list are the distinct edges
+    start, counts = _runs(code_s)
+    edge_index = np.empty(len(code_s), dtype=np.int64)
+    edge_index[o] = np.repeat(np.arange(len(start)), counts)
+    int_rows = start[counts == 2]
+    bnd_rows = start[counts == 1]
+    return {
+        "edge_verts": _split_codes(code_s[start]),
+        "edge_counts": counts,
+        "edge_index": edge_index.reshape(n, 3),
+        "int_codes": code_s[int_rows],
+        "int_verts": _split_codes(code_s[int_rows]),
+        "int_elems": np.stack([owner[o[int_rows]], owner[o[int_rows + 1]]], axis=1),
+        "int_local": np.stack([local[o[int_rows]], local[o[int_rows + 1]]], axis=1),
+        "bnd_codes": code_s[bnd_rows],
+        "bnd_verts": _split_codes(code_s[bnd_rows]),
+        "bnd_elems": owner[o[bnd_rows]],
+        "bnd_local": local[o[bnd_rows]],
+        "n_bad": int((counts > 2).sum()),
+    }
+
+
+def _defects(n_bad: int, hanging: list[int]) -> list[str]:
+    """Conformity defect messages; ``hanging`` are sorted edge codes."""
+    defects = []
+    if n_bad:
+        defects.append(f"{n_bad} edges shared by more than two leaves")
+    if hanging:
+        defects.append("hanging interior edges with a single adjacent leaf: "
+                       f"{[(c >> 32, c & _LO_MASK) for c in hanging[:5]]}")
+    return defects
+
+
 class _Mirror:
     """NumPy copy of an append-only list, extended by the rows added since
     the last call."""
@@ -86,8 +155,10 @@ class Forest:
 
     def __init__(self, verts: Sequence[Sequence[float]], tris: Sequence[Sequence[int]],
                  boundary_codes: Iterable[int]):
-        self.verts: list[tuple[float, float]] = [tuple(map(float, v)) for v in verts]
-        self.tri: list[tuple[int, int, int]] = [tuple(map(int, t)) for t in tris]
+        self.verts: list[tuple[float, float]] = list(
+            map(tuple, np.asarray(verts, dtype=float).tolist()))
+        self.tri: list[tuple[int, int, int]] = list(
+            map(tuple, np.asarray(tris, dtype=np.int64).tolist()))
         n = len(self.tri)
         self.parent: list[int] = [-1] * n
         self.child0: list[int] = [-1] * n
@@ -104,6 +175,9 @@ class Forest:
         self._verts_np = _Mirror(float, (2,))
         self._gen_np = _Mirror(np.int64)
         self._parent_np = _Mirror(np.int64)
+        # (weakref to the latest refine output, its leaf set, its edge map):
+        # the next refine of that snapshot continues from them (_Builder)
+        self._carry: tuple | None = None
 
     @property
     def n_elements(self) -> int:
@@ -182,6 +256,8 @@ class Partition:
         self.leaves = np.sort(leaves)
         if (self.leaves[1:] == self.leaves[:-1]).any():
             raise ValueError("duplicate leaf ids")
+        # set once a conformity check has passed; the snapshot never changes
+        self._verified = False
 
     # -- basic queries ---------------------------------------------------
 
@@ -243,49 +319,24 @@ class Partition:
 
     @cached_property
     def _edge_tables(self) -> dict:
-        tris = self.leaf_tris
-        n = self.n_leaves
-        # local edge i is opposite local vertex i
-        pairs = np.stack([
-            tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]],
-        ], axis=1).reshape(-1, 2)                      # (3n, 2)
-        owner = np.repeat(np.arange(n), 3)
-        local = np.tile(np.arange(3), n)
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        code = lo.astype(np.int64) << 32 | hi
-        o = np.argsort(code, kind="stable")
-        code_s = code[o]
-        # runs of equal codes in the sorted list are the distinct edges
-        first = np.ones(len(code_s), dtype=bool)
-        first[1:] = code_s[1:] != code_s[:-1]
-        start = np.flatnonzero(first)
-        counts = np.diff(np.r_[start, len(code_s)])
-        uniq = code_s[start]
-        int_rows = start[counts == 2]
-        bnd_rows = start[counts == 1]
-
-        def split(codes):
-            return np.stack([codes >> 32, codes & _LO_MASK], axis=1)
-
-        return {
-            "edge_verts": split(uniq),
-            "edge_counts": counts,
-            "int_codes": code_s[int_rows],
-            "int_verts": split(code_s[int_rows]),
-            "int_elems": np.stack([owner[o[int_rows]], owner[o[int_rows + 1]]], axis=1),
-            "int_local": np.stack([local[o[int_rows]], local[o[int_rows + 1]]], axis=1),
-            "bnd_codes": code_s[bnd_rows],
-            "bnd_verts": split(code_s[bnd_rows]),
-            "bnd_elems": owner[o[bnd_rows]],
-            "bnd_local": local[o[bnd_rows]],
-            "n_bad": int((counts > 2).sum()),
-        }
+        return _edge_table(self.leaf_tris)
 
     @property
     def n_edges(self) -> int:
         """Number of distinct leaf edges (interior + boundary)."""
         return len(self._edge_tables["edge_verts"])
+
+    @property
+    def edge_verts(self) -> np.ndarray:
+        """(nE, 2) sorted vertex pairs of the distinct leaf edges, in
+        lexicographic order."""
+        return self._edge_tables["edge_verts"]
+
+    @property
+    def leaf_edges(self) -> np.ndarray:
+        """(n, 3) row of ``edge_verts`` of each leaf's edge opposite local
+        vertex i."""
+        return self._edge_tables["edge_index"]
 
     @property
     def interior_edge_verts(self) -> np.ndarray:
@@ -313,27 +364,25 @@ class Partition:
         return self._edge_tables["bnd_local"]
 
     def conformity_defects(self) -> list[str]:
-        """Structural conformity check; empty list means conforming."""
+        """Structural conformity check over all leaf edges; empty list means
+        conforming."""
         t = self._edge_tables
-        defects = []
-        if t["n_bad"]:
-            defects.append(f"{t['n_bad']} edges shared by more than two leaves")
         boundary = self.forest.boundary
-        bad_single = [(c >> 32, c & _LO_MASK) for c in t["bnd_codes"].tolist()
-                      if c not in boundary]
-        if bad_single:
-            defects.append(
-                f"hanging interior edges with a single adjacent leaf: {bad_single[:5]}"
-            )
-        return defects
+        return _defects(t["n_bad"], [c for c in t["bnd_codes"].tolist()
+                                     if c not in boundary])
 
     def is_conforming(self) -> bool:
         return not self.conformity_defects()
 
     def check_conforming(self) -> None:
+        """Raise ``RefinementError`` unless conforming; a snapshot that has
+        passed once (here or as a ``refine`` output) is not checked again."""
+        if self._verified:
+            return
         defects = self.conformity_defects()
         if defects:
             raise RefinementError("non-conforming partition: " + "; ".join(defects))
+        self._verified = True
 
     # -- neighborhood queries -------------------------------------------
 
@@ -434,15 +483,23 @@ class Partition:
 class _Builder:
     """Mutable working state for one bisection pass over a snapshot.
 
-    ``edge_leaves`` maps the code of every current leaf edge to the one or two
-    leaves that have it as a full edge.  It is seeded from the snapshot's
-    cached edge table and then updated once per bisection.
+    ``leafset`` holds the current leaves, and ``edge_leaves`` maps the code of
+    every current leaf edge to the one or two leaves that have it as a full
+    edge; both are updated once per bisection.  A snapshot that is the
+    forest's latest ``refine`` output takes over the state that pass ended
+    with, in O(1), and detaches it from the forest before any change, so a
+    pass that raises leaves nothing stale behind.  Any other snapshot seeds
+    the state from its cached edge table.
     """
 
     def __init__(self, part: Partition):
-        self.forest = part.forest
-        self.leafset: set[int] = set(part.leaves.tolist())
+        f = self.forest = part.forest
         self.removed: list[int] = []
+        if f._carry is not None and f._carry[0]() is part:
+            _, self.leafset, self.edge_leaves = f._carry
+            f._carry = None
+            return
+        self.leafset: set[int] = set(part.leaves.tolist())
         t = part._edge_tables
         leaves = part.leaves
         edge_leaves = dict(zip(t["int_codes"].tolist(), leaves[t["int_elems"]].tolist()))
@@ -458,7 +515,12 @@ class _Builder:
         m = f.tri[c0][2]
         # the refinement edge is split; the other two edges pass to the
         # children, c0 = (v2, v0, m) and c1 = (v1, v2, m)
-        el[_edge_code(v0, v1)].remove(t)
+        key = _edge_code(v0, v1)
+        pair = el[key]
+        if len(pair) == 1:
+            del el[key]         # no longer a leaf edge
+        else:
+            pair.remove(t)
         for key, c in ((_edge_code(v2, v0), c0), (_edge_code(v1, v2), c1)):
             pair = el[key]
             pair[pair.index(t)] = c
@@ -510,14 +572,66 @@ def _leaf_ids(part: Partition, ids, message: str) -> np.ndarray:
     """Sorted distinct ids; ``message`` names the smallest one that is not a leaf."""
     ids = np.unique(np.asarray(ids if isinstance(ids, np.ndarray) else list(ids),
                                dtype=np.int64))
-    stray = ids[~np.isin(ids, part.leaves, assume_unique=True)]
-    if len(stray):
-        raise ValueError(message.format(stray[0]))
+    _, found = _find(ids, part.leaves)
+    if not found.all():
+        raise ValueError(message.format(ids[~found][0]))
     return ids
 
 
+def _code_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct codes and the number of times each occurs."""
+    codes = np.sort(codes)
+    start, counts = _runs(codes)
+    return codes[start], counts
+
+
+def _find(keys: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Insertion position of each key in the sorted ``table``, and whether
+    the key is there."""
+    pos = np.searchsorted(table, keys)
+    hit = pos < len(table)
+    hit[hit] = table[pos[hit]] == keys[hit]
+    return pos, hit
+
+
+def _patch_defects(forest: Forest, removed: np.ndarray, created: np.ndarray) -> list[str]:
+    """The whole-mesh conformity defects of Q = P - R + C, for a conforming
+    P, from the triangles of the patch alone.
+
+    R (``removed``) are leaves of P and C (``created``) the leaves of Q not
+    in P.  An edge of P that meets R has 2 - [boundary] leaves in P, and no
+    other edge of P is an edge of C, so every edge whose count changed has
+    count_Q = count_C + [in R] (2 - [boundary]) - count_R.  The boundary
+    set is consulted only where that count is neither 0 nor 2 for an
+    interior edge.
+    """
+    tri = forest.tri_array()
+    codes_r, n_r = _code_counts(_edge_codes(tri[removed]))
+    codes_c, n_c = _code_counts(_edge_codes(tri[created]))
+    pos, c_in_r = _find(codes_c, codes_r)
+    _, r_in_c = _find(codes_r, codes_c)
+    n_r_at_c = np.zeros(len(codes_c), dtype=np.int64)
+    n_r_at_c[c_in_r] = n_r[pos[c_in_r]]
+    # edges of C, then edges of R only; count_Q as if every edge were interior
+    codes = np.concatenate([codes_c, codes_r[~r_in_c]])
+    in_r = np.concatenate([c_in_r, np.ones(len(codes) - len(codes_c), dtype=bool)])
+    count = np.concatenate([n_c - n_r_at_c, -n_r[~r_in_c]]) + 2 * in_r
+    odd = np.flatnonzero((count != 0) & (count != 2))
+    if not len(odd):
+        return []
+    odd = odd[np.argsort(codes[odd])]
+    on_bnd = np.array([c in forest.boundary for c in codes[odd].tolist()], dtype=bool)
+    count = count[odd] - on_bnd * in_r[odd]
+    return _defects(int((count > 2).sum()), codes[odd][(count == 1) & ~on_bnd].tolist())
+
+
 def refine(part: Partition, marked: Iterable[int]) -> Partition:
-    """Bisect every marked leaf at least once and complete to conformity."""
+    """Bisect every marked leaf at least once and complete to conformity.
+
+    Checks the input once per snapshot and the output on the refined patch
+    only, so a pass costs O(bisections + patch) beyond a few C-speed
+    passes over id arrays.
+    """
     marked = _leaf_ids(part, marked, "marked element {} is not a leaf of the partition")
     part.check_conforming()
     if not len(marked):
@@ -527,16 +641,25 @@ def refine(part: Partition, marked: Iterable[int]) -> Partition:
         if t in b.leafset:
             b.conforming_bisect(t)
     out = b.snapshot()
-    out.check_conforming()
+    n = part.forest.n_elements
+    in_part = np.zeros(n, dtype=bool)
+    in_part[part.leaves] = True
+    in_out = np.zeros(n, dtype=bool)
+    in_out[out.leaves] = True
+    refined = np.zeros(n, dtype=bool)
+    refined[b.removed] = True
+    dropped = ~in_out[part.leaves]
+    defects = _patch_defects(part.forest, part.leaves[dropped],
+                             out.leaves[~in_part[out.leaves]])
+    if defects:
+        raise RefinementError("non-conforming partition: " + "; ".join(defects))
+    out._verified = True
     # monotone nesting: the dropped input leaves are exactly the refined ones
     # (completion may also bisect elements created mid-pass), and every marked
     # element was refined
-    removed = np.asarray(b.removed, dtype=np.int64)
-    dropped = np.setdiff1d(part.leaves, out.leaves, assume_unique=True)
-    if not (np.isin(marked, removed).all()
-            and np.array_equal(np.intersect1d(removed, part.leaves, assume_unique=True),
-                               dropped)):
+    if not (refined[marked].all() and np.array_equal(refined[part.leaves], dropped)):
         raise RefinementError("refinement is not nested in its input partition")
+    part.forest._carry = (weakref.ref(out), b.leafset, b.edge_leaves)
     return out
 
 
@@ -588,34 +711,38 @@ def star(part: Partition, elem: int) -> np.ndarray:
 # -- construction and file formats --------------------------------------
 
 
-def _normalize_tris(verts: np.ndarray, tris: Sequence[Sequence[int]],
-                    relabel: bool) -> list[tuple[int, int, int]]:
-    out = []
-    for tri in tris:
-        a, b, c = (int(x) for x in tri)
-        pa, pb, pc = verts[a], verts[b], verts[c]
-        area2 = (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
-        if area2 == 0:
+def _normalize_tris(verts: np.ndarray, tarr: np.ndarray, tris,
+                    relabel: bool) -> np.ndarray:
+    """Positively oriented vertex triples; with ``relabel``, each rotated so
+    its longest edge (ties within 1e-12 relative broken by the smallest
+    opposite vertex id) is opposite local vertex 2.  An error names the first
+    offending row of ``tris`` as given."""
+    tarr = tarr.copy()
+    p = verts[tarr]                                   # (n, 3, 2)
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    bad = np.flatnonzero((area2 == 0) | ((area2 < 0) & (not relabel)))
+    if len(bad):
+        tri = tris[bad[0]]
+        if area2[bad[0]] == 0:
             raise ValueError(f"degenerate triangle {tri}")
-        if area2 < 0:
-            if not relabel:
-                # flipping would silently move the stored refinement edge
-                raise ValueError(f"triangle {tri} is negatively oriented")
-            b, c = c, b
-            pb, pc = pc, pb
-        if relabel:
-            lens = (
-                math.dist(pb, pc),   # edge opposite a
-                math.dist(pc, pa),   # edge opposite b
-                math.dist(pa, pb),   # edge opposite c
-            )
-            ids = (a, b, c)
-            top = max(lens)
-            best = min((i for i in range(3) if lens[i] >= top * (1 - 1e-12)),
-                       key=lambda i: ids[i])
-            a, b, c = ((b, c, a), (c, a, b), (a, b, c))[best]
-        out.append((a, b, c))
-    return out
+        # flipping would silently move the stored refinement edge
+        raise ValueError(f"triangle {tri} is negatively oriented")
+    if not relabel:
+        return tarr
+    flip = area2 < 0
+    tarr[flip, 1:] = tarr[flip, 2:0:-1]
+    p = verts[tarr]
+    # length of the edge opposite local vertex i
+    lens = np.stack([np.hypot(*(p[:, j] - p[:, k]).T)
+                     for j, k in ((1, 2), (2, 0), (0, 1))], axis=1)
+    top = lens.max(axis=1, keepdims=True)
+    key = np.where(lens >= top * (1 - 1e-12), tarr, np.iinfo(np.int64).max)
+    best = key.argmin(axis=1)
+    # rotate the chosen vertex to local position 2
+    cols = (best[:, None] + np.arange(1, 4)) % 3
+    return np.take_along_axis(tarr, cols, axis=1)
 
 
 def _reals(values, message: str) -> np.ndarray:
@@ -671,12 +798,9 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
     stray = tarr[(tarr < 0) | (tarr >= len(varr))]
     if len(stray):
         raise ValueError(f"vertex id {stray[0]} out of range for {len(varr)} vertices")
-    tlist = _normalize_tris(varr, tris, relabel_longest_edge)
-    counts: dict[int, int] = {}
-    for a, b, c in tlist:
-        for key in (_edge_code(a, b), _edge_code(b, c), _edge_code(c, a)):
-            counts[key] = counts.get(key, 0) + 1
-    detected = {k for k, n in counts.items() if n == 1}
+    tarr = _normalize_tris(varr, tarr, tris, relabel_longest_edge)
+    table = _edge_table(tarr)
+    detected = set(table["bnd_codes"].tolist())
     if boundary is None:
         bset = detected
     else:
@@ -687,8 +811,9 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
         bset = {_edge_code(u, v) for u, v in bids.reshape(-1, 2).tolist()}
         if bset != detected:
             raise ValueError("boundary markers disagree with single-sided edges")
-    forest = Forest(varr, tlist, bset)
-    part = Partition(forest, np.arange(len(tlist)))
+    forest = Forest(varr, tarr, bset)
+    part = Partition(forest, np.arange(len(tarr)))
+    part.__dict__["_edge_tables"] = table      # the leaves are the rows of tarr
     defects = part.conformity_defects()
     if defects:
         raise ValueError("non-conforming mesh: " + "; ".join(defects))

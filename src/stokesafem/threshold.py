@@ -112,10 +112,11 @@ def _bucket_indices(areas: np.ndarray) -> np.ndarray:
 
 def _assert_bucket_disjoint(forest, bucket_members) -> None:
     parent = forest.parent_array()
+    in_bucket = np.zeros(len(parent), dtype=bool)
     for j, members in bucket_members.items():
         members = np.asarray(members, dtype=np.int64)
-        ids = np.unique(members)
-        if len(ids) != len(members):
+        in_bucket[members] = True
+        if np.count_nonzero(in_bucket) != len(members):
             raise AssertionError(f"bucket {j}: element marked twice")
         # walk every member's ancestor chain one level per step, recording
         # the nearest marked ancestor
@@ -125,9 +126,10 @@ def _assert_bucket_disjoint(forest, bucket_members) -> None:
         while len(live):
             keep = anc >= 0
             live, anc = live[keep], anc[keep]
-            marked = np.isin(anc, ids)
+            marked = in_bucket[anc]
             hit[live[marked]] = anc[marked]
             live, anc = live[~marked], parent[anc[~marked]]
+        in_bucket[members] = False
         bad = np.flatnonzero(hit >= 0)
         if len(bad):
             i = bad[0]
@@ -251,7 +253,8 @@ def osc_indicator(f: VectorField) -> LocalIndicator:
 
     def compute(part: Partition) -> np.ndarray:
         geo = element_geometry(part)
-        return element_oscillation(geo, load_at_quadrature(geo, f))
+        return element_oscillation(geo, load_at_quadrature(geo, f),
+                                   batch_invariant=True)
 
     return LocalIndicator(name="osc", fn=compute, subadditive=True)
 

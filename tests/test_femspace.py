@@ -12,6 +12,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stokesafem.femspace import (
     P1_GRADS,
@@ -29,6 +31,7 @@ from stokesafem.femspace import (
     tri_rule,
 )
 from stokesafem.mesh import (
+    l_shape_partition,
     refine,
     two_triangle_square,
     unit_square_partition,
@@ -151,6 +154,45 @@ def test_dofmap_counts_match_euler():
     assert dm.n_u == 2 * (v + e)
     assert dm.n_p == v
     assert dm.meets_stability
+
+
+def reference_edge_numbering(part):
+    """``edge_verts``, ``cell_nodes`` and ``boundary_nodes`` by the dof map's
+    former route: its own sort of the 3N leaf edge codes."""
+    tris = part.leaf_tris
+    vert_ids = part.active_vert_ids
+    vmap = np.full(part.forest.n_vertices, -1, dtype=np.int64)
+    vmap[vert_ids] = np.arange(len(vert_ids))
+    local_pairs = np.stack([tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]]],
+                           axis=1).reshape(-1, 2)
+    lo, hi = local_pairs.min(axis=1), local_pairs.max(axis=1)
+    codes = lo * (1 << 32) + hi
+    uniq = np.unique(codes)
+    edge_idx = np.searchsorted(uniq, codes).reshape(-1, 3)
+    edge_verts = np.stack([uniq >> 32, uniq & ((1 << 32) - 1)], axis=1)
+    nv = len(vert_ids)
+    cell_nodes = np.concatenate([vmap[tris], nv + edge_idx], axis=1)
+    bnd = part.boundary_edge_verts
+    bcodes = bnd.min(axis=1) * (1 << 32) + bnd.max(axis=1)
+    bedge_nodes = nv + np.searchsorted(uniq, bcodes)
+    boundary_nodes = np.unique(np.concatenate([np.unique(vmap[bnd]), bedge_nodes]))
+    return edge_verts, cell_nodes, boundary_nodes
+
+
+@settings(max_examples=30, deadline=None)
+@given(root=st.sampled_from(["square", "lshape"]), rounds=st.integers(1, 5),
+       data=st.data())
+def test_dofmap_edge_numbering_matches_former_route(root, rounds, data):
+    part = {"square": unit_square_partition, "lshape": l_shape_partition}[root]()
+    for _ in range(rounds):
+        pos = data.draw(st.lists(st.integers(0, part.n_leaves - 1), min_size=1,
+                                 max_size=10, unique=True))
+        part = refine(part, part.leaves[pos])
+    dm = build_dofmap(part)
+    edge_verts, cell_nodes, boundary_nodes = reference_edge_numbering(part)
+    assert np.array_equal(dm.edge_verts, edge_verts)
+    assert np.array_equal(dm.cell_nodes, cell_nodes)
+    assert np.array_equal(dm.boundary_nodes, boundary_nodes)
 
 
 def test_dofmap_cell_tables_are_consistent():

@@ -230,6 +230,71 @@ def test_refinement_is_deterministic():
     assert a.forest.verts == b.forest.verts
 
 
+# -- refine cost: the refined patch, not the whole mesh --------------------
+
+
+def record_refine_calls(monkeypatch, module):
+    """Rebind ``module.refine``; record, when each call returns, whether its
+    input and its output hold a whole-mesh edge table."""
+    seen = []
+    inner = module.refine
+
+    def recording(part, marked):
+        out = inner(part, marked)
+        seen.append(("_edge_tables" in part.__dict__, "_edge_tables" in out.__dict__))
+        return out
+
+    monkeypatch.setattr(module, "refine", recording)
+    return seen
+
+
+def test_refine_builds_no_whole_mesh_edge_table(monkeypatch):
+    # each pass continues from the edge map the previous one ended with and
+    # checks conformity on its patch, so only the first input needs a table
+    from stokesafem import adaptloop, threshold
+
+    def corner_load(xy):
+        r = np.linalg.norm(np.atleast_2d(xy), axis=1) ** -0.5
+        return np.stack([r, r], axis=1)
+
+    seen = record_refine_calls(monkeypatch, threshold)
+    rep = threshold.greedy_threshold(unit_square_partition(),
+                                     threshold.osc_indicator(corner_load), 1e-4)
+    assert len(seen) == len(rep.rounds) > 3
+    assert seen[0] == (True, False)
+    assert set(seen[1:]) == {(False, False)}
+
+    seen = record_refine_calls(monkeypatch, adaptloop)
+    adaptloop.uniform_run("lshape-smoothf", levels=3)
+    assert len(seen) == 3
+    assert not any(out for _, out in seen)
+
+
+def test_patch_check_catches_missing_completion(monkeypatch):
+    # a single bisection without its completion hangs a vertex on the shared
+    # diagonal; the check on the refined patch must report it, with no
+    # whole-mesh table and also under python -O
+    from stokesafem import mesh
+    p = uniform_refine(unit_square_partition())
+    elem = int(p.leaves[0])
+    outs = []
+    snapshot = mesh._Builder.snapshot
+    monkeypatch.setattr(mesh._Builder, "conforming_bisect",
+                        lambda self, t: self.bisect_leaf(t))
+    monkeypatch.setattr(mesh._Builder, "snapshot",
+                        lambda self: outs.append(snapshot(self)) or outs[-1])
+    with pytest.raises(RefinementError) as info:
+        refine(p, [elem])
+    assert str(info.value).startswith(
+        "non-conforming partition: hanging interior edges with a single adjacent leaf")
+    assert len(outs) == 1 and "_edge_tables" not in outs[0].__dict__
+    monkeypatch.undo()
+    # the failed pass left no state behind for the next pass to resume from
+    q = refine(p, [elem])
+    assert q.is_conforming()
+    assert q.n_leaves == p.n_leaves + 2
+
+
 # -- overlay -------------------------------------------------------------
 
 

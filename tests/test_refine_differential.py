@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 import _refine_reference as ref
 from stokesafem.mesh import (
+    Partition,
     RefinementError,
+    _patch_defects,
     bisect,
     l_shape_partition,
     refine,
@@ -108,3 +110,68 @@ def test_uniform_refinement_matches_reference(root):
     for _ in range(6):
         new, old = refine(new, new.leaves), ref.refine(old, old.leaves)
     assert_same(new, old)
+
+
+@pytest.mark.parametrize("root", sorted(ROOTS))
+def test_resumed_and_rebuilt_passes_match_reference(root):
+    # a pass over the latest refine output resumes its edge map; a snapshot
+    # refined a second time, or one older than the latest output, rebuilds it
+    rng = np.random.default_rng(5)
+    new, old = ROOTS[root](), ROOTS[root]()
+
+    def step(new_part, old_part):
+        marks = rng.choice(new_part.leaves, size=max(1, new_part.n_leaves // 5),
+                           replace=False)
+        pair = refine(new_part, marks), ref.refine(old_part, marks.tolist())
+        assert_same(*pair)
+        return pair
+
+    p = step(new, old)
+    a = step(*p)          # resumes p's pass
+    b = step(*p)          # p refined a second time: rebuilt
+    a2 = step(*a)         # a is older than b: rebuilt
+    b2 = step(*b)         # rebuilt
+    c = step(*b2)         # resumes b2's pass
+    assert "_edge_tables" in a[0].__dict__ and "_edge_tables" in p[0].__dict__
+    assert "_edge_tables" not in b2[0].__dict__
+    assert "_edge_tables" not in a2[0].__dict__
+    # a raw bisection of the latest output takes its state; c is rebuilt next
+    elem = int(c[0].leaves[-1])
+    assert_same(bisect(c[0], elem), ref.bisect(c[1], elem))
+    assert "_edge_tables" not in c[0].__dict__
+    step(*c)
+    assert "_edge_tables" in c[0].__dict__
+
+
+def strict_descendants(forest, ids):
+    """Forest elements with an ancestor (not themselves) among ``ids``."""
+    parent = forest.parent_array()
+    target = np.zeros(forest.n_elements, dtype=bool)
+    target[ids] = True
+    anc = parent.copy()
+    found = np.zeros(forest.n_elements, dtype=bool)
+    while (anc >= 0).any():
+        live = anc >= 0
+        found[live] |= target[anc[live]]
+        anc[live] = parent[anc[live]]
+    return np.flatnonzero(found)
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=st.sampled_from(sorted(ROOTS)), rounds=st.integers(0, 3), data=st.data())
+def test_patch_check_matches_whole_mesh_check(root, rounds, data):
+    # Q = P - R + C for a conforming P, any leaves R of P and any descendants
+    # C of R: gaps, overlaps and hanging vertices included
+    p = ROOTS[root]()
+    for _ in range(rounds):
+        p = refine(p, draw_marks(data, p))
+    fine = p
+    for _ in range(2):
+        fine = refine(fine, draw_marks(data, fine))
+    removed = np.unique(draw_marks(data, p))
+    below = strict_descendants(p.forest, removed)
+    pick = st.lists(st.sampled_from(below.tolist()), max_size=30) if len(below) \
+        else st.just([])
+    created = np.unique(np.asarray(data.draw(pick), dtype=np.int64))
+    q = Partition(p.forest, np.concatenate([np.setdiff1d(p.leaves, removed), created]))
+    assert _patch_defects(p.forest, removed, created) == q.conformity_defects()

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stokesafem.mesh import l_shape_partition, refine, unit_square_partition
+from stokesafem.mesh import Partition, l_shape_partition, refine, unit_square_partition
 from stokesafem.threshold import (
     BudgetExceeded,
     LocalIndicator,
@@ -225,6 +227,71 @@ def test_bucket_disjointness_guard_names_first_offender():
     with pytest.raises(AssertionError,
                        match=f"element {leaf} has marked ancestor {parent};"):
         _assert_bucket_disjoint(forest, {3: [grandparent, leaf, parent]})
+
+
+def test_osc_indicator_value_does_not_depend_on_its_batch():
+    # the threshold loop evaluates each element once, in whichever batch it
+    # first appears, so that value must equal the one from any other batch
+    part = l_shape_partition()
+    for _ in range(5):
+        part = refine(part, part.leaves)
+    ind = osc_indicator(singular_load)
+    full = ind(part)
+    rng = np.random.default_rng(2)
+    for size in (1, 2, 3, 5, 7, 61, part.n_leaves - 1):
+        pos = np.sort(rng.choice(part.n_leaves, size=size, replace=False))
+        batch = ind(Partition(part.forest, part.leaves[pos]))
+        assert np.array_equal(batch, full[pos])
+
+
+def reference_bucket_disjoint(forest, bucket_members) -> None:
+    """The guard before the forest-id mask: an ``np.isin`` per ancestor step."""
+    parent = forest.parent_array()
+    for j, members in bucket_members.items():
+        members = np.asarray(members, dtype=np.int64)
+        ids = np.unique(members)
+        if len(ids) != len(members):
+            raise AssertionError(f"bucket {j}: element marked twice")
+        hit = np.full(len(members), -1, dtype=np.int64)
+        live = np.arange(len(members))
+        anc = parent[members]
+        while len(live):
+            keep = anc >= 0
+            live, anc = live[keep], anc[keep]
+            marked = np.isin(anc, ids)
+            hit[live[marked]] = anc[marked]
+            live, anc = live[~marked], parent[anc[~marked]]
+        bad = np.flatnonzero(hit >= 0)
+        if len(bad):
+            i = bad[0]
+            raise AssertionError(
+                f"bucket {j}: element {members[i]} has marked ancestor "
+                f"{hit[i]}; interiors overlap")
+
+
+def guard_outcome(fn, forest, buckets):
+    try:
+        fn(forest, buckets)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(rounds=st.integers(1, 5), data=st.data())
+def test_bucket_disjointness_guard_matches_reference(rounds, data):
+    part = unit_square_partition()
+    for _ in range(rounds):
+        pos = data.draw(st.lists(st.integers(0, part.n_leaves - 1), min_size=1,
+                                 max_size=8, unique=True))
+        part = refine(part, part.leaves[pos])
+    forest = part.forest
+    # any forest elements: ancestors of one another, repeats, several buckets
+    ids = st.integers(0, forest.n_elements - 1)
+    buckets = data.draw(st.dictionaries(st.integers(-2, 12),
+                                        st.lists(ids, max_size=12), max_size=4))
+    assert guard_outcome(_assert_bucket_disjoint, forest, buckets) == \
+        guard_outcome(reference_bucket_disjoint, forest, buckets)
 
 
 # -- indicator parsing ---------------------------------------------------
