@@ -1,10 +1,11 @@
 """Adaptive Taylor-Hood finite elements for the stationary Stokes problem.
 
 The package provides newest-vertex-bisection meshes with conforming closure
-and overlays, P2/P1 mixed spaces, saddle-point assembly and direct solves,
-residual error indicators, an adaptive solve-estimate-mark-refine driver
-with convergence monitors, and greedy threshold refinement for approximation
-rate studies.  The ``stokesafem`` console script exposes the drivers.
+and overlays, P2/P1 mixed spaces, saddle-point assembly with pressure
+Schur-complement CG solves, residual error indicators, an adaptive
+solve-estimate-mark-refine driver with convergence monitors, and greedy
+threshold refinement for approximation rate studies.  The ``stokesafem``
+console script exposes the drivers.
 """
 
 __version__ = "0.1.0"

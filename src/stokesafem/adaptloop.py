@@ -19,7 +19,7 @@ Conventions:
   solution is registered, else ``nan``;
 * both runs stop at the dof/iteration budget (uniform: ``levels`` rounds);
   the adaptive run also stops when the estimator falls below ``rel_tol``
-  times its initial value (or below an absolute floor), or when marking
+  times its initial value (or below ``ABS_FLOOR``), or when marking
   selects nothing.  The final row has ``n_marked = 0``.
 """
 
@@ -79,6 +79,8 @@ TRACE_COLUMNS = (
 _NAN = float("nan")
 # marking shares closer than this, relative to the largest, count as tied
 DORFLER_TIE_RTOL = 1e-9
+# the adaptive run stops outright when the estimator is below this
+ABS_FLOOR = 1e-14
 
 
 @dataclass
@@ -92,7 +94,6 @@ class AdaptiveConfig:
     max_dofs: int = 200_000
     monitors: bool = True
     rel_tol: float = 1e-12     # stop when eta <= rel_tol * eta(initial)
-    abs_floor: float = 1e-14   # stop outright when eta is below this
 
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 1.0:
@@ -216,7 +217,7 @@ def _solve_and_estimate(part: Partition, prob: ProblemDef, k: int):
         sol = solve(system)
     except SolverFailure as exc:
         raise SolverFailure(f"iteration {k}: {exc}") from exc
-    ind = compute_indicators(sol, prob.f)
+    ind = compute_indicators(sol, system.load_q)
     e0, e1, e2 = (eta(kind, ind) for kind in ESTIMATOR_KINDS)
     osc_sq = oscillation(ind)
     _check_indicator_inequalities(osc_sq, e0, e1, e2, k)
@@ -246,7 +247,7 @@ def adaptive_run(cfg: AdaptiveConfig, problem: ProblemDef | None = None) -> Adap
         nonlocal eta_init_sq
         if eta_init_sq is None:
             eta_init_sq = eta_sq
-        if (eta_sq <= cfg.abs_floor ** 2
+        if (eta_sq <= ABS_FLOOR ** 2
                 or eta_sq <= cfg.rel_tol ** 2 * eta_init_sq):
             return None
         shares = marking_shares(cfg.estimator, ind)
@@ -361,13 +362,17 @@ def fit_rate(xs, ys, drop: int = 2) -> tuple[float, float]:
     xs, ys = xs[drop:], ys[drop:]
     if np.any(xs <= 0.0) or np.any(ys <= 0.0) or not np.all(np.isfinite(ys)):
         raise ValueError("fit requires positive finite values")
-    lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_res = float(resid @ resid)
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, r2 = _line_fit(np.log(xs), np.log(ys))
     return -float(slope), r2
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope of the least-squares line through ``(x, y)`` and its R^2."""
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_res = float(resid @ resid)
+    ss_tot = float(((y - y.mean()) ** 2).sum())
+    return slope, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
 def fit_decay(values, drop: int = 2) -> tuple[float, float, float, bool]:
@@ -385,13 +390,7 @@ def fit_decay(values, drop: int = 2) -> tuple[float, float, float, bool]:
         raise ValueError("values must be positive and finite")
     drop = min(drop, len(values) - 3)
     tail = values[drop:]
-    ks = np.arange(drop, len(values), dtype=float)
-    ly = np.log(tail)
-    slope, intercept = np.polyfit(ks, ly, 1)
-    resid = ly - (slope * ks + intercept)
-    ss_res = float(resid @ resid)
-    ss_tot = float(((ly - ly.mean()) ** 2).sum())
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    slope, r2 = _line_fit(np.arange(drop, len(values), dtype=float), np.log(tail))
     rho_fit = float(np.exp(slope))
     ratios = tail[1:] / tail[:-1]
     rho_max = float(ratios.max())

@@ -18,11 +18,9 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .femspace import (
     DofMap,
-    ElementGeometry,
     SolutionPair,
     VectorField,
     corner_gradients,
-    element_geometry,
     p1_values,
     p2_grads,
     p2_values,
@@ -36,7 +34,9 @@ __all__ = [
     "assemble",
     "error_norms",
     "inf_sup_constant",
+    "load_at_quadrature",
     "pressure_l2_sq",
+    "quad_points",
     "solve",
     "velocity_energy_sq",
 ]
@@ -67,9 +67,14 @@ _MASS_REF = np.einsum("q,qb,qc->bc", _W, _P1_Q, _P1_Q).reshape(1, 9)
 _LOAD_REF = (_W[:, None] * p2_values(_RULE.tri_bary[:, 1:])).T   # (6, nq)
 
 
-def load_at_quadrature(geo: ElementGeometry, f: VectorField) -> np.ndarray:
+def quad_points(part: Partition) -> np.ndarray:
+    """(T, nq, 2) physical quadrature points of every leaf."""
+    return _RULE.tri_bary @ part.corner_xy
+
+
+def load_at_quadrature(part: Partition, f: VectorField) -> np.ndarray:
     """(T, nq, 2) values of a vector field at the physical quadrature points."""
-    xq = _RULE.tri_bary @ geo.xy
+    xq = quad_points(part)
     return np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(xq.shape)
 
 
@@ -85,6 +90,7 @@ class StokesSystem:
     mean_vec: np.ndarray     # (n_p,) integrals of the pressure basis
     rhs: np.ndarray          # (n_u,) load vector
     g_vec: np.ndarray        # (n_u,) Dirichlet lift (zero off the boundary)
+    load_q: np.ndarray       # (T, nq, 2) load at the quadrature points
 
     @property
     def a_mat(self) -> sp.csr_matrix:
@@ -109,13 +115,12 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     f : callable mapping (n, 2) points to (n, 2) volume loads
     g : optional callable with the Dirichlet velocity trace; defaults to zero
     """
-    geo = element_geometry(part)
     T = part.n_leaves
-    det = geo.det
-    binv_t = geo.binv.transpose(0, 2, 1)
+    det = part.det
+    binv_t = part.binv.transpose(0, 2, 1)
 
     # scalar quadratic stiffness: det * sum_kl (B^-1 B^-T)_kl R_kl
-    c_mat = (geo.binv @ binv_t).reshape(T, 4)
+    c_mat = (part.binv @ binv_t).reshape(T, 4)
     k_loc = det[:, None] * (c_mat @ _STIFF_REF)                   # (T, 36)
     nn = dm.n_nodes
     rows = np.repeat(dm.cell_nodes, 6, axis=1).reshape(-1)
@@ -142,7 +147,7 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     mean_vec = np.asarray(mass_p.sum(axis=1)).ravel()
 
     # load vector
-    f_q = load_at_quadrature(geo, f)
+    f_q = load_at_quadrature(part, f)
     if not np.isfinite(f_q).all():
         raise SolverFailure("non-finite load data at the quadrature points")
     load_loc = det[:, None, None] * (_LOAD_REF @ f_q)
@@ -158,7 +163,8 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
         g_vec[2 * dm.boundary_nodes + 1] = gv[:, 1]
 
     return StokesSystem(partition=part, dofmap=dm, k_mat=k_mat, b_mat=b_mat,
-                        mass_p=mass_p, mean_vec=mean_vec, rhs=rhs, g_vec=g_vec)
+                        mass_p=mass_p, mean_vec=mean_vec, rhs=rhs, g_vec=g_vec,
+                        load_q=f_q)
 
 
 def saddle_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
@@ -354,13 +360,12 @@ def error_norms(sol: SolutionPair, exact) -> tuple[float, float]:
     [k,l] = d u_k / d x_l) and ``p``.
     """
     part, dm = sol.partition, sol.dofmap
-    geo = element_geometry(part)
     T = part.n_leaves
-    wdet = geo.det[:, None] * _W
+    wdet = part.det[:, None] * _W
 
     # the discrete gradient is affine: interpolate its corner values
-    grad_h = _P1_Q @ corner_gradients(sol, geo).reshape(T, 3, 4)  # (T, nq, 4)
-    xq = (_RULE.tri_bary @ geo.xy).reshape(-1, 2)
+    grad_h = _P1_Q @ corner_gradients(sol).reshape(T, 3, 4)       # (T, nq, 4)
+    xq = quad_points(part).reshape(-1, 2)
     grad_ex = np.asarray(exact.grad_u(xq), dtype=float).reshape(T, -1, 4)
     diff = grad_ex - grad_h
     err_u_sq = float((wdet * (diff * diff).sum(axis=2)).sum())
@@ -368,8 +373,7 @@ def error_norms(sol: SolutionPair, exact) -> tuple[float, float]:
     p_h = sol.p[dm.cell_pnodes] @ _P1_Q.T
     p_ex = np.asarray(exact.p(xq), dtype=float).reshape(T, -1)
     dp = p_ex - p_h
-    total_area = float(geo.area.sum())
-    shift = float((wdet * dp).sum()) / total_area
+    shift = float((wdet * dp).sum()) / part.total_area
     dp = dp - shift
     err_p_sq = float((wdet * dp * dp).sum())
     return float(np.sqrt(err_u_sq)), float(np.sqrt(err_p_sq))

@@ -42,6 +42,7 @@ from .mesh import load_mesh, refine, save_mesh
 from .problems import get_problem
 from .threshold import (
     BudgetExceeded,
+    check_threshold_args,
     eps_sweep,
     greedy_threshold,
     indicator_from_spec,
@@ -113,6 +114,13 @@ def _get_problem_checked(name: str):
         return get_problem(name)
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from exc
+
+
+def _levels(st: _Settings, default: int) -> int:
+    levels = st.get("levels", default, int)
+    if levels < 0:
+        raise ConfigError(f"levels must be >= 0, got {levels}")
+    return levels
 
 
 def _bool_cast(text: str) -> bool:
@@ -254,14 +262,22 @@ def _threshold_flow(st: _Settings) -> int:
     seed = st.get("seed", 0, int)
 
     sweep_text = st.get("eps_sweep", None, str)
-    part = prob.make_partition()
     if sweep_text:
         try:
             eps_values = [float(tok) for tok in sweep_text.split(",") if tok]
         except ValueError as exc:
             raise ConfigError(f"bad eps list {sweep_text!r}") from exc
-        if not eps_values:
-            raise ConfigError("eps sweep list is empty")
+    else:
+        eps_values = [st.get("eps", None, float)]
+        if eps_values[0] is None:
+            raise ConfigError("threshold mode needs --eps or --eps-sweep")
+    try:
+        check_threshold_args(eps_values, max_gen)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+    part = prob.make_partition()
+    if sweep_text:
         reports = eps_sweep(part, indicator, eps_values, max_gen)
         write_sweep_csv(reports, out / "sweep.csv",
                         extra_provenance={"problem": problem_name,
@@ -271,10 +287,7 @@ def _threshold_flow(st: _Settings) -> int:
             print(json.dumps(_report_payload(rep), sort_keys=True))
         final = reports[-1]
     else:
-        eps = st.get("eps", None, float)
-        if eps is None:
-            raise ConfigError("threshold mode needs --eps or --eps-sweep")
-        final = greedy_threshold(part, indicator, eps, max_gen)
+        final = greedy_threshold(part, indicator, eps_values[0], max_gen)
         print(json.dumps(_report_payload(final), indent=2, sort_keys=True))
     dest = _export_mesh_dest(st.get("export_mesh", False, _mesh_target_cast), out)
     if dest is not None:
@@ -291,6 +304,7 @@ def cmd_threshold(ns: argparse.Namespace) -> int:
 
 def cmd_mesh_info(ns: argparse.Namespace) -> int:
     st = _Settings(ns)
+    levels = _levels(st, 0)
     mesh_path = st.get("mesh", None, str)
     if mesh_path:
         try:
@@ -302,7 +316,7 @@ def cmd_mesh_info(ns: argparse.Namespace) -> int:
         prob = _get_problem_checked(st.get("problem", "smooth-mms"))
         part = prob.make_partition()
         source = prob.name
-    for _ in range(st.get("levels", 0, int)):
+    for _ in range(levels):
         part = refine(part, part.leaves)
     with warnings.catch_warnings(record=True):
         warnings.simplefilter("always")
@@ -334,7 +348,7 @@ def cmd_mesh_info(ns: argparse.Namespace) -> int:
 def cmd_infsup(ns: argparse.Namespace) -> int:
     st = _Settings(ns)
     prob = _get_problem_checked(st.get("problem", "smooth-mms"))
-    levels = st.get("levels", 3, int)
+    levels = _levels(st, 3)
     part = prob.make_partition()
     print(f"{'level':>5} {'leaves':>8} {'dofs':>8} {'beta':>12}")
     for level in range(levels + 1):

@@ -23,17 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .assembly import load_at_quadrature
-from .femspace import (
-    P1_GRADS,
-    P2_HESSIANS,
-    ElementGeometry,
-    SolutionPair,
-    VectorField,
-    corner_gradients,
-    element_geometry,
-    tri_rule,
-)
+from .femspace import P1_GRADS, P2_HESSIANS, SolutionPair, corner_gradients, tri_rule
 from .mesh import Partition
 
 __all__ = [
@@ -66,35 +56,33 @@ class ElementIndicators:
         return len(self.vol)
 
 
-def element_oscillation(geo: ElementGeometry, fq: np.ndarray, *,
-                        batch_invariant: bool = False) -> np.ndarray:
+def element_oscillation(part: Partition, fq: np.ndarray) -> np.ndarray:
     """(T,) h^2 ||f - mean(f)||^2 per element from (T, nq, 2) quadrature values.
 
-    The quadrature sum is a BLAS matrix-vector product, which may add up the
-    rows of one batch in different orders (the tail rows of a block take
-    another kernel), so a value can move by an ulp with the batch it is
-    evaluated in.  ``batch_invariant`` adds the quadrature points one by one
-    instead, so each value depends only on its own element, bit for bit.
+    The quadrature points are added one by one rather than by a BLAS
+    matrix-vector product, whose summation order may depend on the batch,
+    so each value depends only on its own element, bit for bit.
     """
     w = tri_rule().tri_weights
-    f_mean = geo.det[:, None] * (w @ fq) / geo.area[:, None]
+    f_mean = part.det[:, None] * (w @ fq) / part.areas[:, None]
     dev = fq - f_mean[:, None, :]
     dev_sq = (dev * dev).sum(axis=2)
-    if batch_invariant:
-        quad = dev_sq[:, 0] * w[0]
-        for q in range(1, len(w)):
-            quad = quad + dev_sq[:, q] * w[q]
-    else:
-        quad = dev_sq @ w
-    return geo.area * geo.det * quad
+    quad = dev_sq[:, 0] * w[0]
+    for q in range(1, len(w)):
+        quad = quad + dev_sq[:, q] * w[q]
+    return part.areas * part.det * quad
 
 
-def compute_indicators(sol: SolutionPair, f: VectorField) -> ElementIndicators:
-    """Evaluate all indicator ingredients for one discrete solution."""
+def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
+    """Evaluate all indicator ingredients for one discrete solution from the
+    load at its quadrature points (``StokesSystem.load_q``)."""
     part, dm = sol.partition, sol.dofmap
-    geo = element_geometry(part)
     T = part.n_leaves
-    area = geo.area
+    expected = (T, len(tri_rule().tri_weights), 2)
+    if np.shape(fq) != expected:
+        raise ValueError(f"load values have shape {np.shape(fq)}, expected {expected}")
+    area = part.areas
+    binv = part.binv
     h_sq = area   # h = sqrt(area), so h^2 is the area itself
 
     coeff = sol.u_nodes()[dm.cell_nodes]          # (T, 6, 2)
@@ -102,19 +90,18 @@ def compute_indicators(sol: SolutionPair, f: VectorField) -> ElementIndicators:
 
     # laplacian of the quadratic velocity is constant per element:
     # lap phi_b = sum_{a,b} (Binv Binv^T)[a,b] * Hess_ref[b][a,b]
-    c_mat = (geo.binv @ geo.binv.transpose(0, 2, 1)).reshape(T, 4)
+    c_mat = (binv @ binv.transpose(0, 2, 1)).reshape(T, 4)
     lap_basis = c_mat @ P2_HESSIANS.reshape(6, 4).T               # (T, 6)
     lap_u = (lap_basis[:, None, :] @ coeff)[:, 0]                 # (T, 2)
 
     # gradient of the linear pressure is constant per element
-    grad_p = ((pcoeff @ P1_GRADS)[:, None, :] @ geo.binv)[:, 0]   # (T, 2)
+    grad_p = ((pcoeff @ P1_GRADS)[:, None, :] @ binv)[:, 0]       # (T, 2)
 
-    fq = load_at_quadrature(geo, f)
     resid = fq + (lap_u - grad_p)[:, None, :]
-    vol = h_sq * geo.det * ((resid * resid).sum(axis=2) @ tri_rule().tri_weights)
-    osc = element_oscillation(geo, fq)
+    vol = h_sq * part.det * ((resid * resid).sum(axis=2) @ tri_rule().tri_weights)
+    osc = element_oscillation(part, fq)
 
-    grad_v = corner_gradients(sol, geo)                           # (T, 3, 2, 2)
+    grad_v = corner_gradients(sol)                                # (T, 3, 2, 2)
     div_v = grad_v[:, :, 0, 0] + grad_v[:, :, 1, 1]               # (T, 3)
 
     # exact integral of the squared affine divergence over the element
@@ -124,7 +111,7 @@ def compute_indicators(sol: SolutionPair, f: VectorField) -> ElementIndicators:
 
     # trace integral over the element boundary; edge i joins corners j, k
     j, k = [1, 2, 0], [2, 0, 1]
-    elen = np.linalg.norm(geo.xy[:, j] - geo.xy[:, k], axis=2)
+    elen = np.linalg.norm(part.corner_xy[:, j] - part.corner_xy[:, k], axis=2)
     dj, dk = div_v[:, j], div_v[:, k]
     div_edge = np.sqrt(area) * (elen * (dj * dj + dj * dk + dk * dk)).sum(axis=1) / 3.0
 

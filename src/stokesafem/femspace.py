@@ -9,7 +9,7 @@ assembly and estimator layers can run vectorized over elements.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,13 +18,11 @@ from .mesh import Partition
 
 __all__ = [
     "DofMap",
-    "ElementGeometry",
     "QuadratureRule",
     "SolutionPair",
     "build_dofmap",
     "corner_gradients",
     "edge_rule",
-    "element_geometry",
     "eval_pressure",
     "eval_velocity",
     "eval_velocity_gradient",
@@ -172,32 +170,6 @@ _REF_NODES = np.array([
 _CORNER_GRADS = p2_grads(_REF_NODES[:3]).transpose(1, 0, 2).reshape(6, 6)
 
 
-# -- element geometry ----------------------------------------------------
-
-
-@dataclass
-class ElementGeometry:
-    """Per-element affine maps, shared by assembly and the estimators."""
-
-    xy: np.ndarray      # (T, 3, 2) corner coordinates
-    binv: np.ndarray    # (T, 2, 2) inverse reference-to-physical Jacobian
-    det: np.ndarray     # (T,) Jacobian determinant = 2 * area
-    area: np.ndarray    # (T,)
-
-
-def element_geometry(part: Partition) -> ElementGeometry:
-    """Affine maps of every leaf, with closed-form 2x2 inverses."""
-    xy = part.corner_xy
-    b_mat = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=2)
-    det = b_mat[:, 0, 0] * b_mat[:, 1, 1] - b_mat[:, 0, 1] * b_mat[:, 1, 0]
-    binv = np.empty_like(b_mat)
-    binv[:, 0, 0] = b_mat[:, 1, 1] / det
-    binv[:, 0, 1] = -b_mat[:, 0, 1] / det
-    binv[:, 1, 0] = -b_mat[:, 1, 0] / det
-    binv[:, 1, 1] = b_mat[:, 0, 0] / det
-    return ElementGeometry(xy=xy, binv=binv, det=det, area=0.5 * det)
-
-
 # -- dof map -------------------------------------------------------------
 
 
@@ -329,14 +301,14 @@ class SolutionPair:
         return self.u.reshape(-1, 2)
 
 
-def corner_gradients(sol: SolutionPair, geo: ElementGeometry) -> np.ndarray:
+def corner_gradients(sol: SolutionPair) -> np.ndarray:
     """(T, 3, 2, 2) velocity gradient at each leaf's corners.
 
     Entry [t, v, k, l] is d u_k / d x_l at corner v; the gradient is affine.
     """
     coeff = sol.u_nodes()[sol.dofmap.cell_nodes]                 # (T, 6, 2)
     ref = (coeff.transpose(0, 2, 1) @ _CORNER_GRADS).reshape(-1, 2, 3, 2)
-    return ref.transpose(0, 2, 1, 3) @ geo.binv[:, None]
+    return ref.transpose(0, 2, 1, 3) @ sol.partition.binv[:, None]
 
 
 def _pressure_weights(dm: DofMap) -> np.ndarray:
@@ -366,14 +338,13 @@ def prolong(coarse: SolutionPair, fine_dm: DofMap) -> SolutionPair:
     T = len(cpos)
 
     cdm = coarse.dofmap
-    geo = element_geometry(cpart)
     cu = coarse.u_nodes()[cdm.cell_nodes[cpos]]       # (T, 6, 2)
     cp = coarse.p[cdm.cell_pnodes[cpos]]              # (T, 3)
 
     # reference coordinates of the fine nodes in their coarse ancestor; the
     # first three nodes are the fine vertices, which carry the pressure
     fnode_xy = fine_dm.node_xy[fine_dm.cell_nodes]    # (T, 6, 2)
-    ref = (fnode_xy - geo.xy[cpos, :1]) @ geo.binv[cpos].transpose(0, 2, 1)
+    ref = (fnode_xy - cpart.corner_xy[cpos, :1]) @ cpart.binv[cpos].transpose(0, 2, 1)
     uvals = p2_values(ref.reshape(-1, 2)).reshape(T, 6, 6) @ cu
     pvals = p1_values(ref[:, :3].reshape(-1, 2)).reshape(T, 3, 3) @ cp[:, :, None]
 
@@ -395,9 +366,8 @@ def _locate_ref(sol: SolutionPair, points: np.ndarray):
     if (elems < 0).any():
         raise ValueError("points outside the meshed domain")
     pos = np.searchsorted(part.leaves, elems)
-    geo = element_geometry(part)
-    binv = geo.binv[pos]
-    ref = ((pts - geo.xy[pos, 0])[:, None, :] @ binv.transpose(0, 2, 1))[:, 0]
+    binv = part.binv[pos]
+    ref = ((pts - part.corner_xy[pos, 0])[:, None, :] @ binv.transpose(0, 2, 1))[:, 0]
     return pos, ref, binv
 
 

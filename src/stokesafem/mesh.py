@@ -297,11 +297,26 @@ class Partition:
         return self.forest.verts_array()[self.leaf_tris]
 
     @cached_property
-    def areas(self) -> np.ndarray:
+    def det(self) -> np.ndarray:
+        """(n,) Jacobian determinant of each leaf's affine map, twice its area."""
         xy = self.corner_xy
         d1 = xy[:, 1] - xy[:, 0]
         d2 = xy[:, 2] - xy[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+
+    @cached_property
+    def binv(self) -> np.ndarray:
+        """(n, 2, 2) closed-form inverse of each leaf's reference-to-physical
+        Jacobian, whose columns are the edges from corner 0."""
+        xy = self.corner_xy
+        d1 = xy[:, 1] - xy[:, 0]
+        d2 = xy[:, 2] - xy[:, 0]
+        adj = np.stack([d2[:, 1], -d2[:, 0], -d1[:, 1], d1[:, 0]], axis=1)
+        return adj.reshape(-1, 2, 2) / self.det[:, None, None]
+
+    @cached_property
+    def areas(self) -> np.ndarray:
+        return 0.5 * self.det
 
     @cached_property
     def diams(self) -> np.ndarray:

@@ -32,13 +32,14 @@ import numpy as np
 
 from .assembly import load_at_quadrature
 from .estimators import element_oscillation
-from .femspace import VectorField, element_geometry
+from .femspace import VectorField
 from .mesh import Partition, refine
 
 __all__ = [
     "BudgetExceeded",
     "LocalIndicator",
     "ThresholdReport",
+    "check_threshold_args",
     "greedy_threshold",
     "eps_sweep",
     "osc_indicator",
@@ -215,13 +216,21 @@ def _threshold(part: Partition, values: _ElementValues, eps: float,
     )
 
 
-def _sweep(part: Partition, indicator: LocalIndicator, eps_values: list,
-           max_generation: int) -> list[ThresholdReport]:
+def check_threshold_args(eps_values, max_generation: int) -> None:
+    """Raise ``ValueError`` unless there are tolerances, all positive, and the
+    generation cap is at least 1."""
+    if not eps_values:
+        raise ValueError("eps sweep needs at least one value")
     for eps in eps_values:
         if not eps > 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
     if max_generation < 1:
         raise ValueError("max_generation must be >= 1")
+
+
+def _sweep(part: Partition, indicator: LocalIndicator, eps_values: list,
+           max_generation: int) -> list[ThresholdReport]:
+    check_threshold_args(eps_values, max_generation)
     values = _ElementValues(indicator, part.forest)
     return [_threshold(part, values, eps, max_generation) for eps in eps_values]
 
@@ -239,10 +248,7 @@ def eps_sweep(part: Partition, indicator: LocalIndicator, eps_values,
     The runs share one forest, so each forest element is evaluated once
     for the whole sweep.
     """
-    eps_values = [float(e) for e in eps_values]
-    if not eps_values:
-        raise ValueError("eps sweep needs at least one value")
-    return _sweep(part, indicator, eps_values, max_generation)
+    return _sweep(part, indicator, [float(e) for e in eps_values], max_generation)
 
 
 # -- built-in indicators -------------------------------------------------
@@ -252,9 +258,7 @@ def osc_indicator(f: VectorField) -> LocalIndicator:
     """Element-size-weighted squared distance of the load to element means."""
 
     def compute(part: Partition) -> np.ndarray:
-        geo = element_geometry(part)
-        return element_oscillation(geo, load_at_quadrature(geo, f),
-                                   batch_invariant=True)
+        return element_oscillation(part, load_at_quadrature(part, f))
 
     return LocalIndicator(name="osc", fn=compute, subadditive=True)
 

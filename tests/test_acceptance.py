@@ -163,8 +163,8 @@ def test_criterion_05_subset_equivalence_of_eta1_eta2():
     ratios = []
     for prob, mesh in meshes:
         dm = build_dofmap(mesh)
-        sol = solve(assemble(mesh, dm, prob.f, prob.g))
-        ind = compute_indicators(sol, prob.f)
+        system = assemble(mesh, dm, prob.f, prob.g)
+        ind = compute_indicators(solve(system), system.load_q)
         for _ in range(20):
             size = int(rng.integers(1, mesh.n_leaves + 1))
             mask = np.zeros(mesh.n_leaves, dtype=bool)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -359,6 +360,22 @@ def test_reference_errors_only_without_exact_solution(mode, problem, monitors):
         assert ref[-1] == 0.0 and np.all(ref[:-1] > 0.0)
     else:
         assert trace.ref_err_sq is None
+
+
+def test_load_is_evaluated_once_per_leaf_and_iteration():
+    # assemble keeps the load at the quadrature points and the estimator
+    # reads it there: one call of f per iteration, 12 points per leaf
+    base = get_problem("lshape-smoothf")
+    points = []
+
+    def counted(xy):
+        points.append(len(xy))
+        return base.f(xy)
+
+    trace = adaptive_run(AdaptiveConfig(problem=base.name, max_iterations=5),
+                         problem=dataclasses.replace(base, f=counted))
+    assert len(trace.rows) == 5
+    assert points == [12 * n for n in trace.column("leaves")]
 
 
 def test_solver_failure_carries_iteration_context():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import stokesafem.cli as cli
+import stokesafem.threshold as threshold
 from stokesafem.assembly import SolverFailure
 from stokesafem.cli import main
 from stokesafem.mesh import load_mesh, unit_square_partition
@@ -148,6 +149,34 @@ def test_exit_code_on_budget_error(tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 4
     assert "budget exceeded" in capsys.readouterr().err
+
+
+BAD_THRESHOLD_OPTIONS = [["--eps", "-1"], ["--eps", "nan"], ["--eps-sweep", "0.1,-0.5"],
+                         ["--eps-sweep", "0.1,0"], ["--eps", "0.1", "--max-generation", "0"]]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["threshold", *opts] for opts in BAD_THRESHOLD_OPTIONS),
+    *(["run", "--mode", "threshold", *opts] for opts in BAD_THRESHOLD_OPTIONS),
+    ["mesh-info", "--levels", "-2"],
+    ["infsup", "--levels", "-1"],
+])
+def test_bad_numeric_options_exit_2_before_refining(monkeypatch, capsys, tmp_path, argv):
+    def no_refine(*args, **kwargs):
+        raise AssertionError("refined before the options were checked")
+
+    monkeypatch.setattr(cli, "refine", no_refine)
+    monkeypatch.setattr(threshold, "refine", no_refine)
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_indicator_error_mid_run_is_not_a_configuration_error(monkeypatch, tmp_path):
+    prob = ProblemDef(name="nan-load", make_partition=unit_square_partition,
+                      f=lambda xy: np.full((len(xy), 2), np.nan), g=None, exact=None)
+    monkeypatch.setattr(cli, "get_problem", lambda name: prob)
+    with pytest.raises(ValueError, match="must be finite"):
+        main(["threshold", "--eps", "0.1", "--out", str(tmp_path)])
 
 
 # -- threshold -----------------------------------------------------------

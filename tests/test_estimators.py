@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesafem.assembly import assemble, element_geometry, solve
+from stokesafem.assembly import assemble, load_at_quadrature, solve
 from stokesafem.estimators import (
     ESTIMATOR_KINDS,
     compute_indicators,
@@ -36,12 +36,18 @@ from stokesafem.femspace import (
 )
 from stokesafem.mesh import refine, two_triangle_square, unit_square_partition
 from stokesafem.problems import get_problem
+from stokesafem.threshold import osc_indicator
 
 
 def refine_all(part, n):
     for _ in range(n):
         part = refine(part, part.leaves)
     return part
+
+
+def zero_load(part):
+    """Values of the load f = 0 at the quadrature points of ``part``."""
+    return load_at_quadrature(part, lambda xy: np.zeros((len(xy), 2)))
 
 
 # -- fixtures ------------------------------------------------------------
@@ -54,7 +60,7 @@ def mms_state():
     dm = build_dofmap(part)
     system = assemble(part, dm, prob.f, prob.g)
     sol = solve(system)
-    ind = compute_indicators(sol, prob.f)
+    ind = compute_indicators(sol, system.load_q)
     return prob, sol, ind
 
 
@@ -63,8 +69,8 @@ def patch_indicators():
     prob = get_problem("linear-patch")
     part = refine_all(prob.make_partition(), 2)
     dm = build_dofmap(part)
-    sol = solve(assemble(part, dm, prob.f, prob.g))
-    return compute_indicators(sol, prob.f)
+    system = assemble(part, dm, prob.f, prob.g)
+    return compute_indicators(solve(system), system.load_q)
 
 
 # -- independent quadrature oracles -------------------------------------
@@ -73,7 +79,6 @@ def patch_indicators():
 def oracle_edge_jumps(sol):
     """Interior-edge jump terms via 4-point Gauss quadrature per edge."""
     part, dm = sol.partition, sol.dofmap
-    geo = element_geometry(part)
     coeff = sol.u_nodes()[dm.cell_nodes]
     t_pts, t_w = edge_rule()
     e_verts = part.interior_edge_verts
@@ -88,8 +93,8 @@ def oracle_edge_jumps(sol):
         xq = pa[None, :] + t_pts[:, None] * tang[None, :]
         diff = np.zeros((len(t_pts), 2))
         for side, sgn in ((e_elems[k, 0], 1.0), (e_elems[k, 1], -1.0)):
-            ref = (xq - geo.xy[side, 0]) @ geo.binv[side].T
-            gphys = np.einsum("qbk,kl->qbl", p2_grads(ref), geo.binv[side])
+            ref = (xq - part.corner_xy[side, 0]) @ part.binv[side].T
+            gphys = np.einsum("qbk,kl->qbl", p2_grads(ref), part.binv[side])
             grad = np.einsum("bc,qbl->qcl", coeff[side], gphys)
             diff += sgn * (grad @ normal)
         norm_sq = elen * float(t_w @ (diff * diff).sum(axis=1))
@@ -100,27 +105,26 @@ def oracle_edge_jumps(sol):
 def oracle_div_terms(sol):
     """Quadrature versions of the element and edge-trace divergence terms."""
     part, dm = sol.partition, sol.dofmap
-    geo = element_geometry(part)
     coeff = sol.u_nodes()[dm.cell_nodes]
     rule = tri_rule()
 
     ref_pts = rule.tri_bary[:, 1:]
-    gphys = np.einsum("qbk,tkl->tqbl", p2_grads(ref_pts), geo.binv)
+    gphys = np.einsum("qbk,tkl->tqbl", p2_grads(ref_pts), part.binv)
     grad = np.einsum("tbc,tqbl->tqcl", coeff, gphys)
     div = grad[..., 0, 0] + grad[..., 1, 1]
-    div_l2 = np.einsum("q,tq->t", rule.tri_weights, div * div) * geo.det
+    div_l2 = np.einsum("q,tq->t", rule.tri_weights, div * div) * part.det
 
     ref_corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     t_pts, t_w = edge_rule()
     div_edge = np.zeros(part.n_leaves)
     for i, j in ((1, 2), (2, 0), (0, 1)):
         seg = ref_corners[i] + t_pts[:, None] * (ref_corners[j] - ref_corners[i])
-        gphys = np.einsum("qbk,tkl->tqbl", p2_grads(seg), geo.binv)
+        gphys = np.einsum("qbk,tkl->tqbl", p2_grads(seg), part.binv)
         grad = np.einsum("tbc,tqbl->tqcl", coeff, gphys)
         div = grad[..., 0, 0] + grad[..., 1, 1]
-        elen = np.linalg.norm(geo.xy[:, i] - geo.xy[:, j], axis=1)
+        elen = np.linalg.norm(part.corner_xy[:, i] - part.corner_xy[:, j], axis=1)
         div_edge += elen * np.einsum("q,tq->t", t_w, div * div)
-    div_edge *= np.sqrt(geo.area)
+    div_edge *= np.sqrt(part.areas)
     return div_l2, div_edge
 
 
@@ -153,24 +157,24 @@ def test_volume_and_osc_closed_form():
         return np.stack([3 * x - y + 2, x + 4 * y - 1], axis=1)
 
     sol = interpolate(u_fn, p_fn, dm)
-    ind = compute_indicators(sol, f_fn)
-    geo = element_geometry(part)
+    ind = compute_indicators(sol, load_at_quadrature(part, f_fn))
+    xy, area = part.corner_xy, part.areas
 
     # residual components: f + (2, 2) - (2, -1)
     def resid(xy):
         x, y = xy[:, 0], xy[:, 1]
         return np.stack([3 * x - y + 2, x + 4 * y + 2], axis=1)
 
-    corner_r = resid(geo.xy.reshape(-1, 2)).reshape(-1, 3, 2)
-    vol_ref = geo.area * (affine_sq_integral(geo.area, corner_r[..., 0])
-                          + affine_sq_integral(geo.area, corner_r[..., 1]))
+    corner_r = resid(xy.reshape(-1, 2)).reshape(-1, 3, 2)
+    vol_ref = area * (affine_sq_integral(area, corner_r[..., 0])
+                      + affine_sq_integral(area, corner_r[..., 1]))
     np.testing.assert_allclose(ind.vol, vol_ref, rtol=1e-12, atol=1e-15)
 
-    centroid = geo.xy.mean(axis=1)
-    f_corner = f_fn(geo.xy.reshape(-1, 2)).reshape(-1, 3, 2)
+    centroid = xy.mean(axis=1)
+    f_corner = f_fn(xy.reshape(-1, 2)).reshape(-1, 3, 2)
     dev = f_corner - f_fn(centroid)[:, None, :]
-    osc_ref = geo.area * (affine_sq_integral(geo.area, dev[..., 0])
-                          + affine_sq_integral(geo.area, dev[..., 1]))
+    osc_ref = area * (affine_sq_integral(area, dev[..., 0])
+                      + affine_sq_integral(area, dev[..., 1]))
     np.testing.assert_allclose(ind.osc, osc_ref, rtol=1e-12, atol=1e-15)
 
     # a globally quadratic velocity has a continuous gradient: no jumps
@@ -186,7 +190,7 @@ def test_divergence_terms_match_quadrature():
         return np.stack([x * x + 2 * x * y, y * y - x], axis=1)
 
     sol = interpolate(u_fn, lambda xy: np.zeros(len(xy)), dm)
-    ind = compute_indicators(sol, lambda xy: np.zeros((len(xy), 2)))
+    ind = compute_indicators(sol, zero_load(part))
     div_l2_ref, div_edge_ref = oracle_div_terms(sol)
     assert div_l2_ref.max() > 1e-3   # the chosen field is not divergence-free
     np.testing.assert_allclose(ind.div_l2, div_l2_ref, rtol=1e-12, atol=1e-15)
@@ -224,7 +228,7 @@ def test_jump_scale_on_hand_built_ramp():
     u = np.zeros(dm.n_u)
     u[0::2] = np.maximum(xy[:, 1] - xy[:, 0], 0.0)
     sol = SolutionPair(u=u, p=np.zeros(dm.n_p), partition=part, dofmap=dm)
-    ind = compute_indicators(sol, lambda pts: np.zeros((len(pts), 2)))
+    ind = compute_indicators(sol, zero_load(part))
     np.testing.assert_allclose(ind.jump, [4.0], rtol=1e-14)
     assert ind.vol == pytest.approx([0.0, 0.0], abs=1e-25)
     # with no volume or divergence terms each neighbor inherits the full
@@ -327,8 +331,19 @@ def test_subset_ratio_eta2_over_eta1(mms_state):
     assert ratios.max() / ratios.min() < 50.0
 
 
+def test_estimator_osc_equals_threshold_indicator(mms_state):
+    # one oscillation sum serves both: the estimator's term on the load that
+    # assemble kept, and the threshold indicator on a fresh evaluation of f
+    prob, sol, ind = mms_state
+    assert np.array_equal(ind.osc, osc_indicator(prob.f)(sol.partition))
+
+
 def test_invalid_inputs(mms_state):
-    _, _, ind = mms_state
+    prob, sol, ind = mms_state
+    with pytest.raises(ValueError, match="load values have shape"):
+        compute_indicators(sol, prob.f)
+    with pytest.raises(ValueError, match="load values have shape"):
+        compute_indicators(sol, ind.vol)
     with pytest.raises(ValueError, match="unknown estimator"):
         eta("eta3", ind)
     with pytest.raises(ValueError, match="unknown estimator"):

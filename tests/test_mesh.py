@@ -700,3 +700,40 @@ def test_forest_mirrors_follow_growth():
     assert np.array_equal(early, np.asarray(f.tri[:len(early)], dtype=np.int64))
     with pytest.raises(ValueError):
         f.tri_array()[0, 0] = 1
+
+
+# -- affine maps ---------------------------------------------------------
+
+
+def per_call_affine_maps(part: Partition):
+    """The formulas the cached ``Partition.det``/``binv``/``areas`` replaced:
+    the former per-call ``element_geometry`` and the former ``areas``."""
+    xy = part.corner_xy
+    b_mat = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=2)
+    det = b_mat[:, 0, 0] * b_mat[:, 1, 1] - b_mat[:, 0, 1] * b_mat[:, 1, 0]
+    binv = np.empty_like(b_mat)
+    binv[:, 0, 0] = b_mat[:, 1, 1] / det
+    binv[:, 0, 1] = -b_mat[:, 0, 1] / det
+    binv[:, 1, 0] = -b_mat[:, 1, 0] / det
+    binv[:, 1, 1] = b_mat[:, 0, 0] / det
+    d1 = xy[:, 1] - xy[:, 0]
+    d2 = xy[:, 2] - xy[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    return det, binv, areas
+
+
+@settings(max_examples=40, deadline=None)
+@given(root=st.sampled_from(["square", "lshape"]), rounds=st.integers(0, 6),
+       data=st.data())
+def test_cached_affine_maps_match_per_call_formulas(root, rounds, data):
+    part = {"square": unit_square_partition, "lshape": l_shape_partition}[root]()
+    for _ in range(rounds):
+        pos = data.draw(st.lists(st.integers(0, part.n_leaves - 1), min_size=1,
+                                 max_size=12, unique=True))
+        part = refine(part, part.leaves[pos])
+    det, binv, areas = per_call_affine_maps(part)
+    # bit for bit, signed zeros included
+    assert part.det.shape == det.shape and part.det.tobytes() == det.tobytes()
+    assert part.binv.shape == binv.shape and part.binv.tobytes() == binv.tobytes()
+    assert part.areas.tobytes() == areas.tobytes()
+    assert part.areas.tobytes() == (0.5 * part.det).tobytes()

@@ -85,7 +85,10 @@ print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
+    # the size lambdas of the indicator, assemble and dofmap spans read
+    # ``a[0].partition.n_leaves`` and ``a[0].n_leaves`` of these calls
     for span in ("femspace.prolong_ref", "femspace.prolong_step",
-                 "adaptloop.mark", "mesh.refine", "assembly.factor"):
+                 "adaptloop.mark", "mesh.refine", "assembly.factor",
+                 "estimators.indicators", "assembly.assemble", "femspace.dofmap"):
         assert span in out["spans"]
     assert out["nnz"] > 0
