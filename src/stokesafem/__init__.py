@@ -69,6 +69,7 @@ from .mesh import (
 from .problems import ExactSolution, ProblemDef, builtin_problems, get_problem
 from .threshold import (
     BudgetExceeded,
+    IndicatorFailure,
     LocalIndicator,
     ThresholdReport,
     class_seminorm,
@@ -96,7 +97,7 @@ __all__ = [
     "partition_from_arrays", "refine", "save_mesh", "star",
     "two_triangle_square", "unit_square_partition",
     "ExactSolution", "ProblemDef", "builtin_problems", "get_problem",
-    "BudgetExceeded", "LocalIndicator", "ThresholdReport", "class_seminorm",
-    "eps_sweep", "greedy_threshold", "indicator_from_spec", "osc_indicator",
-    "predicted_rate", "synthetic_area_indicator",
+    "BudgetExceeded", "IndicatorFailure", "LocalIndicator", "ThresholdReport",
+    "class_seminorm", "eps_sweep", "greedy_threshold", "indicator_from_spec",
+    "osc_indicator", "predicted_rate", "synthetic_area_indicator",
 ]

@@ -13,8 +13,8 @@ Configuration comes from defaults, then a flat ``key=value`` file given with
 ``--config``, then explicit command-line flags (highest precedence).  Outputs
 are deterministic: identical configuration produces byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 budget or
-termination error.
+Exit codes: 0 success, 2 configuration error, 3 solver failure or invalid
+indicator values, 4 budget or termination error.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .mesh import load_mesh, refine, save_mesh
 from .problems import get_problem
 from .threshold import (
     BudgetExceeded,
+    IndicatorFailure,
     check_threshold_args,
     eps_sweep,
     greedy_threshold,
@@ -452,6 +453,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except IndicatorFailure as exc:
+        print(f"indicator failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -114,7 +114,6 @@ def _edge_table(tris: np.ndarray) -> dict:
         "int_codes": code_s[int_rows],
         "int_verts": _split_codes(code_s[int_rows]),
         "int_elems": np.stack([owner[o[int_rows]], owner[o[int_rows + 1]]], axis=1),
-        "int_local": np.stack([local[o[int_rows]], local[o[int_rows + 1]]], axis=1),
         "bnd_codes": code_s[bnd_rows],
         "bnd_verts": _split_codes(code_s[bnd_rows]),
         "bnd_elems": owner[o[bnd_rows]],
@@ -361,10 +360,6 @@ class Partition:
     def interior_edge_elems(self) -> np.ndarray:
         """(m, 2) positions into ``leaves`` of the two adjacent elements."""
         return self._edge_tables["int_elems"]
-
-    @property
-    def interior_edge_local(self) -> np.ndarray:
-        return self._edge_tables["int_local"]
 
     @property
     def boundary_edge_verts(self) -> np.ndarray:

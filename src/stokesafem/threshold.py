@@ -37,6 +37,7 @@ from .mesh import Partition, refine
 
 __all__ = [
     "BudgetExceeded",
+    "IndicatorFailure",
     "LocalIndicator",
     "ThresholdReport",
     "check_threshold_args",
@@ -53,6 +54,11 @@ __all__ = [
 
 class BudgetExceeded(RuntimeError):
     """Raised when thresholding hits the generation cap before finishing."""
+
+
+class IndicatorFailure(ValueError):
+    """Raised when an indicator yields a negative or non-finite value, e.g.
+    from a non-finite load; the CLI maps it to the solver-failure exit code."""
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,8 @@ class LocalIndicator:
                 f"indicator {self.name!r} returned shape {values.shape}, "
                 f"expected ({part.n_leaves},)")
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-            raise ValueError(f"indicator {self.name!r} must be finite "
-                             "and nonnegative")
+            raise IndicatorFailure(f"indicator {self.name!r} must be finite "
+                                   "and nonnegative")
         return values
 
 

@@ -171,12 +171,17 @@ def test_bad_numeric_options_exit_2_before_refining(monkeypatch, capsys, tmp_pat
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
-def test_indicator_error_mid_run_is_not_a_configuration_error(monkeypatch, tmp_path):
+def test_indicator_error_mid_run_is_not_a_configuration_error(monkeypatch, tmp_path,
+                                                              capsys):
+    # a NaN load stops threshold mode with the run modes' exit code
     prob = ProblemDef(name="nan-load", make_partition=unit_square_partition,
                       f=lambda xy: np.full((len(xy), 2), np.nan), g=None, exact=None)
     monkeypatch.setattr(cli, "get_problem", lambda name: prob)
-    with pytest.raises(ValueError, match="must be finite"):
-        main(["threshold", "--eps", "0.1", "--out", str(tmp_path)])
+    rc = main(["threshold", "--eps", "0.1", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_SOLVER != cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("indicator failure: ") and "must be finite" in err
+    assert err.count("\n") == 1
 
 
 # -- threshold -----------------------------------------------------------

@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import sympy as sym
 
 from stokesafem.problems import builtin_problems, get_problem
+
+X, Y = sym.symbols("x y", real=True)
+_PSI = (X * (1 - X) * Y * (1 - Y)) ** 2
+# symbolic oracle: velocity (u1, u2) and pressure of each manufactured problem;
+# smooth-mms takes its velocity as the curl of the stream function psi
+SYMBOLIC = {
+    "linear-patch": (Y, X, sym.Integer(0)),
+    "smooth-mms": (sym.diff(_PSI, Y), -sym.diff(_PSI, X),
+                   X ** 3 + Y ** 3 - sym.Rational(1, 2)),
+}
+ORACLE_RTOL = 1e-12   # relative, max norm over all points
 
 
 def fd_gradient(u_fn, pts, h=1e-6):
@@ -26,7 +38,7 @@ def interior_points(n=40, lo=0.05, hi=0.95, seed=1):
 def test_registry_contents():
     probs = builtin_problems()
     assert set(probs) == {"linear-patch", "smooth-mms", "lshape-smoothf"}
-    # registry caches constructed problems
+    # the registry hands out one object per problem
     assert get_problem("smooth-mms") is probs["smooth-mms"]
 
 
@@ -106,3 +118,44 @@ def test_lshape_problem():
     # non-gradient load: a pure gradient field would make the exact velocity
     # vanish and the discrete solution trivial
     assert not np.allclose(fv, fv.mean(axis=0))
+
+
+def lambdified(exprs, pts):
+    """Evaluate sympy expressions at ``pts``, stacked along the last axis."""
+    cols = [np.broadcast_to(sym.lambdify((X, Y), e, "numpy")(pts[:, 0], pts[:, 1]),
+                            (len(pts),)) for e in exprs]
+    return np.stack(cols, axis=-1).astype(float)
+
+
+@pytest.mark.parametrize("name", sorted(SYMBOLIC))
+def test_fields_match_symbolic_derivation(name):
+    u1, u2, p = SYMBOLIC[name]
+    div = sym.diff(u1, X) + sym.diff(u2, Y)
+    assert sym.simplify(div) == 0
+    f = [-sym.diff(c, X, 2) - sym.diff(c, Y, 2) + sym.diff(p, v)
+         for c, v in ((u1, X), (u2, Y))]
+    grad = [sym.diff(c, v) for c in (u1, u2) for v in (X, Y)]
+
+    prob = get_problem(name)
+    pts = np.random.default_rng(7).uniform(-0.2, 1.2, size=(10_000, 2))
+    u_ref = lambdified([u1, u2], pts)
+    grad_num = prob.exact.grad_u(pts)
+    pairs = {
+        "f": (prob.f(pts), lambdified(f, pts)),
+        "u": (prob.exact.u(pts), u_ref),
+        "grad_u": (grad_num, lambdified(grad, pts).reshape(-1, 2, 2)),
+        "div_u": (grad_num[:, 0, 0] + grad_num[:, 1, 1], lambdified([div], pts)[:, 0]),
+        "p": (prob.exact.p(pts), lambdified([p], pts)[:, 0]),
+    }
+    if prob.g is None:
+        # homogeneous boundary data: the velocity vanishes on every side
+        assert all(sym.simplify(c.subs(v, side)) == 0
+                   for c in (u1, u2) for v in (X, Y) for side in (0, 1))
+    else:
+        pairs["g"] = (prob.g(pts), u_ref)
+    for field, (got, ref) in pairs.items():
+        assert got.shape == ref.shape, field
+        # div_u is compared on the scale of the gradient it is the trace of
+        scale = np.abs(pairs["grad_u"][1] if field == "div_u" else ref).max()
+        err = np.abs(got - ref).max()
+        assert err <= ORACLE_RTOL * scale, f"{name}.{field}: {err:.3e} vs {scale:.3e}"

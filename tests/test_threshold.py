@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stokesafem.mesh import Partition, l_shape_partition, refine, unit_square_partition
 from stokesafem.threshold import (
     BudgetExceeded,
+    IndicatorFailure,
     LocalIndicator,
     _ElementValues,
     _assert_bucket_disjoint,
@@ -137,10 +138,11 @@ def test_indicator_validation_wrong_shape():
     bad = LocalIndicator(name="bad", fn=lambda part: np.ones(3))
     part = unit_square_partition()
     rep_part = refine(part, part.leaves)
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="shape") as shape_err:
         bad(rep_part)
+    assert not isinstance(shape_err.value, IndicatorFailure)
     neg = LocalIndicator(name="neg", fn=lambda part: -part.areas)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(IndicatorFailure, match="nonnegative"):
         neg(part)
 
 
