@@ -75,7 +75,7 @@ def _load_config_file(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -141,6 +141,16 @@ def _mesh_target_cast(text: str):
         return text.strip()
 
 
+def _out_dir(st: _Settings) -> Path:
+    """The output directory, created if missing."""
+    out = Path(st.get("out", ".", str))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {str(out)!r}: {exc}") from exc
+    return out
+
+
 def _export_mesh_dest(value, out: Path) -> Path | None:
     if not value:
         return None
@@ -199,8 +209,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     prob = _get_problem_checked(problem_name)
     estimator = st.get("estimator", "eta1")
     seed = st.get("seed", 0, int)
-    out = Path(st.get("out", ".", str))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(st)
 
     try:
         if mode == "adaptive":
@@ -258,8 +267,7 @@ def _threshold_flow(st: _Settings) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     max_gen = st.get("max_generation", 40, int)
-    out = Path(st.get("out", ".", str))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(st)
     seed = st.get("seed", 0, int)
 
     sweep_text = st.get("eps_sweep", None, str)
@@ -337,9 +345,7 @@ def cmd_mesh_info(ns: argparse.Namespace) -> int:
     print(f"stable_pair: {dm.meets_stability}")
     export = st.get("export_mesh", None, _mesh_target_cast)
     if export:
-        out = Path(st.get("out", ".", str))
-        out.mkdir(parents=True, exist_ok=True)
-        save_mesh(part, _export_mesh_dest(export, out))
+        save_mesh(part, _export_mesh_dest(export, _out_dir(st)))
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import Partition
 
@@ -31,6 +32,7 @@ __all__ = [
     "p2_grads",
     "p2_values",
     "prolong",
+    "transfer",
     "tri_rule",
 ]
 
@@ -287,7 +289,11 @@ def build_dofmap(part: Partition) -> DofMap:
 
 @dataclass
 class SolutionPair:
-    """Coefficient vectors of one discrete velocity/pressure pair."""
+    """Coefficient vectors of one discrete velocity/pressure pair.
+
+    ``prolong`` also takes ``u``/``p`` with a trailing column axis: a stack
+    of pairs on one dofmap.
+    """
 
     u: np.ndarray
     p: np.ndarray
@@ -329,31 +335,51 @@ def interpolate(u_fn: VectorField, p_fn: ScalarField, dm: DofMap) -> SolutionPai
     return SolutionPair(u=u, p=p, partition=dm.partition, dofmap=dm)
 
 
+def transfer(coarse_dm: DofMap, fine_dm: DofMap) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Sparse P2 and P1 prolongation matrices onto a refining partition.
+
+    Returns ``(p2, p1)``: ``p2`` is (fine scalar nodes x coarse scalar nodes)
+    and holds, in each row, the six quadratic basis functions of the coarse
+    leaf containing the fine node, evaluated there; ``p1`` is (fine vertices
+    x coarse vertices) with the three linear ones.  Raises ``ValueError``
+    unless ``fine_dm`` lives on a refinement of ``coarse_dm``'s partition.
+    """
+    cpart = coarse_dm.partition
+    cpos = np.searchsorted(cpart.leaves, fine_dm.partition.ancestor_leaf_in(cpart))
+    # one fine leaf per fine node; any leaf listing the node will do
+    owner = np.empty(fine_dm.n_nodes, dtype=np.int64)
+    owner[fine_dm.cell_nodes.reshape(-1)] = np.repeat(np.arange(len(cpos)), 6)
+    anc = cpos[owner]
+    # reference coordinates of each fine node in its coarse ancestor; the
+    # first n_p nodes are the fine vertices, which carry the pressure
+    ref = np.einsum("nij,nj->ni", cpart.binv[anc],
+                    fine_dm.node_xy - cpart.corner_xy[anc, 0])
+    n_p = fine_dm.n_p
+    return (_rows_to_csr(p2_values(ref), coarse_dm.cell_nodes[anc], coarse_dm.n_nodes),
+            _rows_to_csr(p1_values(ref[:n_p]), coarse_dm.cell_pnodes[anc[:n_p]],
+                         coarse_dm.n_p))
+
+
+def _rows_to_csr(vals: np.ndarray, cols: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix with the fixed-width rows ``vals`` at columns ``cols``."""
+    n_rows, width = vals.shape
+    indptr = np.arange(0, n_rows * width + 1, width)
+    return sp.csr_matrix((vals.reshape(-1), cols.reshape(-1), indptr),
+                         shape=(n_rows, n_cols))
+
+
 def prolong(coarse: SolutionPair, fine_dm: DofMap) -> SolutionPair:
-    """Exact re-expansion of a coarse solution on a refining partition."""
-    cpart = coarse.partition
-    fpart = fine_dm.partition
-    # coarse leaf position per fine leaf; leaves are sorted
-    cpos = np.searchsorted(cpart.leaves, fpart.ancestor_leaf_in(cpart))
-    T = len(cpos)
+    """Exact re-expansion of a coarse solution on a refining partition.
 
-    cdm = coarse.dofmap
-    cu = coarse.u_nodes()[cdm.cell_nodes[cpos]]       # (T, 6, 2)
-    cp = coarse.p[cdm.cell_pnodes[cpos]]              # (T, 3)
-
-    # reference coordinates of the fine nodes in their coarse ancestor; the
-    # first three nodes are the fine vertices, which carry the pressure
-    fnode_xy = fine_dm.node_xy[fine_dm.cell_nodes]    # (T, 6, 2)
-    ref = (fnode_xy - cpart.corner_xy[cpos, :1]) @ cpart.binv[cpos].transpose(0, 2, 1)
-    uvals = p2_values(ref.reshape(-1, 2)).reshape(T, 6, 6) @ cu
-    pvals = p1_values(ref[:, :3].reshape(-1, 2)).reshape(T, 3, 3) @ cp[:, :, None]
-
-    u = np.zeros((fine_dm.n_nodes, 2))
-    u[fine_dm.cell_nodes.reshape(-1)] = uvals.reshape(-1, 2)
-    p = np.zeros(fine_dm.n_p)
-    p[fine_dm.cell_pnodes.reshape(-1)] = pvals.reshape(-1)
-
-    return SolutionPair(u=u.reshape(-1), p=p, partition=fpart, dofmap=fine_dm)
+    Applies the ``transfer`` matrices to the coefficients.  ``coarse.u`` and
+    ``coarse.p`` may carry a trailing column axis, a stack of pairs on one
+    dofmap, which is lifted in one product.  Raises ``ValueError`` unless
+    ``fine_dm`` lives on a refinement of ``coarse.partition``.
+    """
+    p2, p1 = transfer(coarse.dofmap, fine_dm)
+    u = p2 @ coarse.u.reshape(coarse.dofmap.n_nodes, -1)
+    return SolutionPair(u=u.reshape((fine_dm.n_u,) + coarse.u.shape[1:]),
+                        p=p1 @ coarse.p, partition=fine_dm.partition, dofmap=fine_dm)
 
 
 # -- point evaluation (tree descent; intended for diagnostics/tests) ------

@@ -219,11 +219,10 @@ def test_criterion_09_dorfler_minimality_exact():
         theta = float(rng.uniform(0.05, 1.0))
         marked = dorfler_mark(shares, theta)
         target = theta * shares.sum()
-        best = n + 1
-        for mask in range(1 << n):
-            sel = (mask >> np.arange(n)) & 1
-            if sel @ shares >= target - 1e-9 * max(1.0, shares.sum()):
-                best = min(best, int(sel.sum()))
+        # every subset as a row of bits: its share sum and its cardinality
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        feasible = bits @ shares >= target - 1e-9 * max(1.0, shares.sum())
+        best = int(bits.sum(axis=1)[feasible].min(initial=n + 1))
         if shares.sum() == 0.0:
             best = 0
         assert len(marked) == best, (shares, theta, marked, best)

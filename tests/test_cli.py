@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import shutil
+import string
 import subprocess
 import sys
 from importlib.metadata import EntryPoint, version
@@ -13,7 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import stokesafem.adaptloop as adaptloop
 import stokesafem.cli as cli
 import stokesafem.threshold as threshold
 from stokesafem.assembly import SolverFailure
@@ -104,6 +110,51 @@ def test_config_file_errors(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.cfg")]) == 2
     assert "cannot read config" in capsys.readouterr().err
 
+    not_utf8 = tmp_path / "latin.cfg"
+    not_utf8.write_bytes(b"levels=1\n\xff\xfe=2\n")
+    assert main(["run", "--config", str(not_utf8)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: cannot read config file")
+
+
+# lines the config loader accepts: comments, blanks and known keys
+_CFG_VALUE = st.text(alphabet=string.ascii_letters + string.digits + " .,:/_-", max_size=12)
+_ACCEPTED_LINE = st.one_of(
+    st.builds(lambda key, value: f"{key}={value}".encode(),
+              st.sampled_from(sorted(cli._CONFIG_KEYS)), _CFG_VALUE),
+    st.builds(lambda text: f"# {text}".encode(), _CFG_VALUE),
+    st.just(b""),
+)
+_KEY_TEXT = st.text(alphabet=string.ascii_letters + string.digits + " _-", min_size=1,
+                    max_size=12)
+# lines it rejects: no '=', an unknown key, or bytes that are not UTF-8
+_REJECTED_LINE = st.one_of(
+    _KEY_TEXT.filter(lambda t: t.strip()).map(str.encode),
+    st.builds(lambda key, value: f"{key}={value}".encode(),
+              _KEY_TEXT.filter(lambda k: k.strip().replace("-", "_")
+                               not in cli._CONFIG_KEYS),
+              _CFG_VALUE),
+    st.builds(lambda head, bad: head + bad,
+              st.sampled_from([b"", b"levels=", b"out=", b"# "]),
+              st.sampled_from([b"\xff\xfe=2", b"\xc3\x28", b"\x80", b"\xed\xa0\x80",
+                               b"\xf8\x88\x80\x80\x80"])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.tuples(st.lists(_ACCEPTED_LINE, max_size=6),
+                       st.lists(_REJECTED_LINE, min_size=1, max_size=3))
+       .flatmap(lambda parts: st.permutations(parts[0] + parts[1])),
+       command=st.sampled_from(["run", "threshold", "mesh-info", "infsup"]))
+def test_config_fuzz_rejected_lines_exit_2(tmp_path_factory, lines, command):
+    cfg = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+    cfg.write_bytes(b"\n".join(lines) + b"\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(cfg)])
+    assert rc == 2
+    assert err.getvalue().startswith("configuration error: ")
+    assert "Traceback" not in err.getvalue()
+
 
 def test_exit_code_on_config_errors(capsys):
     assert main(["run", "--problem", "no-such"]) == 2
@@ -168,6 +219,34 @@ def test_bad_numeric_options_exit_2_before_refining(monkeypatch, capsys, tmp_pat
     monkeypatch.setattr(cli, "refine", no_refine)
     monkeypatch.setattr(threshold, "refine", no_refine)
     assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["run", "--mode", "uniform"],
+    ["run", "--mode", "threshold", "--eps", "0.1"],
+    ["threshold", "--eps", "0.1"],
+])
+@pytest.mark.parametrize("below", [False, True])
+def test_output_path_that_is_a_file_exits_2_before_refining(monkeypatch, capsys,
+                                                            tmp_path, argv, below):
+    def no_refine(*args, **kwargs):
+        raise AssertionError("refined before the output directory was checked")
+
+    for module in (cli, threshold, adaptloop):
+        monkeypatch.setattr(module, "refine", no_refine)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub" if below else blocker
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot use output directory")
+    assert "Traceback" not in err
+    # and through the config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out={out}\n")
+    assert main([*argv, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 

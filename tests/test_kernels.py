@@ -5,7 +5,9 @@ physical basis gradients at every point of the degree-6 rule, contracted
 with ``np.einsum``.  The new kernels apply reference tables and corner
 gradients instead, so the two differ only in the order of the floating-point
 operations.  The tolerance, fixed before the comparison was written, is
-1e-12 relative in the max norm for every array and scalar.
+1e-12 relative in the max norm for every array and scalar.  The sparse
+prolongation is checked against the same per-point evaluation, one lift at
+a time and through the adaptive loop's stacked reference errors.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesafem.assembly import assemble, error_norms, load_at_quadrature
+from stokesafem import adaptloop
+from stokesafem.assembly import (
+    assemble,
+    error_norms,
+    load_at_quadrature,
+    pressure_l2_sq,
+    solve,
+    velocity_energy_sq,
+)
 from stokesafem.estimators import compute_indicators
 from stokesafem.femspace import (
     P1_GRADS,
@@ -45,7 +55,11 @@ def assert_close(new, ref):
 def random_partition(root: str, rounds: int, rng):
     """Random closure refinements of the unit-square or L-shape root."""
     name = {"square": "smooth-mms", "lshape": "lshape-smoothf"}[root]
-    part = get_problem(name).make_partition()
+    return refine_randomly(get_problem(name).make_partition(), rounds, rng)
+
+
+def refine_randomly(part, rounds: int, rng):
+    """``rounds`` closure refinements of random leaf subsets of ``part``."""
     for _ in range(rounds):
         k = int(rng.integers(1, part.n_leaves + 1))
         part = refine(part, rng.choice(part.leaves, size=k, replace=False).tolist())
@@ -251,12 +265,52 @@ def test_prolong_matches_quadrature_oracle(root, rounds, seed, more):
     rng = np.random.default_rng(seed)
     coarse = random_partition(root, rounds, rng)
     sol = random_pair(build_dofmap(coarse), rng)
-    fine = coarse
-    for _ in range(more):
-        k = int(rng.integers(1, fine.n_leaves + 1))
-        fine = refine(fine, rng.choice(fine.leaves, size=k, replace=False).tolist())
-    fine_dm = build_dofmap(fine)
+    fine_dm = build_dofmap(refine_randomly(coarse, more, rng))
     lifted = prolong(sol, fine_dm)
     u_ref, p_ref = oracle_prolong(sol, fine_dm)
     assert_close(lifted.u, u_ref)
     assert_close(lifted.p, p_ref)
+
+
+@settings(max_examples=20, deadline=None)
+@given(**meshes, more=st.integers(1, 3), width=st.integers(1, 4))
+def test_prolong_of_stack_equals_columnwise(root, rounds, seed, more, width):
+    rng = np.random.default_rng(seed)
+    coarse = random_partition(root, rounds, rng)
+    cdm = build_dofmap(coarse)
+    pairs = [random_pair(cdm, rng) for _ in range(width)]
+    stack = SolutionPair(u=np.column_stack([s.u for s in pairs]),
+                         p=np.column_stack([s.p for s in pairs]),
+                         partition=coarse, dofmap=cdm)
+    fine_dm = build_dofmap(refine_randomly(coarse, more, rng))
+    lifted = prolong(stack, fine_dm)
+    assert lifted.u.shape == (fine_dm.n_u, width)
+    assert lifted.p.shape == (fine_dm.n_p, width)
+    for j, pair in enumerate(pairs):
+        one = prolong(pair, fine_dm)
+        for got, ref in ((lifted.u[:, j], one.u), (lifted.p[:, j], one.p)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_reference_errors_match_oracle_prolongation(monkeypatch):
+    # the level-by-level stack lift of _finalize against each iterate lifted
+    # straight onto the final mesh by the oracle
+    solved = []
+
+    def recording_solve(system):
+        solved.append((system, solve(system)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(adaptloop, "solve", recording_solve)
+    trace = adaptloop.adaptive_run(adaptloop.AdaptiveConfig(problem="lshape-smoothf",
+                                                            max_dofs=1500))
+    assert not trace.exact_available and len(solved) == trace.n_iterations >= 5
+    system, fin = solved[-1]
+    ref = []
+    for _, sol in solved[:-1]:
+        u, p = oracle_prolong(sol, fin.dofmap)
+        ref.append(velocity_energy_sq(system, fin.u - u)
+                   + pressure_l2_sq(system, fin.p - p))
+    ref = np.asarray(ref + [0.0])
+    assert trace.ref_err_sq[-1] == 0.0
+    assert np.all(np.abs(trace.ref_err_sq - ref) <= 1e-12 * ref)
