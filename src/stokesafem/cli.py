@@ -152,9 +152,17 @@ def _out_dir(st: _Settings) -> Path:
 
 
 def _export_mesh_dest(value, out: Path) -> Path | None:
+    """The file ``--export-mesh`` names, or None; a directory, or a path
+    whose parent is not an existing directory, is a configuration error."""
     if not value:
         return None
-    return out / "mesh.json" if value is True else Path(value)
+    dest = out / "mesh.json" if value is True else Path(value)
+    if dest.is_dir():
+        raise ConfigError(f"cannot export mesh to {str(dest)!r}: it is a directory")
+    if not dest.parent.is_dir():
+        raise ConfigError(f"cannot export mesh to {str(dest)!r}: "
+                          f"{str(dest.parent)!r} is not a directory")
+    return dest
 
 
 # -- run subcommand ------------------------------------------------------
@@ -210,6 +218,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     estimator = st.get("estimator", "eta1")
     seed = st.get("seed", 0, int)
     out = _out_dir(st)
+    dest = _export_mesh_dest(st.get("export_mesh", False, _mesh_target_cast), out)
 
     try:
         if mode == "adaptive":
@@ -233,7 +242,6 @@ def cmd_run(ns: argparse.Namespace) -> int:
     report = monitor_report(trace)
     (out / "monitors.json").write_text(monitor_report_json(report) + "\n",
                                        encoding="utf-8")
-    dest = _export_mesh_dest(st.get("export_mesh", False, _mesh_target_cast), out)
     if dest is not None:
         save_mesh(trace.final_partition, dest)
     if st.get("dump_indicators", False, _bool_cast):
@@ -268,6 +276,7 @@ def _threshold_flow(st: _Settings) -> int:
         raise ConfigError(str(exc)) from exc
     max_gen = st.get("max_generation", 40, int)
     out = _out_dir(st)
+    dest = _export_mesh_dest(st.get("export_mesh", False, _mesh_target_cast), out)
     seed = st.get("seed", 0, int)
 
     sweep_text = st.get("eps_sweep", None, str)
@@ -298,7 +307,6 @@ def _threshold_flow(st: _Settings) -> int:
     else:
         final = greedy_threshold(part, indicator, eps_values[0], max_gen)
         print(json.dumps(_report_payload(final), indent=2, sort_keys=True))
-    dest = _export_mesh_dest(st.get("export_mesh", False, _mesh_target_cast), out)
     if dest is not None:
         save_mesh(final.partition, dest)
     return EXIT_OK
@@ -325,6 +333,8 @@ def cmd_mesh_info(ns: argparse.Namespace) -> int:
         prob = _get_problem_checked(st.get("problem", "smooth-mms"))
         part = prob.make_partition()
         source = prob.name
+    export = st.get("export_mesh", None, _mesh_target_cast)
+    dest = _export_mesh_dest(export, _out_dir(st)) if export else None
     for _ in range(levels):
         part = refine(part, part.leaves)
     with warnings.catch_warnings(record=True):
@@ -343,9 +353,8 @@ def cmd_mesh_info(ns: argparse.Namespace) -> int:
     print(f"generations: {stats.min_generation}..{stats.max_generation}")
     print(f"conforming: {part.is_conforming()}")
     print(f"stable_pair: {dm.meets_stability}")
-    export = st.get("export_mesh", None, _mesh_target_cast)
-    if export:
-        save_mesh(part, _export_mesh_dest(export, _out_dir(st)))
+    if dest is not None:
+        save_mesh(part, dest)
     return EXIT_OK
 
 

@@ -7,34 +7,44 @@ local vertex 2 (the "peak").  Bisecting splits the refinement edge at its
 midpoint; the midpoint becomes the peak of both children, so every child's
 refinement edge is one of the parent's two non-refinement edges.
 
-``refine`` performs marked bisection with recursive completion and returns a
+``refine`` performs marked bisection with edge-marking closure and returns a
 new conforming snapshot; ``bisect`` performs a single raw bisection (the
 result may be non-conforming, which the structural check detects); ``overlay``
 returns the smallest common refinement of two snapshots over the same initial
-partition.  Element and vertex ids are dense integers, stable across
-snapshots, with children assigned in creation order and edge midpoints
-deduplicated through a shared edge-to-midpoint map.
+partition.  Edges are keyed by the integer code ``lo << 32 | hi`` of their
+sorted vertex pair everywhere.
 
-Cost model of ``refine``: O(bisections + refined patch) per call.  The
-forest keeps the leaf set and edge map that the latest ``refine`` ended with,
-and the next ``refine`` of that output continues from them; a snapshot's
-input conformity check runs once, and a ``refine`` output is checked on the
-refined patch only.  Pure Python runs once per bisection; what remains per
-call is a few C-speed passes over id arrays (the mark lookup, the nesting
-masks, the output's sorted leaves).  Whole-mesh work is left only where a
-snapshot is refined a second time (or is not the latest output), which
-rebuilds the edge map from the snapshot's edge table.  The completion stays
-sequential and recursive, so the ids, and the order in which they are
-created, depend only on the input snapshot and the marked set.  Edges are
-keyed by the integer code ``lo << 32 | hi`` of their sorted vertex pair
-everywhere.
+``refine`` runs three NumPy steps over the input snapshot's edge table
+(Funken, Praetorius & Wissgott, CMAM 11, 2011): mark the refinement edge of
+every marked leaf; close the marks, giving every leaf with a marked edge
+its refinement edge too, each sweep visiting only the owners of the edges
+the last one marked; bisect every leaf whose refinement edge is marked,
+then every child whose refinement edge (one of its parent's other two
+edges, so an edge of the input) is marked.  A marked edge is thus split
+exactly once, and no third round is needed.
+
+Cost model of ``refine``: the input's edge table, built once per snapshot
+and cached on it (in the adaptive loop the dofmap has built it already),
+plus O(marked + closure) per sweep and round, plus a few C-speed passes
+over forest-length arrays (nesting masks, the midpoint map).  No Python
+runs per bisection.  A snapshot's conformity check runs once, and a
+``refine`` output is checked on the refined patch only.
+
+Id rule.  Element and vertex ids are dense integers; an id names the same
+triangle or point in every snapshot of a forest.  An element bisected
+before, by a pass over another snapshot of the same forest, keeps its
+children, and an edge split before keeps its midpoint.  Otherwise a
+``refine`` call first creates the midpoints of all its marked edges, in
+ascending sum of the edge's two end ids and then ascending edge code, and
+then the children of the first and of the second round, each round in
+ascending parent id, the two children of a parent consecutive and
+``child0`` first.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -74,11 +84,9 @@ def _edge_code(a: int, b: int) -> int:
 def _edge_codes(tris: np.ndarray) -> np.ndarray:
     """(3n,) edge codes of n triangles; entry 3k + i is the edge of triangle
     k opposite its local vertex i."""
-    pairs = np.stack([
-        tris[:, [1, 2]], tris[:, [2, 0]], tris[:, [0, 1]],
-    ], axis=1).reshape(-1, 2)
-    lo = pairs.min(axis=1).astype(np.int64)
-    return lo << 32 | pairs.max(axis=1)
+    a = tris[:, [1, 2, 0]]
+    b = tris[:, [2, 0, 1]]
+    return (np.minimum(a, b).astype(np.int64) << 32 | np.maximum(a, b)).ravel()
 
 
 def _split_codes(codes: np.ndarray) -> np.ndarray:
@@ -90,34 +98,32 @@ def _runs(sorted_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.ones(len(sorted_codes), dtype=bool)
     first[1:] = sorted_codes[1:] != sorted_codes[:-1]
     start = np.flatnonzero(first)
-    return start, np.diff(np.r_[start, len(sorted_codes)])
+    return start, np.diff(start, append=len(sorted_codes))
 
 
 def _edge_table(tris: np.ndarray) -> dict:
-    """Distinct edges of a triangle list from one sort of their codes."""
+    """Distinct edges of a triangle list from one sort of their codes: the
+    ascending codes, how many triangles have each, the edge opposite each
+    local vertex, and each edge's first two triangles in ascending order
+    (-1 where there is one)."""
     n = len(tris)
     code = _edge_codes(tris)
-    owner = np.repeat(np.arange(n), 3)
-    local = np.tile(np.arange(3), n)
-    o = np.argsort(code, kind="stable")
+    o = np.argsort(code)
     code_s = code[o]
     # runs of equal codes in the sorted list are the distinct edges
     start, counts = _runs(code_s)
     edge_index = np.empty(len(code_s), dtype=np.int64)
     edge_index[o] = np.repeat(np.arange(len(start)), counts)
-    int_rows = start[counts == 2]
-    bnd_rows = start[counts == 1]
+    first = o[start] // 3
+    second = o[np.minimum(start + 1, len(o) - 1)] // 3
+    paired = counts > 1
+    elems = np.stack([np.where(paired, np.minimum(first, second), first),
+                      np.where(paired, np.maximum(first, second), -1)], axis=1)
     return {
-        "edge_verts": _split_codes(code_s[start]),
+        "edge_codes": code_s[start],
         "edge_counts": counts,
         "edge_index": edge_index.reshape(n, 3),
-        "int_codes": code_s[int_rows],
-        "int_verts": _split_codes(code_s[int_rows]),
-        "int_elems": np.stack([owner[o[int_rows]], owner[o[int_rows + 1]]], axis=1),
-        "bnd_codes": code_s[bnd_rows],
-        "bnd_verts": _split_codes(code_s[bnd_rows]),
-        "bnd_elems": owner[o[bnd_rows]],
-        "bnd_local": local[o[bnd_rows]],
+        "edge_elems": elems,
         "n_bad": int((counts > 2).sum()),
     }
 
@@ -133,106 +139,149 @@ def _defects(n_bad: int, hanging: list[int]) -> list[str]:
     return defects
 
 
-class _Mirror:
-    """NumPy copy of an append-only list, extended by the rows added since
-    the last call."""
+def _rows(buf: np.ndarray, n: int) -> np.ndarray:
+    """Read-only view of the first ``n`` rows of a growable buffer."""
+    view = buf[:n]
+    view.flags.writeable = False
+    return view
 
-    def __init__(self, dtype, row_shape: tuple[int, ...] = ()):
-        self._arr = np.empty((0, *row_shape), dtype=dtype)
 
-    def sync(self, rows: list) -> np.ndarray:
-        n = len(self._arr)
-        if len(rows) > n:
-            tail = np.asarray(rows[n:], dtype=self._arr.dtype)
-            self._arr = np.concatenate([self._arr, tail])
-            self._arr.flags.writeable = False
-        return self._arr
+def _room(buf: np.ndarray, n: int) -> np.ndarray:
+    """``buf`` if it has ``n`` rows, else a copy with doubled capacity."""
+    if n <= len(buf):
+        return buf
+    grown = np.empty((max(n, 2 * len(buf)), *buf.shape[1:]), dtype=buf.dtype)
+    grown[:len(buf)] = buf
+    return grown
 
 
 class Forest:
-    """Append-only bisection forest shared by all snapshots of one mesh."""
+    """Append-only bisection forest shared by all snapshots of one mesh.
+
+    The element arrays ``tri``, ``parent``, ``child0``, ``child1``, ``gen``
+    and ``root`` and the vertex array ``verts`` live in NumPy buffers that
+    double when full; the properties hand out read-only views of the rows in
+    use.  A row never changes once written, except that ``child0`` and
+    ``child1`` of an element are set when it is first bisected.  The two
+    children of an element are always consecutive, ``child1 = child0 + 1``.
+    """
 
     def __init__(self, verts: Sequence[Sequence[float]], tris: Sequence[Sequence[int]],
                  boundary_codes: Iterable[int]):
-        self.verts: list[tuple[float, float]] = list(
-            map(tuple, np.asarray(verts, dtype=float).tolist()))
-        self.tri: list[tuple[int, int, int]] = list(
-            map(tuple, np.asarray(tris, dtype=np.int64).tolist()))
-        n = len(self.tri)
-        self.parent: list[int] = [-1] * n
-        self.child0: list[int] = [-1] * n
-        self.child1: list[int] = [-1] * n
-        self.gen: list[int] = [0] * n
-        self.root: list[int] = list(range(n))
-        self.n_roots = n
-        # edge code -> midpoint vertex id, for deduplication
-        self.midpoint: dict[int, int] = {}
+        self._tri = np.array(tris, dtype=np.int64).reshape(-1, 3)
+        self._verts = np.array(verts, dtype=float).reshape(-1, 2)
+        n = len(self._tri)
+        self._parent = np.full(n, -1, dtype=np.int64)
+        self._child0 = np.full(n, -1, dtype=np.int64)
+        self._child1 = np.full(n, -1, dtype=np.int64)
+        self._gen = np.zeros(n, dtype=np.int64)
+        self._root = np.arange(n, dtype=np.int64)
+        self.n_elements = self.n_roots = n
+        self.n_vertices = len(self._verts)
+        # sorted codes of the split edges and their midpoint vertices, for
+        # deduplication across snapshots
+        self._mid_codes = np.empty(0, dtype=np.int64)
+        self._mid_verts = np.empty(0, dtype=np.int64)
         # code of every edge that lies on the domain boundary (never pruned;
         # superseded codes are harmless because lookups only use leaf edges)
         self.boundary: set[int] = set(boundary_codes)
-        self._tri_np = _Mirror(np.int64, (3,))
-        self._verts_np = _Mirror(float, (2,))
-        self._gen_np = _Mirror(np.int64)
-        self._parent_np = _Mirror(np.int64)
-        # (weakref to the latest refine output, its leaf set, its edge map):
-        # the next refine of that snapshot continues from them (_Builder)
-        self._carry: tuple | None = None
 
     @property
-    def n_elements(self) -> int:
-        return len(self.tri)
+    def tri(self) -> np.ndarray:
+        """(n_elements, 3) vertex ids; the refinement edge is (v0, v1)."""
+        return _rows(self._tri, self.n_elements)
 
     @property
-    def n_vertices(self) -> int:
-        return len(self.verts)
+    def verts(self) -> np.ndarray:
+        """(n_vertices, 2) vertex coordinates."""
+        return _rows(self._verts, self.n_vertices)
 
-    def tri_array(self) -> np.ndarray:
-        return self._tri_np.sync(self.tri)
+    @property
+    def parent(self) -> np.ndarray:
+        return _rows(self._parent, self.n_elements)
 
-    def verts_array(self) -> np.ndarray:
-        return self._verts_np.sync(self.verts)
+    @property
+    def child0(self) -> np.ndarray:
+        return _rows(self._child0, self.n_elements)
 
-    def gen_array(self) -> np.ndarray:
-        return self._gen_np.sync(self.gen)
+    @property
+    def child1(self) -> np.ndarray:
+        return _rows(self._child1, self.n_elements)
 
-    def parent_array(self) -> np.ndarray:
-        return self._parent_np.sync(self.parent)
+    @property
+    def gen(self) -> np.ndarray:
+        return _rows(self._gen, self.n_elements)
 
-    def _split_edge(self, a: int, b: int) -> int:
-        key = _edge_code(a, b)
-        m = self.midpoint.get(key)
-        if m is None:
-            xa, ya = self.verts[a]
-            xb, yb = self.verts[b]
-            m = len(self.verts)
-            self.verts.append(((xa + xb) / 2.0, (ya + yb) / 2.0))
-            self.midpoint[key] = m
-            if key in self.boundary:
-                self.boundary.add(_edge_code(a, m))
-                self.boundary.add(_edge_code(m, b))
-        return m
+    @property
+    def root(self) -> np.ndarray:
+        return _rows(self._root, self.n_elements)
 
-    def ensure_children(self, t: int) -> tuple[int, int]:
-        """Create (or fetch) the two NVB children of element ``t``."""
-        if self.child0[t] >= 0:
-            return self.child0[t], self.child1[t]
-        v0, v1, v2 = self.tri[t]
-        m = self._split_edge(v0, v1)
-        g = self.gen[t] + 1
-        r = self.root[t]
-        c0 = len(self.tri)
-        # child vertex order keeps positive orientation and puts the new
-        # midpoint at local position 2, making it the children's peak
-        self.tri.append((v2, v0, m))
-        self.tri.append((v1, v2, m))
-        self.parent.extend((t, t))
-        self.child0.extend((-1, -1))
-        self.child1.extend((-1, -1))
-        self.gen.extend((g, g))
-        self.root.extend((r, r))
-        self.child0[t] = c0
-        self.child1[t] = c0 + 1
-        return c0, c0 + 1
+    def midpoints(self, codes: np.ndarray, on_boundary: np.ndarray) -> np.ndarray:
+        """Midpoint vertex of each edge in ``codes`` (distinct, ascending).
+
+        Midpoints that exist are reused.  The others are created in
+        ascending sum of their edge's two end ids, ties by code, so a new
+        vertex is numbered where its ends are on average: the dof numbering
+        stays local, which keeps the fill of the minimum-degree
+        factorizations low.  The halves of an edge ``on_boundary`` join the
+        boundary set.
+        """
+        pos, found = _find(codes, self._mid_codes)
+        out = np.empty(len(codes), dtype=np.int64)
+        out[found] = self._mid_verts[pos[found]]
+        new = np.flatnonzero(~found)
+        if len(new):
+            ends = _split_codes(codes[new])
+            nv, k = self.n_vertices, len(new)
+            order = np.argsort(ends.sum(axis=1), kind="stable")
+            ids = np.empty(k, dtype=np.int64)
+            ids[order] = np.arange(nv, nv + k)
+            self._verts = _room(self._verts, nv + k)
+            # a midpoint beyond the float range becomes inf, as in scalar
+            # arithmetic; save_mesh rejects it
+            with np.errstate(over="ignore"):
+                self._verts[nv:nv + k] = (self._verts[ends[order, 0]]
+                                          + self._verts[ends[order, 1]]) / 2.0
+            self.n_vertices = nv + k
+            out[new] = ids
+            self._mid_codes = np.insert(self._mid_codes, pos[new], codes[new])
+            self._mid_verts = np.insert(self._mid_verts, pos[new], ids)
+            # a new midpoint has the largest id, so it is the high end of both halves
+            bnd = on_boundary[new]
+            self.boundary.update((ends[bnd] << 32 | ids[bnd, None]).ravel().tolist())
+        return out
+
+    def split(self, elems: np.ndarray, mids: np.ndarray) -> np.ndarray:
+        """(k, 2) children of the elements ``elems`` (distinct, ascending),
+        bisected at the midpoint vertices ``mids``.
+
+        An element bisected before keeps its children.  The others get new
+        ones in ascending parent id, ``child0 = (v2, v0, m)`` and
+        ``child1 = (v1, v2, m)``: both keep positive orientation and have the
+        midpoint as their peak.
+        """
+        kids = self._child0[elems]
+        new = kids < 0
+        parents = elems[new]
+        n, k = self.n_elements, len(parents)
+        end = n + 2 * k
+        for name in ("_tri", "_parent", "_child0", "_child1", "_gen", "_root"):
+            setattr(self, name, _room(getattr(self, name), end))
+        v0, v1, v2 = self._tri[parents].T
+        m = mids[new]
+        self._tri[n:end:2] = np.stack([v2, v0, m], axis=1)
+        self._tri[n + 1:end:2] = np.stack([v1, v2, m], axis=1)
+        self._parent[n:end] = np.repeat(parents, 2)
+        self._child0[n:end] = -1
+        self._child1[n:end] = -1
+        self._gen[n:end] = np.repeat(self._gen[parents] + 1, 2)
+        self._root[n:end] = np.repeat(self._root[parents], 2)
+        first = np.arange(n, end, 2)
+        self._child0[parents] = first
+        self._child1[parents] = first + 1
+        self.n_elements = end
+        kids[new] = first
+        return np.stack([kids, kids + 1], axis=1)
 
 
 @dataclass(frozen=True)
@@ -267,7 +316,7 @@ class Partition:
     @cached_property
     def leaf_tris(self) -> np.ndarray:
         """(n, 3) vertex ids per leaf; refinement edge is (v0, v1)."""
-        return self.forest.tri_array()[self.leaves]
+        return self.forest.tri[self.leaves]
 
     @cached_property
     def leaf_pos(self) -> dict[int, int]:
@@ -285,15 +334,15 @@ class Partition:
 
     @cached_property
     def generations(self) -> np.ndarray:
-        return self.forest.gen_array()[self.leaves]
+        return self.forest.gen[self.leaves]
 
     def coords(self, vert_ids: np.ndarray) -> np.ndarray:
-        return self.forest.verts_array()[vert_ids]
+        return self.forest.verts[vert_ids]
 
     @cached_property
     def corner_xy(self) -> np.ndarray:
         """(n, 3, 2) physical corner coordinates per leaf."""
-        return self.forest.verts_array()[self.leaf_tris]
+        return self.forest.verts[self.leaf_tris]
 
     @cached_property
     def det(self) -> np.ndarray:
@@ -338,13 +387,13 @@ class Partition:
     @property
     def n_edges(self) -> int:
         """Number of distinct leaf edges (interior + boundary)."""
-        return len(self._edge_tables["edge_verts"])
+        return len(self._edge_tables["edge_codes"])
 
-    @property
+    @cached_property
     def edge_verts(self) -> np.ndarray:
         """(nE, 2) sorted vertex pairs of the distinct leaf edges, in
         lexicographic order."""
-        return self._edge_tables["edge_verts"]
+        return _split_codes(self._edge_tables["edge_codes"])
 
     @property
     def leaf_edges(self) -> np.ndarray:
@@ -352,33 +401,43 @@ class Partition:
         vertex i."""
         return self._edge_tables["edge_index"]
 
-    @property
-    def interior_edge_verts(self) -> np.ndarray:
-        return self._edge_tables["int_verts"]
+    @cached_property
+    def _interior(self) -> np.ndarray:
+        return self._edge_tables["edge_counts"] == 2
 
-    @property
+    @cached_property
+    def _boundary(self) -> np.ndarray:
+        return self._edge_tables["edge_counts"] == 1
+
+    @cached_property
+    def interior_edge_verts(self) -> np.ndarray:
+        return self.edge_verts[self._interior]
+
+    @cached_property
     def interior_edge_elems(self) -> np.ndarray:
         """(m, 2) positions into ``leaves`` of the two adjacent elements."""
-        return self._edge_tables["int_elems"]
+        return self._edge_tables["edge_elems"][self._interior]
 
-    @property
+    @cached_property
     def boundary_edge_verts(self) -> np.ndarray:
-        return self._edge_tables["bnd_verts"]
+        return self.edge_verts[self._boundary]
 
-    @property
+    @cached_property
     def boundary_edge_elems(self) -> np.ndarray:
-        return self._edge_tables["bnd_elems"]
+        return self._edge_tables["edge_elems"][self._boundary, 0]
 
-    @property
+    @cached_property
     def boundary_edge_local(self) -> np.ndarray:
-        return self._edge_tables["bnd_local"]
+        edges = np.flatnonzero(self._boundary)
+        own = self.leaf_edges[self.boundary_edge_elems]
+        return np.argmax(own == edges[:, None], axis=1)
 
     def conformity_defects(self) -> list[str]:
         """Structural conformity check over all leaf edges; empty list means
         conforming."""
         t = self._edge_tables
         boundary = self.forest.boundary
-        return _defects(t["n_bad"], [c for c in t["bnd_codes"].tolist()
+        return _defects(t["n_bad"], [c for c in t["edge_codes"][self._boundary].tolist()
                                      if c not in boundary])
 
     def is_conforming(self) -> bool:
@@ -397,31 +456,38 @@ class Partition:
     # -- neighborhood queries -------------------------------------------
 
     @cached_property
-    def _vert_leaves(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for pos, tri in enumerate(self.leaf_tris):
-            for v in tri:
-                out.setdefault(int(v), []).append(pos)
-        return out
+    def _vert_leaves(self) -> tuple[np.ndarray, np.ndarray]:
+        """Vertex-to-leaf incidence from one sort: the vertex ids of
+        ``leaf_tris`` in ascending order, and the leaf position of each."""
+        flat = self.leaf_tris.ravel()
+        order = np.argsort(flat, kind="stable")
+        return flat[order], order // 3
 
     def star(self, elem: int) -> np.ndarray:
         """Element ids of all leaves whose closure touches ``elem``'s closure."""
-        pos = self.leaf_pos.get(int(elem))
-        if pos is None:
+        pos, found = _find(np.array([elem], dtype=np.int64), self.leaves)
+        if not found[0]:
             raise ValueError(f"element {elem} is not a leaf of this partition")
-        seen: set[int] = set()
-        for v in self.leaf_tris[pos]:
-            seen.update(self._vert_leaves[int(v)])
-        return self.leaves[np.sort(np.fromiter(seen, dtype=np.int64))]
+        verts, owner = self._vert_leaves
+        tri = self.leaf_tris[pos[0]]
+        lo = np.searchsorted(verts, tri, side="left").tolist()
+        hi = np.searchsorted(verts, tri, side="right").tolist()
+        near = np.concatenate([owner[a:b] for a, b in zip(lo, hi)])
+        return self.leaves[np.unique(near)]
 
     def stats(self) -> MeshStats:
         diam = self.diams
         area = self.areas
         sigma_shape = float((diam * diam / area).max())
-        ratio = 1.0
-        for positions in self._vert_leaves.values():
-            d = diam[positions]
-            ratio = max(ratio, float(d.max() / d.min()))
+        # largest and smallest diameter of the leaves at each vertex
+        vids = self.leaf_tris.ravel()
+        per_corner = np.repeat(diam, 3)
+        big = np.zeros(self.forest.n_vertices)
+        small = np.full(self.forest.n_vertices, np.inf)
+        np.maximum.at(big, vids, per_corner)
+        np.minimum.at(small, vids, per_corner)
+        used = small < np.inf
+        ratio = float((big[used] / small[used]).max(initial=1.0))
         gens = self.generations
         return MeshStats(
             n_leaves=self.n_leaves,
@@ -434,13 +500,14 @@ class Partition:
     def locate(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """Leaf element id containing each point (tree descent), -1 if outside."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        verts = self.forest.verts_array()
         f = self.forest
+        verts, tri = f.verts, f.tri
+        child0, child1 = f.child0, f.child1
         leaf_mask = self.is_leaf_mask
         out = np.full(len(pts), -1, dtype=np.int64)
 
         def inside(t: int, x: float, y: float) -> bool:
-            a, b, c = f.tri[t]
+            a, b, c = tri[t]
             (xa, ya), (xb, yb), (xc, yc) = verts[a], verts[b], verts[c]
             det = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
             l1 = ((x - xa) * (yc - ya) - (y - ya) * (xc - xa)) / det
@@ -452,7 +519,7 @@ class Partition:
             if t < 0:
                 continue
             while not leaf_mask[t]:
-                c0, c1 = f.child0[t], f.child1[t]
+                c0, c1 = child0[t], child1[t]
                 if c0 >= 0 and inside(c0, x, y):
                     t = c0
                 elif c1 >= 0 and inside(c1, x, y):
@@ -471,7 +538,7 @@ class Partition:
         """
         if coarse.forest is not self.forest:
             raise ValueError("partitions belong to different forests")
-        parent = self.forest.parent_array()
+        parent = self.forest.parent
         mask = np.zeros(len(parent), dtype=bool)
         mask[coarse.leaves] = True
         anc = self.leaves.copy()
@@ -488,94 +555,6 @@ class Partition:
 
 
 # -- snapshot-producing operations --------------------------------------
-
-
-class _Builder:
-    """Mutable working state for one bisection pass over a snapshot.
-
-    ``leafset`` holds the current leaves, and ``edge_leaves`` maps the code of
-    every current leaf edge to the one or two leaves that have it as a full
-    edge; both are updated once per bisection.  A snapshot that is the
-    forest's latest ``refine`` output takes over the state that pass ended
-    with, in O(1), and detaches it from the forest before any change, so a
-    pass that raises leaves nothing stale behind.  Any other snapshot seeds
-    the state from its cached edge table.
-    """
-
-    def __init__(self, part: Partition):
-        f = self.forest = part.forest
-        self.removed: list[int] = []
-        if f._carry is not None and f._carry[0]() is part:
-            _, self.leafset, self.edge_leaves = f._carry
-            f._carry = None
-            return
-        self.leafset: set[int] = set(part.leaves.tolist())
-        t = part._edge_tables
-        leaves = part.leaves
-        edge_leaves = dict(zip(t["int_codes"].tolist(), leaves[t["int_elems"]].tolist()))
-        edge_leaves.update(zip(t["bnd_codes"].tolist(),
-                               leaves[t["bnd_elems"], None].tolist()))
-        self.edge_leaves: dict[int, list[int]] = edge_leaves
-
-    def bisect_leaf(self, t: int) -> tuple[int, int]:
-        f = self.forest
-        el = self.edge_leaves
-        v0, v1, v2 = f.tri[t]
-        c0, c1 = f.ensure_children(t)
-        m = f.tri[c0][2]
-        # the refinement edge is split; the other two edges pass to the
-        # children, c0 = (v2, v0, m) and c1 = (v1, v2, m)
-        key = _edge_code(v0, v1)
-        pair = el[key]
-        if len(pair) == 1:
-            del el[key]         # no longer a leaf edge
-        else:
-            pair.remove(t)
-        for key, c in ((_edge_code(v2, v0), c0), (_edge_code(v1, v2), c1)):
-            pair = el[key]
-            pair[pair.index(t)] = c
-        el.setdefault(_edge_code(v0, m), []).append(c0)
-        el.setdefault(_edge_code(m, v1), []).append(c1)
-        el[_edge_code(v2, m)] = [c0, c1]
-        self.leafset.remove(t)
-        self.leafset.add(c0)
-        self.leafset.add(c1)
-        self.removed.append(t)
-        return c0, c1
-
-    def conforming_bisect(self, t: int) -> None:
-        """Bisect leaf ``t``, recursively pre-refining incompatible neighbors."""
-        tri = self.forest.tri
-        chain = [t]
-        on_chain = {t}
-        while chain:
-            t = chain[-1]
-            if t not in self.leafset:
-                chain.pop()
-                on_chain.discard(t)
-                continue
-            v0, v1, _ = tri[t]
-            key = _edge_code(v0, v1)
-            others = [s for s in self.edge_leaves[key] if s != t]
-            nb = others[0] if others else None
-            if nb is None or _edge_code(tri[nb][0], tri[nb][1]) == key:
-                self.bisect_leaf(t)
-                if nb is not None:
-                    self.bisect_leaf(nb)
-                chain.pop()
-                on_chain.discard(t)
-            else:
-                if nb in on_chain:
-                    raise RefinementError(
-                        f"completion cycle detected at element {nb}; the initial "
-                        "refinement-edge labeling does not admit recursive completion"
-                    )
-                chain.append(nb)
-                on_chain.add(nb)
-
-    def snapshot(self) -> Partition:
-        return Partition(self.forest, np.fromiter(self.leafset, dtype=np.int64,
-                                                  count=len(self.leafset)))
 
 
 def _leaf_ids(part: Partition, ids, message: str) -> np.ndarray:
@@ -615,7 +594,7 @@ def _patch_defects(forest: Forest, removed: np.ndarray, created: np.ndarray) -> 
     set is consulted only where that count is neither 0 nor 2 for an
     interior edge.
     """
-    tri = forest.tri_array()
+    tri = forest.tri
     codes_r, n_r = _code_counts(_edge_codes(tri[removed]))
     codes_c, n_c = _code_counts(_edge_codes(tri[created]))
     pos, c_in_r = _find(codes_c, codes_r)
@@ -635,50 +614,90 @@ def _patch_defects(forest: Forest, removed: np.ndarray, created: np.ndarray) -> 
     return _defects(int((count > 2).sum()), codes[odd][(count == 1) & ~on_bnd].tolist())
 
 
+def _close_marks(marked: np.ndarray, ref_edge: np.ndarray,
+                 edge_elems: np.ndarray) -> np.ndarray:
+    """Edge-marking closure: starting from the ``marked`` edges, mark the
+    refinement edge of every leaf that has a marked edge, until nothing
+    changes; each sweep visits only the owners of the edges the last one
+    marked.  ``ref_edge`` holds each leaf's refinement edge and
+    ``edge_elems`` each edge's one or two leaves (-1 for none).  Returns the
+    mask of marked edges."""
+    mask = np.zeros(len(edge_elems), dtype=bool)
+    mask[marked] = True
+    new = marked
+    while len(new):
+        owners = edge_elems[new].ravel()
+        ref = ref_edge[owners[owners >= 0]]
+        new = np.unique(ref[~mask[ref]])
+        mask[new] = True
+    return mask
+
+
 def refine(part: Partition, marked: Iterable[int]) -> Partition:
     """Bisect every marked leaf at least once and complete to conformity.
 
+    Marks the refinement edges of the marked leaves, closes the marks
+    (``_close_marks``) and bisects in two rounds: every leaf whose
+    refinement edge is marked, then every child whose refinement edge is.
     Checks the input once per snapshot and the output on the refined patch
-    only, so a pass costs O(bisections + patch) beyond a few C-speed
-    passes over id arrays.
+    only.
     """
     marked = _leaf_ids(part, marked, "marked element {} is not a leaf of the partition")
     part.check_conforming()
     if not len(marked):
         return part
-    b = _Builder(part)
-    for t in marked.tolist():
-        if t in b.leafset:
-            b.conforming_bisect(t)
-    out = b.snapshot()
-    n = part.forest.n_elements
+    f = part.forest
+    leaves = part.leaves
+    t = part._edge_tables
+    edge_index = t["edge_index"]
+    ref_edge = edge_index[:, 2]
+    emark = _close_marks(np.unique(ref_edge[np.searchsorted(leaves, marked)]),
+                         ref_edge, t["edge_elems"])
+    # every marked edge is split, in one round or the other
+    split = np.flatnonzero(emark)
+    mid = np.full(len(emark), -1, dtype=np.int64)
+    mid[split] = f.midpoints(t["edge_codes"][split], t["edge_counts"][split] == 1)
+    # round 1; child0 = (v2, v0, m) has the edge opposite the parent's local
+    # vertex 1 as its refinement edge, child1 = (v1, v2, m) the one opposite 0
+    pos = np.flatnonzero(emark[ref_edge])
+    kids = f.split(leaves[pos], mid[ref_edge[pos]]).ravel()
+    kid_edge = edge_index[pos][:, [1, 0]].ravel()
+    # round 2, in ascending id
+    again = emark[kid_edge]
+    order = np.argsort(kids[again])
+    grandkids = f.split(kids[again][order], mid[kid_edge[again][order]])
+    out = Partition(f, np.concatenate([leaves[~emark[ref_edge]], kids[~again],
+                                       grandkids.ravel()]))
+    n = f.n_elements
     in_part = np.zeros(n, dtype=bool)
-    in_part[part.leaves] = True
+    in_part[leaves] = True
     in_out = np.zeros(n, dtype=bool)
     in_out[out.leaves] = True
     refined = np.zeros(n, dtype=bool)
-    refined[b.removed] = True
-    dropped = ~in_out[part.leaves]
-    defects = _patch_defects(part.forest, part.leaves[dropped],
-                             out.leaves[~in_part[out.leaves]])
+    refined[leaves[pos]] = True
+    refined[kids[again]] = True
+    dropped = ~in_out[leaves]
+    defects = _patch_defects(f, leaves[dropped], out.leaves[~in_part[out.leaves]])
     if defects:
         raise RefinementError("non-conforming partition: " + "; ".join(defects))
     out._verified = True
     # monotone nesting: the dropped input leaves are exactly the refined ones
-    # (completion may also bisect elements created mid-pass), and every marked
-    # element was refined
-    if not (refined[marked].all() and np.array_equal(refined[part.leaves], dropped)):
+    # (the second round bisects children made in the first), and every
+    # marked element was refined
+    if not (refined[marked].all() and np.array_equal(refined[leaves], dropped)):
         raise RefinementError("refinement is not nested in its input partition")
-    part.forest._carry = (weakref.ref(out), b.leafset, b.edge_leaves)
     return out
 
 
 def bisect(part: Partition, elem: int) -> Partition:
     """Single raw bisection of one leaf; the result may be non-conforming."""
-    elem = int(_leaf_ids(part, [elem], "element {} is not a leaf of the partition")[0])
-    b = _Builder(part)
-    b.bisect_leaf(elem)
-    return b.snapshot()
+    elem = _leaf_ids(part, [elem], "element {} is not a leaf of the partition")
+    f = part.forest
+    v0, v1, _ = f.tri[elem[0]].tolist()
+    code = _edge_code(v0, v1)
+    mid = f.midpoints(np.array([code]), np.array([code in f.boundary]))
+    kids = f.split(elem, mid)
+    return Partition(f, np.concatenate([part.leaves[part.leaves != elem[0]], kids[0]]))
 
 
 def overlay(p: Partition, q: Partition) -> Partition:
@@ -690,6 +709,7 @@ def overlay(p: Partition, q: Partition) -> Partition:
     p_mask[p.leaves] = True
     q_mask = np.zeros(f.n_elements, dtype=bool)
     q_mask[q.leaves] = True
+    child0, child1 = f.child0.tolist(), f.child1.tolist()
     out: list[int] = []
     # (element, active-in-P-tree, active-in-Q-tree), preorder walk
     stack: list[tuple[int, bool, bool]] = [
@@ -700,8 +720,8 @@ def overlay(p: Partition, q: Partition) -> Partition:
         p_int = p_act and not p_mask[t]
         q_int = q_act and not q_mask[t]
         if p_int or q_int:
-            stack.append((f.child1[t], p_int, q_int))
-            stack.append((f.child0[t], p_int, q_int))
+            stack.append((child1[t], p_int, q_int))
+            stack.append((child0[t], p_int, q_int))
         else:
             out.append(t)
     result = Partition(f, np.asarray(out, dtype=np.int64))
@@ -810,7 +830,7 @@ def partition_from_arrays(verts: Sequence[Sequence[float]],
         raise ValueError(f"vertex id {stray[0]} out of range for {len(varr)} vertices")
     tarr = _normalize_tris(varr, tarr, tris, relabel_longest_edge)
     table = _edge_table(tarr)
-    detected = set(table["bnd_codes"].tolist())
+    detected = set(table["edge_codes"][table["edge_counts"] == 1].tolist())
     if boundary is None:
         bset = detected
     else:

@@ -118,7 +118,7 @@ def _bucket_indices(areas: np.ndarray) -> np.ndarray:
 
 
 def _assert_bucket_disjoint(forest, bucket_members) -> None:
-    parent = forest.parent_array()
+    parent = forest.parent
     in_bucket = np.zeros(len(parent), dtype=bool)
     for j, members in bucket_members.items():
         members = np.asarray(members, dtype=np.int64)
@@ -149,7 +149,7 @@ class _ElementValues:
     """Indicator values of one forest's elements, each evaluated once.
 
     ``values[e]`` is NaN until element ``e`` has been evaluated.  The forest
-    is append-only and ``ensure_children`` reuses children, so an id names
+    is append-only and ``refine`` reuses existing children, so an id names
     the same triangle in every snapshot and its value never goes stale.
     """
 

@@ -1,10 +1,15 @@
-"""Reference marked refinement: the tuple-keyed builder that ``mesh.refine``
-replaced, kept as the oracle of the differential tests.
+"""Reference marked refinement: the list-based forest and the tuple-keyed,
+recursive-completion builder that ``mesh.refine`` replaced, kept as the
+oracle of the differential tests.
 
-Every pass rebuilds the edge-to-leaves map by walking all leaves, keys edges
-by sorted vertex-pair tuples and checks nesting with Python sets.  It grows
-the forest through the same ``Forest.ensure_children``, so element and vertex
-ids of the two implementations can be compared directly.
+The forest stores one Python tuple per element and vertex, makes children
+one at a time in ``ensure_children`` and deduplicates midpoints through a
+dict.  Every pass rebuilds the edge-to-leaves map by walking all leaves,
+keys edges by sorted vertex-pair tuples and checks nesting with Python sets.
+Its ids follow the order of the recursive completion, not ``mesh``'s id
+rule, so the two implementations are compared as geometry.  The forest's
+array properties let ``mesh.Partition`` read it, so snapshots and their
+conformity checks are shared.
 """
 
 from __future__ import annotations
@@ -13,7 +18,103 @@ from typing import Iterable
 
 import numpy as np
 
-from stokesafem.mesh import Partition, RefinementError
+from stokesafem.mesh import Partition, RefinementError, _edge_code
+
+
+class Forest:
+    """Append-only bisection forest over Python lists."""
+
+    def __init__(self, verts, tris, boundary_codes: Iterable[int]):
+        self.vert_list: list[tuple[float, float]] = list(
+            map(tuple, np.asarray(verts, dtype=float).tolist()))
+        self.tri_list: list[tuple[int, int, int]] = list(
+            map(tuple, np.asarray(tris, dtype=np.int64).tolist()))
+        n = len(self.tri_list)
+        self.parent_list: list[int] = [-1] * n
+        self.child0_list: list[int] = [-1] * n
+        self.child1_list: list[int] = [-1] * n
+        self.gen_list: list[int] = [0] * n
+        self.root_list: list[int] = list(range(n))
+        self.n_roots = n
+        # edge code -> midpoint vertex id, for deduplication
+        self.midpoint: dict[int, int] = {}
+        self.boundary: set[int] = set(boundary_codes)
+
+    @property
+    def n_elements(self) -> int:
+        return len(self.tri_list)
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.vert_list)
+
+    @property
+    def tri(self) -> np.ndarray:
+        return np.asarray(self.tri_list, dtype=np.int64).reshape(-1, 3)
+
+    @property
+    def verts(self) -> np.ndarray:
+        return np.asarray(self.vert_list, dtype=float).reshape(-1, 2)
+
+    @property
+    def parent(self) -> np.ndarray:
+        return np.asarray(self.parent_list, dtype=np.int64)
+
+    @property
+    def child0(self) -> np.ndarray:
+        return np.asarray(self.child0_list, dtype=np.int64)
+
+    @property
+    def child1(self) -> np.ndarray:
+        return np.asarray(self.child1_list, dtype=np.int64)
+
+    @property
+    def gen(self) -> np.ndarray:
+        return np.asarray(self.gen_list, dtype=np.int64)
+
+    @property
+    def root(self) -> np.ndarray:
+        return np.asarray(self.root_list, dtype=np.int64)
+
+    def _split_edge(self, a: int, b: int) -> int:
+        key = _edge_code(a, b)
+        m = self.midpoint.get(key)
+        if m is None:
+            xa, ya = self.vert_list[a]
+            xb, yb = self.vert_list[b]
+            m = len(self.vert_list)
+            self.vert_list.append(((xa + xb) / 2.0, (ya + yb) / 2.0))
+            self.midpoint[key] = m
+            if key in self.boundary:
+                self.boundary.add(_edge_code(a, m))
+                self.boundary.add(_edge_code(m, b))
+        return m
+
+    def ensure_children(self, t: int) -> tuple[int, int]:
+        """Create (or fetch) the two NVB children of element ``t``."""
+        if self.child0_list[t] >= 0:
+            return self.child0_list[t], self.child1_list[t]
+        v0, v1, v2 = self.tri_list[t]
+        m = self._split_edge(v0, v1)
+        g = self.gen_list[t] + 1
+        r = self.root_list[t]
+        c0 = len(self.tri_list)
+        self.tri_list.append((v2, v0, m))
+        self.tri_list.append((v1, v2, m))
+        self.parent_list.extend((t, t))
+        self.child0_list.extend((-1, -1))
+        self.child1_list.extend((-1, -1))
+        self.gen_list.extend((g, g))
+        self.root_list.extend((r, r))
+        self.child0_list[t] = c0
+        self.child1_list[t] = c0 + 1
+        return c0, c0 + 1
+
+
+def copy_root(part: Partition) -> Partition:
+    """The generation-0 ``part`` over a new reference forest."""
+    f = part.forest
+    return Partition(Forest(f.verts, f.tri, f.boundary), part.leaves)
 
 
 def _edge_key(a: int, b: int) -> tuple[int, int]:
@@ -28,7 +129,7 @@ class Builder:
         self.leafset: set[int] = set(int(e) for e in part.leaves)
         self.removed: set[int] = set()
         edge_leaves: dict[tuple[int, int], list[int]] = {}
-        tri = self.forest.tri
+        tri = self.forest.tri_list
         for t in self.leafset:
             v0, v1, v2 = tri[t]
             for key in (_edge_key(v1, v2), _edge_key(v2, v0), _edge_key(v0, v1)):
@@ -36,12 +137,12 @@ class Builder:
         self.edge_leaves = edge_leaves
 
     def refinement_edge(self, t: int) -> tuple[int, int]:
-        v0, v1, _ = self.forest.tri[t]
+        v0, v1, _ = self.forest.tri_list[t]
         return _edge_key(v0, v1)
 
     def bisect_leaf(self, t: int) -> tuple[int, int]:
         f = self.forest
-        v0, v1, v2 = f.tri[t]
+        v0, v1, v2 = f.tri_list[t]
         for key in (_edge_key(v1, v2), _edge_key(v2, v0), _edge_key(v0, v1)):
             self.edge_leaves[key].remove(t)
         c0, c1 = f.ensure_children(t)
@@ -49,7 +150,7 @@ class Builder:
         self.removed.add(t)
         for c in (c0, c1):
             self.leafset.add(c)
-            w0, w1, w2 = f.tri[c]
+            w0, w1, w2 = f.tri_list[c]
             for key in (_edge_key(w1, w2), _edge_key(w2, w0), _edge_key(w0, w1)):
                 self.edge_leaves.setdefault(key, []).append(c)
         return c0, c1

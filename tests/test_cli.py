@@ -250,6 +250,35 @@ def test_output_path_that_is_a_file_exits_2_before_refining(monkeypatch, capsys,
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--mode", "uniform", "--levels", "2"],
+    ["run", "--mode", "threshold", "--eps", "0.1"],
+    ["threshold", "--eps", "0.1"],
+    ["mesh-info", "--levels", "1"],
+])
+@pytest.mark.parametrize("target", ["directory", "below-file", "below-missing",
+                                    "default-is-directory"])
+def test_export_mesh_path_that_cannot_be_a_file_exits_2_before_refining(
+        monkeypatch, capsys, tmp_path, argv, target):
+    def no_refine(*args, **kwargs):
+        raise AssertionError("refined before the export path was checked")
+
+    for module in (cli, threshold, adaptloop):
+        monkeypatch.setattr(module, "refine", no_refine)
+    out = tmp_path / "out"
+    (out / "mesh.json").mkdir(parents=True)
+    (tmp_path / "file").write_text("not a directory\n")
+    export = {"directory": [str(tmp_path)],
+              "below-file": [str(tmp_path / "file" / "mesh.json")],
+              "below-missing": [str(tmp_path / "missing" / "mesh.json")],
+              "default-is-directory": []}[target]
+    assert main([*argv, "--out", str(out), "--export-mesh", *export]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot export mesh to ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in out.iterdir()) == ["mesh.json"]
+
+
 def test_indicator_error_mid_run_is_not_a_configuration_error(monkeypatch, tmp_path,
                                                               capsys):
     # a NaN load stops threshold mode with the run modes' exit code

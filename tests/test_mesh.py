@@ -89,7 +89,7 @@ def test_l_shape_partition():
     assert euler_characteristic(p) == 1
     # the reentrant corner vertex (0,0) lies on the boundary
     bverts = set(p.boundary_edge_verts.ravel().tolist())
-    origin = [i for i, v in enumerate(p.forest.verts) if v == (0.0, 0.0)]
+    origin = np.flatnonzero((p.forest.verts == 0.0).all(axis=1))
     assert origin[0] in bverts
 
 
@@ -135,8 +135,7 @@ def test_bisect_midpoint_deduplication():
     # both splits share the diagonal -> same midpoint vertex id, created once
     assert q1.forest is q2.forest
     assert q1.forest.n_vertices == 5
-    mid = q1.forest.verts[4]
-    assert mid == (0.5, 0.5)
+    assert q1.forest.verts[4].tolist() == [0.5, 0.5]
 
 
 def test_bisect_children_keep_positive_orientation():
@@ -227,10 +226,47 @@ def test_refinement_is_deterministic():
     a, b = run(), run()
     assert np.array_equal(a.leaves, b.leaves)
     assert np.array_equal(a.leaf_tris, b.leaf_tris)
-    assert a.forest.verts == b.forest.verts
+    assert np.array_equal(a.forest.verts, b.forest.verts)
 
 
-# -- refine cost: the refined patch, not the whole mesh --------------------
+@settings(max_examples=30, deadline=None)
+@given(root=st.sampled_from(["square", "lshape"]), rounds=st.integers(0, 4),
+       data=st.data())
+def test_refine_ids_follow_the_documented_rule(root, rounds, data):
+    # new vertices in ascending (sum of end ids, edge code); new children in
+    # pairs (v2, v0, m), (v1, v2, m), round 1 before round 2, each round in
+    # ascending parent id
+    part = {"square": unit_square_partition, "lshape": l_shape_partition}[root]()
+    for _ in range(rounds + 1):
+        f = part.forest
+        n_elems, n_verts = f.n_elements, f.n_vertices
+        pos = data.draw(st.lists(st.integers(0, part.n_leaves - 1), min_size=1,
+                                 max_size=12, unique=True))
+        part = refine(part, part.leaves[pos])
+    tri, parent = f.tri, f.parent
+    first = np.arange(n_elems, f.n_elements, 2)
+    parents = parent[first]
+    assert np.array_equal(parent[first + 1], parents)
+    assert np.array_equal(f.child0[parents], first)
+    v0, v1, v2 = tri[parents].T
+    m = tri[first, 2]
+    assert np.array_equal(tri[first], np.stack([v2, v0, m], axis=1))
+    assert np.array_equal(tri[first + 1], np.stack([v1, v2, m], axis=1))
+    round2 = parents >= n_elems
+    assert not (round2[:-1] & ~round2[1:]).any()
+    for group in (parents[~round2], parents[round2]):
+        assert (np.diff(group) > 0).all()
+    # each new vertex is the midpoint of the refinement edge of the elements
+    # bisected at it
+    made = m >= n_verts
+    lo, hi = np.minimum(v0, v1)[made], np.maximum(v0, v1)[made]
+    order = np.argsort(m[made])
+    keys = list(zip((lo + hi)[order].tolist(), lo[order].tolist(), hi[order].tolist()))
+    distinct = sorted(set(keys))
+    assert keys == sorted(keys) and len(distinct) == f.n_vertices - n_verts
+
+
+# -- refine cost: no edge table beyond its input's ------------------------
 
 
 def record_refine_calls(monkeypatch, module):
@@ -248,9 +284,24 @@ def record_refine_calls(monkeypatch, module):
     return seen
 
 
-def test_refine_builds_no_whole_mesh_edge_table(monkeypatch):
-    # each pass continues from the edge map the previous one ended with and
-    # checks conformity on its patch, so only the first input needs a table
+def test_uniform_run_builds_one_edge_table_per_solved_partition(monkeypatch):
+    # refine reads its input's edge table, which the dofmap of that input
+    # built already; it builds none of its own
+    from stokesafem import adaptloop, mesh
+
+    built = []
+    inner = mesh._edge_table
+
+    def counting(tris):
+        built.append(len(tris))
+        return inner(tris)
+
+    monkeypatch.setattr(mesh, "_edge_table", counting)
+    trace = adaptloop.uniform_run("lshape-smoothf", levels=3)
+    assert built == trace.column("leaves").tolist()
+
+
+def test_refine_outputs_hold_no_edge_table(monkeypatch):
     from stokesafem import adaptloop, threshold
 
     def corner_load(xy):
@@ -261,9 +312,7 @@ def test_refine_builds_no_whole_mesh_edge_table(monkeypatch):
     rep = threshold.greedy_threshold(unit_square_partition(),
                                      threshold.osc_indicator(corner_load), 1e-4)
     assert len(seen) == len(rep.rounds) > 3
-    assert seen[0] == (True, False)
-    assert set(seen[1:]) == {(False, False)}
-
+    assert not any(out for _, out in seen)
     seen = record_refine_calls(monkeypatch, adaptloop)
     adaptloop.uniform_run("lshape-smoothf", levels=3)
     assert len(seen) == 3
@@ -271,28 +320,29 @@ def test_refine_builds_no_whole_mesh_edge_table(monkeypatch):
 
 
 def test_patch_check_catches_missing_completion(monkeypatch):
-    # a single bisection without its completion hangs a vertex on the shared
-    # diagonal; the check on the refined patch must report it, with no
-    # whole-mesh table and also under python -O
+    # with the closure suppressed, a marked leaf whose refinement edge is not
+    # its neighbor's is bisected alone and hangs a vertex on that neighbor;
+    # the check on the refined patch must report it, without a whole-mesh
+    # table and also under python -O
     from stokesafem import mesh
-    p = uniform_refine(unit_square_partition())
-    elem = int(p.leaves[0])
-    outs = []
-    snapshot = mesh._Builder.snapshot
-    monkeypatch.setattr(mesh._Builder, "conforming_bisect",
-                        lambda self, t: self.bisect_leaf(t))
-    monkeypatch.setattr(mesh._Builder, "snapshot",
-                        lambda self: outs.append(snapshot(self)) or outs[-1])
+    p = refine(unit_square_partition(), [0])
+    elem = 4        # (4, 0, 5); its neighbor (3, 0, 4) has refinement edge (3, 0)
+    assert p.leaf_tris[p.leaves == elem].tolist() == [[4, 0, 5]]
+    assert p.n_edges == 10          # builds the input's edge table beforehand
+    tables = []
+    monkeypatch.setattr(mesh, "_close_marks", lambda marked, ref_edge, edge_elems:
+                        np.isin(np.arange(len(edge_elems)), marked))
+    monkeypatch.setattr(mesh, "_edge_table", lambda tris: tables.append(tris))
     with pytest.raises(RefinementError) as info:
         refine(p, [elem])
     assert str(info.value).startswith(
         "non-conforming partition: hanging interior edges with a single adjacent leaf")
-    assert len(outs) == 1 and "_edge_tables" not in outs[0].__dict__
+    assert tables == []
     monkeypatch.undo()
-    # the failed pass left no state behind for the next pass to resume from
+    # the failed pass left nothing behind that the next one trips over
     q = refine(p, [elem])
     assert q.is_conforming()
-    assert q.n_leaves == p.n_leaves + 2
+    assert q.n_leaves == p.n_leaves + 3
 
 
 # -- overlay -------------------------------------------------------------
@@ -446,6 +496,48 @@ def test_star_rejects_non_leaf():
         star(q, int(p.leaves[0]))
 
 
+def per_leaf_grading_and_star(part: Partition):
+    """The per-leaf loops that ``Partition.stats`` and ``star`` replaced: the
+    grading constant and a star function over a dict of vertex -> leaves."""
+    vert_leaves: dict[int, list[int]] = {}
+    for pos, tri in enumerate(part.leaf_tris):
+        for v in tri:
+            vert_leaves.setdefault(int(v), []).append(pos)
+    diam = part.diams
+    ratio = 1.0
+    for positions in vert_leaves.values():
+        d = diam[positions]
+        ratio = max(ratio, float(d.max() / d.min()))
+
+    def star_of(elem: int) -> np.ndarray:
+        seen: set[int] = set()
+        for v in part.leaf_tris[part.leaf_pos[elem]]:
+            seen.update(vert_leaves[int(v)])
+        return part.leaves[np.sort(np.fromiter(seen, dtype=np.int64))]
+
+    return ratio, star_of
+
+
+@settings(max_examples=30, deadline=None)
+@given(root=st.sampled_from(["square", "lshape"]), rounds=st.integers(0, 5),
+       data=st.data())
+def test_stats_and_star_match_per_leaf_loops(root, rounds, data):
+    part = {"square": unit_square_partition, "lshape": l_shape_partition}[root]()
+    for _ in range(rounds):
+        pos = data.draw(st.lists(st.integers(0, part.n_leaves - 1), min_size=1,
+                                 max_size=12, unique=True))
+        part = refine(part, part.leaves[pos])
+    ratio, star_of = per_leaf_grading_and_star(part)
+    diam, gens = part.diams, part.generations
+    assert part.stats() == MeshStats(
+        n_leaves=part.n_leaves, sigma_shape=float((diam * diam / part.areas).max()),
+        sigma_grading=ratio, min_generation=int(gens.min()),
+        max_generation=int(gens.max()))
+    for elem in part.leaves.tolist():
+        got = star(part, elem)
+        assert got.dtype == np.int64 and np.array_equal(got, star_of(elem))
+
+
 # -- generation bookkeeping and locate -----------------------------------
 
 
@@ -464,9 +556,9 @@ def test_locate_points():
     def cross2(u, v):
         return u[0] * v[1] - u[1] * v[0]
 
-    xy = p.forest.verts_array()
+    xy = p.forest.verts
     for (x, y), t in zip(pts, elems):
-        a, b, c = (xy[v] for v in p.forest.tri[int(t)])
+        a, b, c = xy[p.forest.tri[t]]
         det = cross2(b - a, c - a)
         l1 = cross2(np.array([x, y]) - a, c - a) / det
         l2 = cross2(b - a, np.array([x, y]) - a) / det
@@ -534,7 +626,7 @@ def test_save_mesh_writes_json_encoder_bytes(root, rounds, data):
         back = load_mesh(path)
     # leaf order, vertex coordinates and boundary survive the round trip
     assert np.array_equal(back.corner_xy, part.corner_xy)
-    assert np.array_equal(back.forest.verts_array(), part.coords(part.active_vert_ids))
+    assert np.array_equal(back.forest.verts, part.coords(part.active_vert_ids))
     assert len(back.boundary_edge_verts) == len(part.boundary_edge_verts)
 
 
@@ -687,19 +779,28 @@ def test_mesh_info_fuzz_sample_exits_2_without_traceback(payload):
 
 
 def test_forest_mirrors_follow_growth():
+    # the forest's arrays are read-only views of buffers that grow by
+    # doubling; a view handed out earlier keeps its rows
     p = l_shape_partition()
     f = p.forest
-    early = f.tri_array()
-    for _ in range(4):
+    early = f.tri
+    rows = {"tri": [], "verts": [], "gen": [], "parent": [], "root": []}
+    for _ in range(6):
         p = refine(p, p.leaves[::3])
-        assert np.array_equal(f.tri_array(), np.asarray(f.tri, dtype=np.int64))
-        assert np.array_equal(f.verts_array(), np.asarray(f.verts, dtype=float))
-        assert np.array_equal(f.gen_array(), np.asarray(f.gen, dtype=np.int64))
-        assert np.array_equal(f.parent_array(), np.asarray(f.parent, dtype=np.int64))
-    # arrays handed out earlier keep their rows and cannot be written
-    assert np.array_equal(early, np.asarray(f.tri[:len(early)], dtype=np.int64))
-    with pytest.raises(ValueError):
-        f.tri_array()[0, 0] = 1
+        for name, kept in rows.items():
+            kept.append(getattr(f, name))
+    assert len(f.tri) == f.n_elements and len(f.verts) == f.n_vertices
+    for name, kept in rows.items():
+        final = getattr(f, name)
+        for view in kept:
+            assert np.array_equal(view, final[:len(view)])
+    assert np.array_equal(early, f.tri[:len(early)])
+    children = np.flatnonzero(f.child0 >= 0)
+    assert np.array_equal(f.child1[children], f.child0[children] + 1)
+    assert np.array_equal(f.parent[f.child0[children]], children)
+    for name in rows:
+        with pytest.raises(ValueError):
+            getattr(f, name)[0] = 1
 
 
 # -- affine maps ---------------------------------------------------------

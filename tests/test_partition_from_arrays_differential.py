@@ -75,7 +75,7 @@ def outcome(fn, *args):
     except ValueError as exc:
         return str(exc)
     f = part.forest
-    return f.tri, f.verts, f.boundary, part.leaves.tolist()
+    return f.tri.tolist(), f.verts.tolist(), f.boundary, part.leaves.tolist()
 
 
 def refined_mesh(root, marks):

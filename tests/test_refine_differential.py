@@ -1,15 +1,21 @@
 """Differential tests of ``mesh.refine`` and ``mesh.bisect`` against the
-tuple-keyed reference builder in ``_refine_reference``.
+list-based forest and recursive-completion builder in ``_refine_reference``.
 
 Each example grows two forests from the same root partition, one through the
-package and one through the reference, with the same random mark sequences.
-It includes two snapshots that diverge from one shared forest, the pattern of
-``eps_sweep``, where the second pass reuses children that the first created.
-The two sides must agree exactly: leaves, every forest array, the midpoint
-and boundary maps, and the exception type and message on bad input.
+package and one through the reference, with the same random marks.  It
+includes two snapshots that diverge from one shared forest, the pattern of
+``eps_sweep``, where the second pass reuses children and midpoints that the
+first created.  The package numbers new elements and vertices by its own id
+rule, so the two sides are compared as geometry: the leaves as corner
+coordinates in label order with their generation, every forest element the
+same way, the forest's vertex coordinates and its boundary segments.  Marks
+are carried to the reference as the leaves of the same geometry, and
+exception messages are compared with their ids read as coordinates.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -31,22 +37,68 @@ from stokesafem.mesh import (
 ROOTS = {"square": unit_square_partition, "lshape": l_shape_partition}
 
 
-def forest_state(part):
+def roots(make):
+    part = make()
+    return part, ref.copy_root(part)
+
+
+def sorted_rows(rows):
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def elements(forest, ids):
+    """Corner coordinates in label order and generation, one row per element."""
+    xy = forest.verts[forest.tri[ids]].reshape(len(ids), 6)
+    return sorted_rows(np.column_stack([xy, forest.gen[ids]]))
+
+
+def boundary_segments(forest):
+    """The boundary set as rows (x, y, x', y') with (x, y) < (x', y')."""
+    codes = np.array(sorted(forest.boundary), dtype=np.int64)
+    a, b = forest.verts[codes >> 32], forest.verts[codes & 0xFFFFFFFF]
+    swap = (a[:, 0] > b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] > b[:, 1]))
+    a[swap], b[swap] = b[swap], a[swap]
+    return sorted_rows(np.column_stack([a, b]))
+
+
+def geometry(part):
     f = part.forest
-    return (f.tri, f.parent, f.child0, f.child1, f.gen, f.root, f.verts,
-            f.midpoint, f.boundary)
+    return (elements(f, part.leaves), elements(f, np.arange(f.n_elements)),
+            sorted_rows(f.verts), boundary_segments(f))
 
 
 def assert_same(new, old):
-    assert np.array_equal(new.leaves, old.leaves)
-    assert forest_state(new) == forest_state(old)
+    for got, want in zip(geometry(new), geometry(old)):
+        np.testing.assert_array_equal(got, want)
+
+
+def counterpart(new, old, ids):
+    """The leaves of ``old`` with the geometry of the leaves ``ids`` of ``new``."""
+    key = {row.tobytes(): e for row, e in
+           zip(old.corner_xy.reshape(-1, 6), old.leaves.tolist())}
+    xy = new.corner_xy[np.searchsorted(new.leaves, ids)].reshape(-1, 6)
+    return np.array([key[row.tobytes()] for row in xy], dtype=np.int64)
+
+
+def as_geometry(message, forest):
+    """``message`` with each vertex-id pair ``(a, b)`` replaced by its two
+    points, the pairs of one list sorted."""
+    xy = forest.verts
+
+    def points(match):
+        pairs = re.findall(r"\((\d+), (\d+)\)", match[0])
+        return repr(sorted(tuple(sorted(map(tuple, xy[[int(a), int(b)]].tolist())))
+                           for a, b in pairs))
+
+    return re.sub(r"\[\(\d+, \d+\).*?\]", points, message)
 
 
 def outcome(fn, *args):
+    part = args[0]
     try:
         return fn(*args)
     except (ValueError, RefinementError) as exc:
-        return type(exc), str(exc)
+        return type(exc), as_geometry(str(exc), part.forest)
 
 
 def draw_marks(data, part):
@@ -56,36 +108,47 @@ def draw_marks(data, part):
     return part.leaves[pos]
 
 
+def refine_both(new, old, marks):
+    return refine(new, marks), ref.refine(old, counterpart(new, old, marks).tolist())
+
+
 @settings(max_examples=40, deadline=None)
 @given(root=st.sampled_from(sorted(ROOTS)), rounds=st.integers(1, 4), data=st.data())
 def test_refine_matches_reference(root, rounds, data):
-    new, old = ROOTS[root](), ROOTS[root]()
+    new, old = roots(ROOTS[root])
     for _ in range(rounds):
-        marks = draw_marks(data, new)
-        new, old = refine(new, marks), ref.refine(old, marks.tolist())
+        new, old = refine_both(new, old, draw_marks(data, new))
         assert_same(new, old)
 
     # two snapshots diverging from one shared forest, then one more pass
-    marks_a, marks_b = draw_marks(data, new), draw_marks(data, new)
-    new_a, old_a = refine(new, marks_a), ref.refine(old, marks_a)
-    new_b, old_b = refine(new, marks_b), ref.refine(old, marks_b)
+    new_a, old_a = refine_both(new, old, draw_marks(data, new))
+    new_b, old_b = refine_both(new, old, draw_marks(data, new))
     assert_same(new_a, old_a)
     assert_same(new_b, old_b)
-    marks = draw_marks(data, new_b)
-    assert_same(refine(new_b, marks), ref.refine(old_b, marks))
+    assert_same(*refine_both(new_b, old_b, draw_marks(data, new_b)))
 
     # a mark that is no longer a leaf
-    gone = np.setdiff1d(new.leaves, new_a.leaves)
-    bad = [int(new_a.leaves[0]), int(gone[0])]
-    assert outcome(refine, new_a, bad) == outcome(ref.refine, old_a, bad)
-    assert outcome(bisect, new_a, bad[1]) == outcome(ref.bisect, old_a, bad[1])
+    gone = np.setdiff1d(new.leaves, new_a.leaves)[:1]
+    gone_old = counterpart(new, old, gone)
+    keep, keep_old = new_a.leaves[:1], counterpart(new_a, old_a, new_a.leaves[:1])
+    message = "marked element {} is not a leaf of the partition"
+    assert outcome(refine, new_a, [keep[0], gone[0]]) == \
+        (ValueError, message.format(gone[0]))
+    assert outcome(ref.refine, old_a, [keep_old[0], gone_old[0]]) == \
+        (ValueError, message.format(gone_old[0]))
+    message = "element {} is not a leaf of the partition"
+    assert outcome(bisect, new_a, gone[0]) == (ValueError, message.format(gone[0]))
+    assert outcome(ref.bisect, old_a, gone_old[0]) == \
+        (ValueError, message.format(gone_old[0]))
 
     # a raw bisection, then refinement of the possibly non-conforming result
-    elem = int(data.draw(st.sampled_from(new_a.leaves.tolist())))
-    raw_new, raw_old = bisect(new_a, elem), ref.bisect(old_a, elem)
+    elem = np.array([data.draw(st.sampled_from(new_a.leaves.tolist()))])
+    raw_new = bisect(new_a, elem[0])
+    raw_old = ref.bisect(old_a, counterpart(new_a, old_a, elem)[0])
     assert_same(raw_new, raw_old)
     marks = draw_marks(data, raw_new)
-    got, want = outcome(refine, raw_new, marks), outcome(ref.refine, raw_old, marks)
+    got = outcome(refine, raw_new, marks)
+    want = outcome(ref.refine, raw_old, counterpart(raw_new, raw_old, marks).tolist())
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -94,58 +157,29 @@ def test_refine_matches_reference(root, rounds, data):
 
 def test_nonconforming_input_raises_like_reference():
     # splitting one triangle hangs the diagonal midpoint on the other
-    new, old = two_triangle_square(), two_triangle_square()
+    new, old = roots(two_triangle_square)
     elem = int(new.leaves[0])
     raw_new, raw_old = bisect(new, elem), ref.bisect(old, elem)
+    assert_same(raw_new, raw_old)
     assert not raw_new.is_conforming()
-    got = outcome(refine, raw_new, raw_new.leaves[-1:])
-    assert got == outcome(ref.refine, raw_old, raw_old.leaves[-1:])
+    mark = raw_new.leaves[-1:]
+    got = outcome(refine, raw_new, mark)
+    assert got == outcome(ref.refine, raw_old, counterpart(raw_new, raw_old, mark))
     assert got[0] is RefinementError
     assert got[1].startswith("non-conforming partition: hanging interior edges")
 
 
 @pytest.mark.parametrize("root", sorted(ROOTS))
 def test_uniform_refinement_matches_reference(root):
-    new, old = ROOTS[root](), ROOTS[root]()
+    new, old = roots(ROOTS[root])
     for _ in range(6):
         new, old = refine(new, new.leaves), ref.refine(old, old.leaves)
     assert_same(new, old)
 
 
-@pytest.mark.parametrize("root", sorted(ROOTS))
-def test_resumed_and_rebuilt_passes_match_reference(root):
-    # a pass over the latest refine output resumes its edge map; a snapshot
-    # refined a second time, or one older than the latest output, rebuilds it
-    rng = np.random.default_rng(5)
-    new, old = ROOTS[root](), ROOTS[root]()
-
-    def step(new_part, old_part):
-        marks = rng.choice(new_part.leaves, size=max(1, new_part.n_leaves // 5),
-                           replace=False)
-        pair = refine(new_part, marks), ref.refine(old_part, marks.tolist())
-        assert_same(*pair)
-        return pair
-
-    p = step(new, old)
-    a = step(*p)          # resumes p's pass
-    b = step(*p)          # p refined a second time: rebuilt
-    a2 = step(*a)         # a is older than b: rebuilt
-    b2 = step(*b)         # rebuilt
-    c = step(*b2)         # resumes b2's pass
-    assert "_edge_tables" in a[0].__dict__ and "_edge_tables" in p[0].__dict__
-    assert "_edge_tables" not in b2[0].__dict__
-    assert "_edge_tables" not in a2[0].__dict__
-    # a raw bisection of the latest output takes its state; c is rebuilt next
-    elem = int(c[0].leaves[-1])
-    assert_same(bisect(c[0], elem), ref.bisect(c[1], elem))
-    assert "_edge_tables" not in c[0].__dict__
-    step(*c)
-    assert "_edge_tables" in c[0].__dict__
-
-
 def strict_descendants(forest, ids):
     """Forest elements with an ancestor (not themselves) among ``ids``."""
-    parent = forest.parent_array()
+    parent = forest.parent
     target = np.zeros(forest.n_elements, dtype=bool)
     target[ids] = True
     anc = parent.copy()

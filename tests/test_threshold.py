@@ -248,7 +248,7 @@ def test_osc_indicator_value_does_not_depend_on_its_batch():
 
 def reference_bucket_disjoint(forest, bucket_members) -> None:
     """The guard before the forest-id mask: an ``np.isin`` per ancestor step."""
-    parent = forest.parent_array()
+    parent = forest.parent
     for j, members in bucket_members.items():
         members = np.asarray(members, dtype=np.int64)
         ids = np.unique(members)
