@@ -215,10 +215,17 @@ def _check_indicator_inequalities(osc_sq: float, e0: float, e1: float,
         raise AssertionError(f"iteration {k}: eta0 {e0} exceeds eta2 {e2}")
 
 
-def _solve_and_estimate(part: Partition, prob: ProblemDef, k: int):
+def _solve_and_estimate(part: Partition, prob: ProblemDef, k: int,
+                        prev_sol: SolutionPair | None):
+    """Solve on ``part`` and estimate; also returns ``prev_sol`` lifted onto
+    it, whose pressure starts the solver's CG (``None`` without one)."""
     dm = build_dofmap(part)
     try:
         system = assemble(part, dm, prob.f, prob.g)
+        lifted = None
+        if prev_sol is not None:
+            lifted = prolong(prev_sol, dm)
+            system.p_start = lifted.p
         sol = solve(system)
     except SolverFailure as exc:
         raise SolverFailure(f"iteration {k}: {exc}") from exc
@@ -231,7 +238,7 @@ def _solve_and_estimate(part: Partition, prob: ProblemDef, k: int):
         total = math.sqrt(err_u ** 2 + err_p ** 2 + osc_sq)
     else:
         err_u = err_p = total = _NAN
-    return system, sol, ind, (e0, e1, e2, osc_sq, err_u, err_p, total)
+    return system, sol, lifted, ind, (e0, e1, e2, osc_sq, err_u, err_p, total)
 
 
 def _diff_sq(system, du: np.ndarray, dp: np.ndarray) -> float:
@@ -300,10 +307,9 @@ def _run(prob: ProblemDef, mode: str, estimator: str, theta: float, mark,
     leaves0 = part.n_leaves
 
     for k in range(max_iterations):
-        system, sol, ind, scalars = _solve_and_estimate(part, prob, k)
+        system, sol, lifted, ind, scalars = _solve_and_estimate(part, prob, k, prev_sol)
         e0, e1, e2, osc_sq, err_u, err_p, total = scalars
-        if prev_sol is not None:
-            lifted = prolong(prev_sol, sol.dofmap)
+        if lifted is not None:
             trace.rows[-1].step_diff_sq = _diff_sq(
                 system, sol.u - lifted.u, sol.p - lifted.p)
         row = TraceRow(

@@ -301,6 +301,7 @@ class SolutionPair:
     dofmap: DofMap
     residual: float = 0.0
     mean_multiplier: float = 0.0
+    cg_iterations: int | None = None   # pressure CG iterations, set by ``solve``
 
     def u_nodes(self) -> np.ndarray:
         """(n_nodes, 2) velocity values by scalar node."""

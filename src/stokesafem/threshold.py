@@ -196,7 +196,8 @@ def _threshold(part: Partition, values: _ElementValues, eps: float,
                 f"{leaf_values[worst]:.6g} > eps {eps:.6g}) reached the "
                 f"generation cap {max_generation}")
         marked = part.leaves[positions]
-        js = _bucket_indices(part.areas[positions])
+        # the areas of the marked leaves only, by the same per-leaf formula
+        js = _bucket_indices(Partition(part.forest, marked).areas)
         for j in np.unique(js).tolist():
             bucket_members.setdefault(j, []).append(marked[js == j])
         rounds.append(len(positions))

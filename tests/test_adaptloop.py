@@ -378,6 +378,30 @@ def test_load_is_evaluated_once_per_leaf_and_iteration():
     assert points == [12 * n for n in trace.column("leaves")]
 
 
+def test_cg_starts_from_the_lifted_previous_pressure(monkeypatch):
+    # the step lift serves both the CG start and step_diff_sq
+    from stokesafem import adaptloop
+
+    solve = adaptloop.solve
+    seen = []
+
+    def spy(system):
+        start = None if system.p_start is None else system.p_start.copy()
+        seen.append((start, solve(system)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(adaptloop, "solve", spy)
+    trace = adaptive_run(AdaptiveConfig(problem="lshape-smoothf", max_iterations=4))
+    assert seen[0][0] is None
+    for (_, prev), (start, sol), row in zip(seen, seen[1:], trace.rows):
+        lifted = prolong(prev, sol.dofmap)
+        assert np.array_equal(start, lifted.p)
+        du, dp = sol.u - lifted.u, sol.p - lifted.p
+        system = assemble(sol.partition, sol.dofmap, get_problem("lshape-smoothf").f)
+        assert row.step_diff_sq == pytest.approx(
+            du @ (system.a_mat @ du) + dp @ (system.mass_p @ dp), rel=1e-12)
+
+
 def test_solver_failure_carries_iteration_context():
     # a one-element "mesh" cannot carry the mixed pair; the assembled saddle
     # system on the two-triangle square is rank deficient yet consistent, so
