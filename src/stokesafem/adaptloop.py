@@ -16,10 +16,11 @@ Conventions:
   consecutive discrete solutions, evaluated exactly via prolongation to the
   finer space (``nan`` in the last row);
 * without an exact solution, the reference error of each iterate is its
-  squared distance to the final one; ``_finalize`` lifts all earlier
-  iterates together, as the columns of one stack carried down the levels
-  by one ``prolong`` per level, which costs the sparse transfer of each
-  level once instead of one lift per iterate onto the final mesh;
+  squared distance to the final one.  The loop carries the earlier
+  iterates down the levels as the columns of one stack, in front of the
+  previous iterate, so the step lift moves them too: each level builds one
+  ``transfer``, and ``_finalize`` only forms the differences to the final
+  iterate;
 * the total error column is ``sqrt(err_u^2 + err_p^2 + osc)`` when an exact
   solution is registered, else ``nan``;
 * both runs stop at the dof/iteration budget (uniform: ``levels`` rounds);
@@ -52,7 +53,7 @@ from .estimators import (
     marking_shares,
     oscillation,
 )
-from .femspace import SolutionPair, build_dofmap, prolong
+from .femspace import DofMap, SolutionPair, build_dofmap, prolong
 from .mesh import Partition, refine
 from .problems import ProblemDef, get_problem
 
@@ -215,17 +216,13 @@ def _check_indicator_inequalities(osc_sq: float, e0: float, e1: float,
         raise AssertionError(f"iteration {k}: eta0 {e0} exceeds eta2 {e2}")
 
 
-def _solve_and_estimate(part: Partition, prob: ProblemDef, k: int,
-                        prev_sol: SolutionPair | None):
-    """Solve on ``part`` and estimate; also returns ``prev_sol`` lifted onto
-    it, whose pressure starts the solver's CG (``None`` without one)."""
-    dm = build_dofmap(part)
+def _solve_and_estimate(part: Partition, dm: DofMap, prob: ProblemDef, k: int,
+                        p_start: np.ndarray | None):
+    """Solve on ``part`` with dofmap ``dm``, the CG starting from
+    ``p_start`` (zero if ``None``), and estimate."""
     try:
         system = assemble(part, dm, prob.f, prob.g)
-        lifted = None
-        if prev_sol is not None:
-            lifted = prolong(prev_sol, dm)
-            system.p_start = lifted.p
+        system.p_start = p_start
         sol = solve(system)
     except SolverFailure as exc:
         raise SolverFailure(f"iteration {k}: {exc}") from exc
@@ -238,7 +235,7 @@ def _solve_and_estimate(part: Partition, prob: ProblemDef, k: int,
         total = math.sqrt(err_u ** 2 + err_p ** 2 + osc_sq)
     else:
         err_u = err_p = total = _NAN
-    return system, sol, lifted, ind, (e0, e1, e2, osc_sq, err_u, err_p, total)
+    return system, sol, ind, (e0, e1, e2, osc_sq, err_u, err_p, total)
 
 
 def _diff_sq(system, du: np.ndarray, dp: np.ndarray) -> float:
@@ -296,22 +293,31 @@ def _run(prob: ProblemDef, mode: str, estimator: str, theta: float, mark,
     """The solve-estimate-mark-refine loop shared by both drivers.
 
     ``mark(k, part, ind, eta_sq)`` returns the leaf positions to refine and
-    the share fraction they capture, or ``None`` to stop.
+    the share fraction they capture, or ``None`` to stop.  The previous
+    iterate is the last column of ``stack``; in front of it the stack holds
+    the earlier iterates when they serve as reference errors, so one
+    ``prolong`` per level lifts them all.  The stack takes in the new
+    iterate only when another level follows, and is all that level keeps
+    of the one before; the coarse stack is dropped as soon as it is lifted.
     """
     part = prob.make_partition()
     trace = AdaptiveTrace(mode=mode, problem=prob.name, estimator=estimator,
                           theta=theta, exact_available=prob.exact is not None)
     # the iterates serve only as reference errors when no exact solution exists
-    history = [] if monitors and prob.exact is None else None
-    prev_sol = None
+    keep = monitors and prob.exact is None
+    stack = None
     leaves0 = part.n_leaves
 
     for k in range(max_iterations):
-        system, sol, lifted, ind, scalars = _solve_and_estimate(part, prob, k, prev_sol)
+        dm = build_dofmap(part)
+        lifted = None if stack is None else prolong(stack, dm)
+        stack = None
+        system, sol, ind, scalars = _solve_and_estimate(
+            part, dm, prob, k, None if lifted is None else lifted.p[:, -1])
         e0, e1, e2, osc_sq, err_u, err_p, total = scalars
         if lifted is not None:
             trace.rows[-1].step_diff_sq = _diff_sq(
-                system, sol.u - lifted.u, sol.p - lifted.p)
+                system, sol.u - lifted.u[:, -1], sol.p - lifted.p[:, -1])
         row = TraceRow(
             k=k, N=part.n_leaves - leaves0, leaves=part.n_leaves,
             n_u=sol.dofmap.n_u, n_p=sol.dofmap.n_p,
@@ -321,9 +327,6 @@ def _run(prob: ProblemDef, mode: str, estimator: str, theta: float, mark,
             n_marked=0, step_diff_sq=_NAN,
         )
         trace.rows.append(row)
-        if history is not None:
-            history.append(sol)
-        prev_sol = sol
         if sol.dofmap.n_dofs >= max_dofs or k == max_iterations - 1:
             break
         marked = mark(k, part, ind, scalars[ESTIMATOR_KINDS.index(estimator)])
@@ -332,35 +335,31 @@ def _run(prob: ProblemDef, mode: str, estimator: str, theta: float, mark,
         marked_pos, row.marked_fraction = marked
         row.n_marked = len(marked_pos)
         part = refine(part, part.leaves[marked_pos])
+        cols = [lifted, sol] if keep and lifted is not None else [sol]
+        stack = replace(sol, u=np.column_stack([c.u for c in cols]),
+                        p=np.column_stack([c.p for c in cols]))
+        # the next level keeps nothing of this one but the stack
+        del cols, lifted, system, sol, ind
 
-    _finalize(trace, sol, ind, system, history)
+    _finalize(trace, sol, ind, system, lifted if keep else None)
     return trace
 
 
-def _finalize(trace: AdaptiveTrace, sol, ind, system, history) -> None:
+def _finalize(trace: AdaptiveTrace, sol, ind, system, earlier) -> None:
+    """Store the final state; ``earlier`` holds the earlier iterates lifted
+    onto the final mesh as columns (``None`` when there are no reference
+    errors to form), and each one's squared distance to ``sol`` becomes its
+    reference error."""
     trace.final_partition = sol.partition
     trace.final_solution = sol
     trace.final_indicators = ind
     ns = trace.column("N")
     if len(ns) > 1 and np.any(np.diff(ns) <= 0):
         raise AssertionError("leaf counts must strictly increase across rows")
-    if history is not None and len(history) > 1:
-        # squared distance of each iterate to the final one, used as the
-        # reference error when no exact solution exists.  One pass down the
-        # levels lifts all earlier iterates at once: each level appends its
-        # iterate as a column of the stack, and the stack moves on a level.
-        # ``prolong`` is called here directly: the benchmark's tracer tells
-        # this lift from the step lift by the calling function's name.
-        dm0 = history[0].dofmap
-        stack = replace(history[0], u=np.empty((dm0.n_u, 0)), p=np.empty((dm0.n_p, 0)))
-        for cur, nxt in zip(history, history[1:]):
-            stack = replace(cur, u=np.column_stack([stack.u, cur.u]),
-                            p=np.column_stack([stack.p, cur.p]))
-            stack = prolong(stack, nxt.dofmap)
-        fin = history[-1]
-        ref = np.zeros(len(history))
-        for i in range(len(history) - 1):
-            ref[i] = _diff_sq(system, fin.u - stack.u[:, i], fin.p - stack.p[:, i])
+    if earlier is not None:
+        ref = np.zeros(earlier.u.shape[1] + 1)
+        for i in range(len(ref) - 1):
+            ref[i] = _diff_sq(system, sol.u - earlier.u[:, i], sol.p - earlier.p[:, i])
         trace.ref_err_sq = ref
 
 

@@ -23,12 +23,11 @@ then every child whose refinement edge (one of its parent's other two
 edges, so an edge of the input) is marked.  A marked edge is thus split
 exactly once, and no third round is needed.
 
-Cost model of ``refine``: the input's edge table, built once per snapshot
-and cached on it (in the adaptive loop the dofmap has built it already),
-plus O(marked + closure) per sweep and round, plus a few C-speed passes
-over forest-length arrays (nesting masks, the midpoint map).  No Python
-runs per bisection.  A snapshot's conformity check runs once, and a
-``refine`` output is checked on the refined patch only.
+Cost model of ``refine``: O(marked + closure) per sweep and round, a few
+C-speed passes over forest-length arrays (nesting masks, the midpoint map),
+and the output's edge table, which its conformity check builds and caches
+on it for the dofmap and the next ``refine``.  Each snapshot's table is
+built once, and no Python runs per bisection.
 
 Id rule.  Element and vertex ids are dense integers; an id names the same
 triangle or point in every snapshot of a forest.  An element bisected
@@ -93,14 +92,6 @@ def _split_codes(codes: np.ndarray) -> np.ndarray:
     return np.stack([codes >> 32, codes & _LO_MASK], axis=1)
 
 
-def _runs(sorted_codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of equal values in a sorted array."""
-    first = np.ones(len(sorted_codes), dtype=bool)
-    first[1:] = sorted_codes[1:] != sorted_codes[:-1]
-    start = np.flatnonzero(first)
-    return start, np.diff(start, append=len(sorted_codes))
-
-
 def _edge_table(tris: np.ndarray) -> dict:
     """Distinct edges of a triangle list from one sort of their codes: the
     ascending codes, how many triangles have each, the edge opposite each
@@ -111,7 +102,10 @@ def _edge_table(tris: np.ndarray) -> dict:
     o = np.argsort(code)
     code_s = code[o]
     # runs of equal codes in the sorted list are the distinct edges
-    start, counts = _runs(code_s)
+    is_start = np.ones(len(code_s), dtype=bool)
+    is_start[1:] = code_s[1:] != code_s[:-1]
+    start = np.flatnonzero(is_start)
+    counts = np.diff(start, append=len(code_s))
     edge_index = np.empty(len(code_s), dtype=np.int64)
     edge_index[o] = np.repeat(np.arange(len(start)), counts)
     first = o[start] // 3
@@ -567,13 +561,6 @@ def _leaf_ids(part: Partition, ids, message: str) -> np.ndarray:
     return ids
 
 
-def _code_counts(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct codes and the number of times each occurs."""
-    codes = np.sort(codes)
-    start, counts = _runs(codes)
-    return codes[start], counts
-
-
 def _find(keys: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Insertion position of each key in the sorted ``table``, and whether
     the key is there."""
@@ -581,37 +568,6 @@ def _find(keys: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hit = pos < len(table)
     hit[hit] = table[pos[hit]] == keys[hit]
     return pos, hit
-
-
-def _patch_defects(forest: Forest, removed: np.ndarray, created: np.ndarray) -> list[str]:
-    """The whole-mesh conformity defects of Q = P - R + C, for a conforming
-    P, from the triangles of the patch alone.
-
-    R (``removed``) are leaves of P and C (``created``) the leaves of Q not
-    in P.  An edge of P that meets R has 2 - [boundary] leaves in P, and no
-    other edge of P is an edge of C, so every edge whose count changed has
-    count_Q = count_C + [in R] (2 - [boundary]) - count_R.  The boundary
-    set is consulted only where that count is neither 0 nor 2 for an
-    interior edge.
-    """
-    tri = forest.tri
-    codes_r, n_r = _code_counts(_edge_codes(tri[removed]))
-    codes_c, n_c = _code_counts(_edge_codes(tri[created]))
-    pos, c_in_r = _find(codes_c, codes_r)
-    _, r_in_c = _find(codes_r, codes_c)
-    n_r_at_c = np.zeros(len(codes_c), dtype=np.int64)
-    n_r_at_c[c_in_r] = n_r[pos[c_in_r]]
-    # edges of C, then edges of R only; count_Q as if every edge were interior
-    codes = np.concatenate([codes_c, codes_r[~r_in_c]])
-    in_r = np.concatenate([c_in_r, np.ones(len(codes) - len(codes_c), dtype=bool)])
-    count = np.concatenate([n_c - n_r_at_c, -n_r[~r_in_c]]) + 2 * in_r
-    odd = np.flatnonzero((count != 0) & (count != 2))
-    if not len(odd):
-        return []
-    odd = odd[np.argsort(codes[odd])]
-    on_bnd = np.array([c in forest.boundary for c in codes[odd].tolist()], dtype=bool)
-    count = count[odd] - on_bnd * in_r[odd]
-    return _defects(int((count > 2).sum()), codes[odd][(count == 1) & ~on_bnd].tolist())
 
 
 def _close_marks(marked: np.ndarray, ref_edge: np.ndarray,
@@ -639,8 +595,9 @@ def refine(part: Partition, marked: Iterable[int]) -> Partition:
     Marks the refinement edges of the marked leaves, closes the marks
     (``_close_marks``) and bisects in two rounds: every leaf whose
     refinement edge is marked, then every child whose refinement edge is.
-    Checks the input once per snapshot and the output on the refined patch
-    only.
+    Checks that the output is nested in the input, and checks the output's
+    conformity on its whole edge table, which stays cached on it for its
+    dofmap and the next ``refine``.
     """
     marked = _leaf_ids(part, marked, "marked element {} is not a leaf of the partition")
     part.check_conforming()
@@ -669,23 +626,18 @@ def refine(part: Partition, marked: Iterable[int]) -> Partition:
     out = Partition(f, np.concatenate([leaves[~emark[ref_edge]], kids[~again],
                                        grandkids.ravel()]))
     n = f.n_elements
-    in_part = np.zeros(n, dtype=bool)
-    in_part[leaves] = True
     in_out = np.zeros(n, dtype=bool)
     in_out[out.leaves] = True
     refined = np.zeros(n, dtype=bool)
     refined[leaves[pos]] = True
     refined[kids[again]] = True
-    dropped = ~in_out[leaves]
-    defects = _patch_defects(f, leaves[dropped], out.leaves[~in_part[out.leaves]])
-    if defects:
-        raise RefinementError("non-conforming partition: " + "; ".join(defects))
-    out._verified = True
     # monotone nesting: the dropped input leaves are exactly the refined ones
     # (the second round bisects children made in the first), and every
     # marked element was refined
-    if not (refined[marked].all() and np.array_equal(refined[leaves], dropped)):
+    if not (refined[marked].all() and np.array_equal(refined[leaves], ~in_out[leaves])):
         raise RefinementError("refinement is not nested in its input partition")
+    # builds the output's edge table, which its dofmap and the next refine reuse
+    out.check_conforming()
     return out
 
 

@@ -402,6 +402,59 @@ def test_cg_starts_from_the_lifted_previous_pressure(monkeypatch):
             du @ (system.a_mat @ du) + dp @ (system.mass_p @ dp), rel=1e-12)
 
 
+def test_no_earlier_level_survives(monkeypatch):
+    # the earlier iterates live on only as columns of the lifted stack: at
+    # the start of level k no partition of level k - 2 or below is alive
+    import gc
+    import weakref
+
+    from stokesafem import adaptloop
+
+    inner = adaptloop.build_dofmap
+    levels, alive = [], []
+
+    def spy(part):
+        gc.collect()
+        alive.append([i for i, ref in enumerate(levels) if ref() is not None])
+        levels.append(weakref.ref(part))
+        return inner(part)
+
+    monkeypatch.setattr(adaptloop, "build_dofmap", spy)
+    trace = adaptive_run(AdaptiveConfig(problem="lshape-smoothf", max_iterations=8))
+    assert trace.n_iterations == len(alive) == 8
+    assert trace.ref_err_sq is not None
+    for k, live in enumerate(alive):
+        assert all(i >= k - 1 for i in live), (k, live)
+
+
+@pytest.mark.parametrize("mode, problem, monitors", [
+    ("adaptive", "lshape-smoothf", True),
+    ("adaptive", "lshape-smoothf", False),
+    ("uniform", "smooth-mms", True),
+])
+def test_one_transfer_per_level(monkeypatch, mode, problem, monitors):
+    # one lift per level moves the previous iterate and, without an exact
+    # solution, the earlier ones with it
+    from stokesafem import femspace
+
+    inner = femspace.transfer
+    calls = []
+
+    def counting(coarse_dm, fine_dm):
+        calls.append(fine_dm.n_nodes)
+        return inner(coarse_dm, fine_dm)
+
+    monkeypatch.setattr(femspace, "transfer", counting)
+    if mode == "adaptive":
+        trace = adaptive_run(AdaptiveConfig(problem=problem, max_iterations=6,
+                                            monitors=monitors))
+    else:
+        trace = uniform_run(problem, levels=3, monitors=monitors)
+    assert trace.n_iterations >= 4
+    assert len(calls) == trace.n_iterations - 1
+    assert (trace.ref_err_sq is not None) == (monitors and not trace.exact_available)
+
+
 def test_solver_failure_carries_iteration_context():
     # a one-element "mesh" cannot carry the mixed pair; the assembled saddle
     # system on the two-triangle square is rank deficient yet consistent, so

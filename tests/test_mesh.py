@@ -266,18 +266,18 @@ def test_refine_ids_follow_the_documented_rule(root, rounds, data):
     assert keys == sorted(keys) and len(distinct) == f.n_vertices - n_verts
 
 
-# -- refine cost: no edge table beyond its input's ------------------------
+# -- refine cost: one edge table per snapshot, built by its check ---------
 
 
 def record_refine_calls(monkeypatch, module):
     """Rebind ``module.refine``; record, when each call returns, whether its
-    input and its output hold a whole-mesh edge table."""
+    output holds a whole-mesh edge table and has passed the conformity check."""
     seen = []
     inner = module.refine
 
     def recording(part, marked):
         out = inner(part, marked)
-        seen.append(("_edge_tables" in part.__dict__, "_edge_tables" in out.__dict__))
+        seen.append("_edge_tables" in out.__dict__ and out._verified)
         return out
 
     monkeypatch.setattr(module, "refine", recording)
@@ -285,8 +285,9 @@ def record_refine_calls(monkeypatch, module):
 
 
 def test_uniform_run_builds_one_edge_table_per_solved_partition(monkeypatch):
-    # refine reads its input's edge table, which the dofmap of that input
-    # built already; it builds none of its own
+    # the root's table is built by its dofmap, every other one by the
+    # conformity check of the refine that made the partition; the dofmap
+    # and the next refine reuse it
     from stokesafem import adaptloop, mesh
 
     built = []
@@ -301,43 +302,50 @@ def test_uniform_run_builds_one_edge_table_per_solved_partition(monkeypatch):
     assert built == trace.column("leaves").tolist()
 
 
-def test_refine_outputs_hold_no_edge_table(monkeypatch):
-    from stokesafem import adaptloop, threshold
+def test_refine_outputs_hold_a_verified_edge_table(monkeypatch):
+    # refine checks its output on the output's own edge table and leaves it
+    # cached; a threshold run builds one table for its root and one per round
+    from stokesafem import adaptloop, mesh, threshold
 
     def corner_load(xy):
         r = np.linalg.norm(np.atleast_2d(xy), axis=1) ** -0.5
         return np.stack([r, r], axis=1)
 
+    built = []
+    inner = mesh._edge_table
+
+    def counting(tris):
+        built.append(len(tris))
+        return inner(tris)
+
+    monkeypatch.setattr(mesh, "_edge_table", counting)
     seen = record_refine_calls(monkeypatch, threshold)
     rep = threshold.greedy_threshold(unit_square_partition(),
                                      threshold.osc_indicator(corner_load), 1e-4)
     assert len(seen) == len(rep.rounds) > 3
-    assert not any(out for _, out in seen)
+    assert all(seen)
+    assert len(built) == len(rep.rounds) + 1
     seen = record_refine_calls(monkeypatch, adaptloop)
     adaptloop.uniform_run("lshape-smoothf", levels=3)
-    assert len(seen) == 3
-    assert not any(out for _, out in seen)
+    assert seen == [True] * 3
 
 
-def test_patch_check_catches_missing_completion(monkeypatch):
+def test_output_check_catches_missing_completion(monkeypatch):
     # with the closure suppressed, a marked leaf whose refinement edge is not
     # its neighbor's is bisected alone and hangs a vertex on that neighbor;
-    # the check on the refined patch must report it, without a whole-mesh
-    # table and also under python -O
+    # the check on the output's edge table must report it, also under
+    # python -O
     from stokesafem import mesh
     p = refine(unit_square_partition(), [0])
     elem = 4        # (4, 0, 5); its neighbor (3, 0, 4) has refinement edge (3, 0)
     assert p.leaf_tris[p.leaves == elem].tolist() == [[4, 0, 5]]
-    assert p.n_edges == 10          # builds the input's edge table beforehand
-    tables = []
+    assert p.n_edges == 10
     monkeypatch.setattr(mesh, "_close_marks", lambda marked, ref_edge, edge_elems:
                         np.isin(np.arange(len(edge_elems)), marked))
-    monkeypatch.setattr(mesh, "_edge_table", lambda tris: tables.append(tris))
     with pytest.raises(RefinementError) as info:
         refine(p, [elem])
     assert str(info.value).startswith(
         "non-conforming partition: hanging interior edges with a single adjacent leaf")
-    assert tables == []
     monkeypatch.undo()
     # the failed pass left nothing behind that the next one trips over
     q = refine(p, [elem])

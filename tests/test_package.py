@@ -20,10 +20,10 @@ BENCHMARKS = ROOT / "benchmarks"
 # 01's 1 s wall bound includes building its problem, which imports nothing
 # beyond NumPy
 FAST_CRITERIA = ("01", "05", "10", "12", "13")
-# refine's conformity check on the refined patch, shown to raise
-PATCH_CHECK_TEST = "test_patch_check_catches_missing_completion"
+# refine's conformity check on its output, shown to raise
+PATCH_CHECK_TEST = "test_output_check_catches_missing_completion"
 # refine against the reference builder as geometry, which runs the closure's
-# nesting and patch checks on every pass
+# nesting and output conformity checks on every pass
 DIFFERENTIAL_TEST = "test_refine_matches_reference"
 # solve against the SciPy-CG reference, through the residual gate
 SOLVE_DIFFERENTIAL_TEST = "test_solve_matches_reference_solve"
@@ -42,7 +42,7 @@ def test_no_assert_statements_in_package():
 
 def test_fast_acceptance_criteria_pass_under_optimize():
     # the criteria and the differential tests of refine and solve must
-    # still pass, and refine's patch check still raise, with every runtime
+    # still pass, and refine's output check still raise, with every runtime
     # check they reach still active, when ``python -O`` strips asserts from the package
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(PKG.parent),
@@ -76,9 +76,10 @@ def test_package_never_imports_sympy():
 
 
 def test_benchmark_tracer_sees_every_layer():
-    # benchmarks/tracing.py rebinds adaptloop/assembly module globals by name
-    # and tells the two prolongations apart by the caller's function name;
-    # renaming either would silently zero its per-layer metrics
+    # benchmarks/tracing.py rebinds adaptloop/assembly module globals by name;
+    # renaming one would silently zero its per-layer metrics.  The loop's
+    # one lift per level, which also carries the reference errors, is a
+    # step lift: no separate reference lift is left
     code = """
 import json, sys
 sys.path[:0] = sys.argv[1:]
@@ -86,11 +87,13 @@ import tracing
 from stokesafem import adaptloop
 tracer = tracing.Tracer()
 tracing.install(tracer)
-adaptloop.adaptive_run(adaptloop.AdaptiveConfig(problem="lshape-smoothf",
-                                                max_iterations=3))
+trace = adaptloop.adaptive_run(adaptloop.AdaptiveConfig(problem="lshape-smoothf",
+                                                        max_iterations=3))
+steps = sum(s[0] == "femspace.prolong_step" for s in tracer.spans)
 adaptloop.uniform_run("lshape-smoothf", levels=2)
 print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
-                  "nnz": tracer.metrics()["assembly.nnz"]}))
+                  "nnz": tracer.metrics()["assembly.nnz"],
+                  "steps": steps, "iterations": trace.n_iterations}))
 """
     proc = subprocess.run(
         [sys.executable, "-c", code, str(PKG.parent), str(BENCHMARKS)],
@@ -99,8 +102,10 @@ print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
     out = json.loads(proc.stdout)
     # the size lambdas of the indicator, assemble and dofmap spans read
     # ``a[0].partition.n_leaves`` and ``a[0].n_leaves`` of these calls
-    for span in ("femspace.prolong_ref", "femspace.prolong_step",
-                 "adaptloop.mark", "mesh.refine", "assembly.factor",
-                 "estimators.indicators", "assembly.assemble", "femspace.dofmap"):
+    for span in ("femspace.prolong_step", "adaptloop.mark", "mesh.refine",
+                 "assembly.factor", "estimators.indicators", "assembly.assemble",
+                 "femspace.dofmap"):
         assert span in out["spans"]
+    assert "femspace.prolong_ref" not in out["spans"]
+    assert out["steps"] == out["iterations"] - 1 == 2
     assert out["nnz"] > 0

@@ -24,9 +24,7 @@ from hypothesis import strategies as st
 
 import _refine_reference as ref
 from stokesafem.mesh import (
-    Partition,
     RefinementError,
-    _patch_defects,
     bisect,
     l_shape_partition,
     refine,
@@ -176,36 +174,3 @@ def test_uniform_refinement_matches_reference(root):
         new, old = refine(new, new.leaves), ref.refine(old, old.leaves)
     assert_same(new, old)
 
-
-def strict_descendants(forest, ids):
-    """Forest elements with an ancestor (not themselves) among ``ids``."""
-    parent = forest.parent
-    target = np.zeros(forest.n_elements, dtype=bool)
-    target[ids] = True
-    anc = parent.copy()
-    found = np.zeros(forest.n_elements, dtype=bool)
-    while (anc >= 0).any():
-        live = anc >= 0
-        found[live] |= target[anc[live]]
-        anc[live] = parent[anc[live]]
-    return np.flatnonzero(found)
-
-
-@settings(max_examples=60, deadline=None)
-@given(root=st.sampled_from(sorted(ROOTS)), rounds=st.integers(0, 3), data=st.data())
-def test_patch_check_matches_whole_mesh_check(root, rounds, data):
-    # Q = P - R + C for a conforming P, any leaves R of P and any descendants
-    # C of R: gaps, overlaps and hanging vertices included
-    p = ROOTS[root]()
-    for _ in range(rounds):
-        p = refine(p, draw_marks(data, p))
-    fine = p
-    for _ in range(2):
-        fine = refine(fine, draw_marks(data, fine))
-    removed = np.unique(draw_marks(data, p))
-    below = strict_descendants(p.forest, removed)
-    pick = st.lists(st.sampled_from(below.tolist()), max_size=30) if len(below) \
-        else st.just([])
-    created = np.unique(np.asarray(data.draw(pick), dtype=np.int64))
-    q = Partition(p.forest, np.concatenate([np.setdiff1d(p.leaves, removed), created]))
-    assert _patch_defects(p.forest, removed, created) == q.conformity_defects()
