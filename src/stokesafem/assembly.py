@@ -115,7 +115,11 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     ----------
     f : callable mapping (n, 2) points to (n, 2) volume loads
     g : optional callable with the Dirichlet velocity trace; defaults to zero
+
+    Raises ``ValueError`` unless ``dm`` was built on ``part``.
     """
+    if dm.partition is not part:
+        raise ValueError("the dofmap was built on another partition")
     T = part.n_leaves
     det = part.det
     binv_t = part.binv.transpose(0, 2, 1)
@@ -226,8 +230,8 @@ def solve(system: StokesSystem) -> SolutionPair:
     ``A = K (x) I_2``, applied to both velocity components at once.  Both
     ``K_ff`` and ``M_p`` are symmetric positive definite, so both are
     factored in SuperLU's symmetric mode (see ``_spd_lu``).  ``K_ff`` is
-    factored in the order of ``_fill_order``, which SuperLU's minimum-degree
-    ordering then refines; the velocity is carried in that order.
+    factored with its free nodes in dof order, which ``build_dofmap`` makes
+    the factor order and SuperLU's minimum-degree ordering then refines.
 
     CG starts from ``system.p_start`` when it is set (the adaptive loop sets
     the previous pressure, lifted) and from zero otherwise.  Alongside ``p``
@@ -244,29 +248,23 @@ def solve(system: StokesSystem) -> SolutionPair:
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise SolverFailure("non-finite load or boundary data")
     p = _start_pressure(system)
-    # free scalar nodes in factor order; ``order[i]`` is the position, among
-    # the free nodes in dof order, of the i-th node in factor order
-    fnode = np.flatnonzero(free[0::2])
-    order = _fill_order(dm, fnode)
-    nodes = fnode[order]
+    nodes = np.flatnonzero(free[0::2])
     lu = _spd_lu(system.k_mat[nodes][:, nodes])
 
     def a_inv(v: np.ndarray) -> np.ndarray:
         return lu.solve(v.reshape(len(nodes), -1)).reshape(v.shape)
 
-    fdofs = np.column_stack([2 * nodes, 2 * nodes + 1]).reshape(-1)
-    b_f = system.b_mat[:, fdofs].tocsr()
+    b_f = system.b_mat[:, free]
     bt_f = b_f.T.tocsr()
     if not dm.meets_stability:
         _check_pressure_kernel(b_f, bt_f, np.repeat(system.k_mat.diagonal()[nodes], 2))
     m = system.mean_vec
     lam = float(r2.sum()) / float(m.sum())
-    r1_f = r1.reshape(-1, 2)[order].reshape(-1)
     if p.any():
         # A^-1 r1 and v = A^-1 B^T p in one solve
-        a_r1, v = a_inv(np.column_stack([r1_f, bt_f @ p])).T.copy()
+        a_r1, v = a_inv(np.column_stack([r1, bt_f @ p])).T.copy()
     else:
-        a_r1, v = a_inv(r1_f), np.zeros_like(r1_f)
+        a_r1, v = a_inv(r1), np.zeros_like(r1)
     rhs_p = m * lam - r2 - b_f @ a_r1
     data = 1.0 + float(np.abs(np.concatenate([r1, r2])).max())
     tol = max(CG_RTOL * data, CG_RTOL * float(np.linalg.norm(rhs_p)))
@@ -296,9 +294,7 @@ def solve(system: StokesSystem) -> SolutionPair:
         rz_prev = rz
         its += 1
     p = p - (m @ p) / m.sum()
-    u_free = np.empty((len(nodes), 2))
-    u_free[order] = (a_r1 + v).reshape(-1, 2)
-    sol = _verified_pair(system, u_free.reshape(-1), p, data)
+    sol = _verified_pair(system, a_r1 + v, p, data)
     sol.cg_iterations = its
     return sol
 
@@ -314,21 +310,6 @@ def _start_pressure(system: StokesSystem) -> np.ndarray:
     if not np.isfinite(p).all():
         raise SolverFailure("non-finite start pressure")
     return p
-
-
-def _fill_order(dm: DofMap, nodes: np.ndarray) -> np.ndarray:
-    """Positions of the scalar P2 ``nodes`` in the order ``K_ff`` is factored in.
-
-    Vertex ``v`` has the key ``2 v`` and the node of edge ``(a, b)`` the key
-    ``a + b``, in forest vertex ids, ties vertex first: each edge node goes
-    where refinement's id rule would put its edge's midpoint vertex.
-    SuperLU's minimum-degree ordering breaks ties by input position, and
-    from the dof order (all vertices, then all edge nodes) it fills badly on
-    some meshes: summed over seed-0 ``mms-uniform``, ``K_ff``'s L+U holds
-    545k nonzeros from this order and 873k from the dof order.
-    """
-    key = np.concatenate([2 * dm.vert_ids, dm.edge_verts.sum(axis=1)])
-    return np.argsort(key[nodes], kind="stable")
 
 
 def _spd_lu(mat: sp.spmatrix):

@@ -143,18 +143,19 @@ def _subset_mask(ind: ElementIndicators, subset) -> np.ndarray:
     n = ind.n_elements
     if subset is None:
         return np.ones(n, dtype=bool)
-    mask = np.zeros(n, dtype=bool)
     subset = np.asarray(list(subset) if not isinstance(subset, np.ndarray) else subset)
     if subset.dtype == bool:
         if len(subset) != n:
             raise ValueError("boolean subset mask has wrong length")
         return subset.copy()
-    leaf_pos = ind.partition.leaf_pos
-    for e in subset:
-        pos = leaf_pos.get(int(e))
-        if pos is None:
-            raise ValueError(f"element {int(e)} is not a leaf of the partition")
-        mask[pos] = True
+    leaves = ind.partition.leaves
+    ids = subset.astype(np.int64)
+    pos = np.minimum(np.searchsorted(leaves, ids), n - 1)
+    bad = leaves[pos] != ids
+    if bad.any():
+        raise ValueError(f"element {int(ids[bad][0])} is not a leaf of the partition")
+    mask = np.zeros(n, dtype=bool)
+    mask[pos] = True
     return mask
 
 

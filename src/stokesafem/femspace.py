@@ -2,8 +2,13 @@
 
 Scalar velocity nodes are the mesh vertices plus one node per edge midpoint;
 each carries two interleaved velocity components (dof = 2*node + component).
-Pressure nodes are the vertices.  All tables are dense numpy arrays so the
-assembly and estimator layers can run vectorized over elements.
+Pressure nodes are the vertices, in ascending forest vertex id.  The scalar
+nodes are numbered in the order the stiffness is factored in: ascending key,
+``2 v`` for vertex ``v`` and ``a + b`` for the node of edge ``(a, b)`` in
+forest vertex ids, ties vertex first and then edges in lexicographic order.
+``DofMap.vertex_nodes`` maps each pressure node to its scalar node.  All
+tables are dense numpy arrays so the assembly and estimator layers can run
+vectorized over elements.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ __all__ = [
     "SolutionPair",
     "build_dofmap",
     "corner_gradients",
-    "edge_rule",
     "eval_pressure",
     "eval_velocity",
     "eval_velocity_gradient",
@@ -45,15 +49,11 @@ ScalarField = Callable[[np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Reference-cell quadrature: points in barycentric/arclength coordinates.
-
-    Triangle weights sum to the reference measure 1/2, edge weights to 1.
-    """
+    """Reference-cell quadrature: points in barycentric coordinates, weights
+    summing to the reference measure 1/2."""
 
     tri_bary: np.ndarray    # (nq, 3)
     tri_weights: np.ndarray  # (nq,), sum = 1/2
-    edge_t: np.ndarray      # (ne,), points in (0, 1)
-    edge_weights: np.ndarray  # (ne,), sum = 1
 
 
 def _build_tri_rule() -> tuple[np.ndarray, np.ndarray]:
@@ -79,32 +79,15 @@ def _build_tri_rule() -> tuple[np.ndarray, np.ndarray]:
     return bary, weights
 
 
-def _build_edge_rule() -> tuple[np.ndarray, np.ndarray]:
-    # 4-point Gauss-Legendre on (0,1), exact for degree 7
-    r = np.sqrt(6.0 / 5.0)
-    x1 = np.sqrt((3.0 - 2.0 * r) / 7.0)
-    x2 = np.sqrt((3.0 + 2.0 * r) / 7.0)
-    w1 = (18.0 + np.sqrt(30.0)) / 36.0
-    w2 = (18.0 - np.sqrt(30.0)) / 36.0
-    x = np.array([-x2, -x1, x1, x2])
-    w = np.array([w2, w1, w1, w2])
-    return (x + 1.0) / 2.0, w / 2.0
-
-
-_TRI_RULE = QuadratureRule(*_build_tri_rule(), *_build_edge_rule())
+_TRI_RULE = QuadratureRule(*_build_tri_rule())
 for _arr in vars(_TRI_RULE).values():
     _arr.setflags(write=False)
 del _arr
 
 
 def tri_rule() -> QuadratureRule:
-    """The shared, read-only quadrature rule (degree-6 triangle, degree-7 edge)."""
+    """The shared, read-only degree-6 triangle rule."""
     return _TRI_RULE
-
-
-def edge_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only points and weights of the edge rule on (0, 1)."""
-    return _TRI_RULE.edge_t, _TRI_RULE.edge_weights
 
 
 # -- reference basis -----------------------------------------------------
@@ -177,24 +160,39 @@ _CORNER_GRADS = p2_grads(_REF_NODES[:3]).transpose(1, 0, 2).reshape(6, 6)
 
 @dataclass
 class DofMap:
-    """Global Taylor-Hood numbering over the leaves of one partition."""
+    """Global Taylor-Hood numbering over the leaves of one partition.
+
+    Scalar nodes are in factor order (see the module docstring), pressure
+    nodes in ascending vertex id; ``vertex_nodes[i]`` is the scalar node at
+    pressure node ``i``'s vertex.
+    """
 
     partition: Partition
-    vert_ids: np.ndarray        # sorted forest vertex ids active in the snapshot
-    edge_verts: np.ndarray      # (nE, 2) sorted vertex pairs, lexicographic
     cell_nodes: np.ndarray      # (T, 6) scalar velocity node per local node
     cell_pnodes: np.ndarray     # (T, 3) pressure node per local vertex
     node_xy: np.ndarray         # (n_nodes, 2) scalar node coordinates
-    boundary_nodes: np.ndarray  # scalar node ids on the domain boundary
+    vertex_nodes: np.ndarray    # (n_p,) scalar node of each pressure node
+    boundary_nodes: np.ndarray  # sorted scalar node ids on the domain boundary
+    free_umask: np.ndarray      # (n_u,) velocity dofs off the boundary
     meets_stability: bool       # >= 3 leaves, each with an interior vertex
 
     @property
+    def vert_ids(self) -> np.ndarray:
+        """Sorted forest vertex ids of the pressure nodes."""
+        return self.partition.active_vert_ids
+
+    @property
+    def edge_verts(self) -> np.ndarray:
+        """(nE, 2) sorted vertex pairs of the leaf edges, lexicographic."""
+        return self.partition.edge_verts
+
+    @property
     def n_vertices(self) -> int:
-        return len(self.vert_ids)
+        return len(self.vertex_nodes)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_verts)
+        return self.partition.n_edges
 
     @property
     def n_nodes(self) -> int:
@@ -212,17 +210,6 @@ class DofMap:
     def n_dofs(self) -> int:
         return self.n_u + self.n_p
 
-    @property
-    def boundary_udofs(self) -> np.ndarray:
-        b = self.boundary_nodes
-        return np.sort(np.concatenate([2 * b, 2 * b + 1]))
-
-    @property
-    def free_umask(self) -> np.ndarray:
-        mask = np.ones(self.n_u, dtype=bool)
-        mask[self.boundary_udofs] = False
-        return mask
-
     def cell_udofs(self) -> np.ndarray:
         """(T, 12) velocity dofs per element, components interleaved."""
         nodes = self.cell_nodes
@@ -235,35 +222,45 @@ class DofMap:
 def build_dofmap(part: Partition) -> DofMap:
     """Construct the Taylor-Hood dof tables for a conforming partition.
 
+    Numbers the scalar nodes in factor order: SuperLU's minimum-degree
+    ordering breaks ties by input position, and from vertices-then-edges it
+    fills badly on some meshes (summed over seed-0 ``mms-uniform``,
+    ``K_ff``'s L+U holds 545k nonzeros from this order and 873k from that
+    one); each edge node goes where refinement's id rule would put its
+    edge's midpoint vertex.
+
     Emits a warning (and flags the result) when the partition violates the
     discrete pressure-stability requirement: at least three elements, each
     with at least one vertex interior to the domain.
     """
     part.check_conforming()
-    tris = part.leaf_tris
     vert_ids = part.active_vert_ids
-    vmap = np.full(part.forest.n_vertices, -1, dtype=np.int64)
-    vmap[vert_ids] = np.arange(len(vert_ids))
-
-    # deterministic edge numbering: lexicographic in (min, max) vertex id
     edge_verts = part.edge_verts
-    edge_idx = part.leaf_edges
-
     nv = len(vert_ids)
-    cell_nodes = np.concatenate([vmap[tris], nv + edge_idx], axis=1)
-    cell_pnodes = vmap[tris]
+    key = np.concatenate([2 * vert_ids, edge_verts.sum(axis=1)])
+    node = np.empty(len(key), dtype=np.int64)
+    node[np.argsort(key, kind="stable")] = np.arange(len(key))
+    vertex_nodes, edge_nodes = node[:nv], node[nv:]
 
-    vxy = part.coords(vert_ids)
-    exy = 0.5 * (part.coords(edge_verts[:, 0]) + part.coords(edge_verts[:, 1]))
-    node_xy = np.vstack([vxy, exy])
+    vmap = np.full(part.forest.n_vertices, -1, dtype=np.int64)
+    vmap[vert_ids] = np.arange(nv)
+    cell_pnodes = vmap[part.leaf_tris]
+    cell_nodes = np.concatenate([vertex_nodes[cell_pnodes], edge_nodes[part.leaf_edges]],
+                                axis=1)
 
-    bnd = part.boundary_edge_verts
-    bedge_nodes = nv + edge_idx[part.boundary_edge_elems, part.boundary_edge_local]
-    bvert_nodes = np.unique(vmap[bnd])
-    boundary_nodes = np.unique(np.concatenate([bvert_nodes, bedge_nodes]))
+    node_xy = np.empty((len(key), 2))
+    node_xy[vertex_nodes] = part.coords(vert_ids)
+    node_xy[edge_nodes] = 0.5 * (part.coords(edge_verts[:, 0])
+                                 + part.coords(edge_verts[:, 1]))
+
+    bvert = np.unique(vmap[part.boundary_edge_verts])
+    boundary_nodes = np.unique(np.concatenate([vertex_nodes[bvert],
+                                               edge_nodes[part.boundary_edges]]))
+    free_node = np.ones(len(key), dtype=bool)
+    free_node[boundary_nodes] = False
 
     interior_vmask = np.ones(nv, dtype=bool)
-    interior_vmask[bvert_nodes] = False
+    interior_vmask[bvert] = False
     stable = part.n_leaves >= 3 and bool(interior_vmask[cell_pnodes].any(axis=1).all())
     if not stable:
         warnings.warn(
@@ -274,12 +271,12 @@ def build_dofmap(part: Partition) -> DofMap:
         )
     return DofMap(
         partition=part,
-        vert_ids=vert_ids,
-        edge_verts=edge_verts,
         cell_nodes=cell_nodes,
         cell_pnodes=cell_pnodes,
         node_xy=node_xy,
+        vertex_nodes=vertex_nodes,
         boundary_nodes=boundary_nodes,
+        free_umask=np.repeat(free_node, 2),
         meets_stability=stable,
     )
 
@@ -330,7 +327,7 @@ def interpolate(u_fn: VectorField, p_fn: ScalarField, dm: DofMap) -> SolutionPai
     """Nodal interpolant with the pressure shifted to zero mean."""
     uvals = np.asarray(u_fn(dm.node_xy), dtype=float)
     u = uvals.reshape(-1)
-    p = np.asarray(p_fn(dm.node_xy[: dm.n_p]), dtype=float).copy()
+    p = np.asarray(p_fn(dm.node_xy[dm.vertex_nodes]), dtype=float).copy()
     w = _pressure_weights(dm)
     p -= (w @ p) / w.sum()
     return SolutionPair(u=u, p=p, partition=dm.partition, dofmap=dm)
@@ -352,12 +349,12 @@ def transfer(coarse_dm: DofMap, fine_dm: DofMap) -> tuple[sp.csr_matrix, sp.csr_
     owner[fine_dm.cell_nodes.reshape(-1)] = np.repeat(np.arange(len(cpos)), 6)
     anc = cpos[owner]
     # reference coordinates of each fine node in its coarse ancestor; the
-    # first n_p nodes are the fine vertices, which carry the pressure
+    # fine vertex nodes carry the pressure
     ref = np.einsum("nij,nj->ni", cpart.binv[anc],
                     fine_dm.node_xy - cpart.corner_xy[anc, 0])
-    n_p = fine_dm.n_p
+    vn = fine_dm.vertex_nodes
     return (_rows_to_csr(p2_values(ref), coarse_dm.cell_nodes[anc], coarse_dm.n_nodes),
-            _rows_to_csr(p1_values(ref[:n_p]), coarse_dm.cell_pnodes[anc[:n_p]],
+            _rows_to_csr(p1_values(ref[vn]), coarse_dm.cell_pnodes[anc[vn]],
                          coarse_dm.n_p))
 
 

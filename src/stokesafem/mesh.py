@@ -122,17 +122,6 @@ def _edge_table(tris: np.ndarray) -> dict:
     }
 
 
-def _defects(n_bad: int, hanging: list[int]) -> list[str]:
-    """Conformity defect messages; ``hanging`` are sorted edge codes."""
-    defects = []
-    if n_bad:
-        defects.append(f"{n_bad} edges shared by more than two leaves")
-    if hanging:
-        defects.append("hanging interior edges with a single adjacent leaf: "
-                       f"{[(c >> 32, c & _LO_MASK) for c in hanging[:5]]}")
-    return defects
-
-
 def _rows(buf: np.ndarray, n: int) -> np.ndarray:
     """Read-only view of the first ``n`` rows of a growable buffer."""
     view = buf[:n]
@@ -152,12 +141,12 @@ def _room(buf: np.ndarray, n: int) -> np.ndarray:
 class Forest:
     """Append-only bisection forest shared by all snapshots of one mesh.
 
-    The element arrays ``tri``, ``parent``, ``child0``, ``child1``, ``gen``
-    and ``root`` and the vertex array ``verts`` live in NumPy buffers that
-    double when full; the properties hand out read-only views of the rows in
-    use.  A row never changes once written, except that ``child0`` and
-    ``child1`` of an element are set when it is first bisected.  The two
-    children of an element are always consecutive, ``child1 = child0 + 1``.
+    The element arrays ``tri``, ``parent``, ``child0``, ``gen`` and ``root``
+    and the vertex array ``verts`` live in NumPy buffers that double when
+    full; the properties hand out read-only views of the rows in use.  A row
+    never changes once written, except that ``child0`` of an element is set
+    when it is first bisected.  The two children of an element are always
+    consecutive, so ``child1`` is computed as ``child0 + 1``.
     """
 
     def __init__(self, verts: Sequence[Sequence[float]], tris: Sequence[Sequence[int]],
@@ -167,7 +156,6 @@ class Forest:
         n = len(self._tri)
         self._parent = np.full(n, -1, dtype=np.int64)
         self._child0 = np.full(n, -1, dtype=np.int64)
-        self._child1 = np.full(n, -1, dtype=np.int64)
         self._gen = np.zeros(n, dtype=np.int64)
         self._root = np.arange(n, dtype=np.int64)
         self.n_elements = self.n_roots = n
@@ -200,7 +188,11 @@ class Forest:
 
     @property
     def child1(self) -> np.ndarray:
-        return _rows(self._child1, self.n_elements)
+        """Second children, ``child0 + 1`` (-1 where there are none)."""
+        c0 = self.child0
+        out = np.where(c0 < 0, c0, c0 + 1)
+        out.flags.writeable = False
+        return out
 
     @property
     def gen(self) -> np.ndarray:
@@ -259,7 +251,7 @@ class Forest:
         parents = elems[new]
         n, k = self.n_elements, len(parents)
         end = n + 2 * k
-        for name in ("_tri", "_parent", "_child0", "_child1", "_gen", "_root"):
+        for name in ("_tri", "_parent", "_child0", "_gen", "_root"):
             setattr(self, name, _room(getattr(self, name), end))
         v0, v1, v2 = self._tri[parents].T
         m = mids[new]
@@ -267,12 +259,10 @@ class Forest:
         self._tri[n + 1:end:2] = np.stack([v1, v2, m], axis=1)
         self._parent[n:end] = np.repeat(parents, 2)
         self._child0[n:end] = -1
-        self._child1[n:end] = -1
         self._gen[n:end] = np.repeat(self._gen[parents] + 1, 2)
         self._root[n:end] = np.repeat(self._root[parents], 2)
         first = np.arange(n, end, 2)
         self._child0[parents] = first
-        self._child1[parents] = first + 1
         self.n_elements = end
         kids[new] = first
         return np.stack([kids, kids + 1], axis=1)
@@ -417,22 +407,23 @@ class Partition:
         return self.edge_verts[self._boundary]
 
     @cached_property
-    def boundary_edge_elems(self) -> np.ndarray:
-        return self._edge_tables["edge_elems"][self._boundary, 0]
-
-    @cached_property
-    def boundary_edge_local(self) -> np.ndarray:
-        edges = np.flatnonzero(self._boundary)
-        own = self.leaf_edges[self.boundary_edge_elems]
-        return np.argmax(own == edges[:, None], axis=1)
+    def boundary_edges(self) -> np.ndarray:
+        """Rows of ``edge_verts`` that lie on one leaf only."""
+        return np.flatnonzero(self._boundary)
 
     def conformity_defects(self) -> list[str]:
         """Structural conformity check over all leaf edges; empty list means
         conforming."""
         t = self._edge_tables
         boundary = self.forest.boundary
-        return _defects(t["n_bad"], [c for c in t["edge_codes"][self._boundary].tolist()
-                                     if c not in boundary])
+        hanging = [c for c in t["edge_codes"][self._boundary].tolist() if c not in boundary]
+        defects = []
+        if t["n_bad"]:
+            defects.append(f"{t['n_bad']} edges shared by more than two leaves")
+        if hanging:
+            defects.append("hanging interior edges with a single adjacent leaf: "
+                           f"{[(c >> 32, c & _LO_MASK) for c in hanging[:5]]}")
+        return defects
 
     def is_conforming(self) -> bool:
         return not self.conformity_defects()

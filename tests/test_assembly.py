@@ -123,8 +123,19 @@ def test_divergence_matrix_matches_quadrature_oracle():
     # square is int 2x*x = 2/3
     v = interpolate(lambda xy: np.stack([xy[:, 0] ** 2, np.zeros(len(xy))], axis=1),
                     lambda xy: np.zeros(len(xy)), dm).u
-    q = dm.node_xy[: dm.n_p, 0]
+    q = dm.node_xy[dm.vertex_nodes, 0]
     assert q @ (sysm.b_mat @ v) == pytest.approx(2.0 / 3.0, rel=1e-13)
+
+
+def test_assemble_rejects_a_dofmap_of_another_partition(mms):
+    # two refinements of one root with the same leaf count, whose tables
+    # have the same shapes, so only the partition tells them apart
+    root = unit_square_partition()
+    a = refine(root, root.leaves[[0]])
+    b = refine(root, root.leaves[[2]])
+    assert a.n_leaves == b.n_leaves == 5
+    with pytest.raises(ValueError, match="another partition"):
+        assemble(a, build_dofmap(b), mms.f, mms.g)
 
 
 def test_pressure_mass_and_mean_vector():
@@ -443,11 +454,12 @@ def test_inf_sup_refuses_large_systems(mms):
 
 
 def test_fill_order_cuts_the_stiffness_factor(mms, monkeypatch):
-    # the id-ordered start of ``_fill_order`` against the dof order, on the
-    # last level of a uniform run, read through the factorizations it makes.
-    # The gain comes at the even levels, where minimum degree on the dof
-    # order fills badly (levels 6/8/10: 0.84/0.84/0.49 of its nonzeros);
-    # at the odd levels the two orders fill alike (levels 7/9: 1.03/1.04)
+    # the dofmap's id-ordered nodes against the former vertices-then-edges
+    # order, on the last level of a uniform run, read through the
+    # factorizations it makes.  The gain comes at the even levels, where
+    # minimum degree on the former order fills badly (levels 6/8/10:
+    # 0.84/0.84/0.49 of its nonzeros); at the odd levels the two orders fill
+    # alike (levels 7/9: 1.03/1.04)
     factors = []
     splu = assembly.splu
 
@@ -461,11 +473,18 @@ def test_fill_order_cuts_the_stiffness_factor(mms, monkeypatch):
     dm = trace.final_solution.dofmap
     fnode = np.flatnonzero(dm.free_umask[0::2])
     k_ordered, nnz = [f for f in factors if f[0].shape[0] == len(fnode)][-1]
-    k_natural = assemble(dm.partition, dm, mms.f, mms.g).k_mat[fnode][:, fnode]
+    # each node's position in the former order: vertices, then edges
+    former = np.empty(dm.n_nodes, dtype=np.int64)
+    former[dm.vertex_nodes] = np.arange(dm.n_p)
+    former[dm.cell_nodes[:, 3:]] = dm.n_p + dm.partition.leaf_edges
+    fnode_former = fnode[np.argsort(former[fnode])]
+    k_mat = assemble(dm.partition, dm, mms.f, mms.g).k_mat
+    assert (k_ordered != k_mat[fnode][:, fnode]).nnz == 0
+    k_former = k_mat[fnode_former][:, fnode_former]
     # the same matrix, permuted symmetrically
-    assert k_ordered.nnz == k_natural.nnz
-    assert np.array_equal(np.sort(k_ordered.diagonal()), np.sort(k_natural.diagonal()))
-    assert nnz <= 0.8 * assembly._spd_lu(k_natural).nnz
+    assert k_ordered.nnz == k_former.nnz
+    assert np.array_equal(np.sort(k_ordered.diagonal()), np.sort(k_former.diagonal()))
+    assert nnz <= 0.8 * assembly._spd_lu(k_former).nnz
 
 
 def test_exact_start_takes_no_cg_iteration(mms):

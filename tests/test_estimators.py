@@ -29,7 +29,6 @@ from stokesafem.estimators import (
 from stokesafem.femspace import (
     SolutionPair,
     build_dofmap,
-    edge_rule,
     interpolate,
     p2_grads,
     tri_rule,
@@ -76,11 +75,17 @@ def patch_indicators():
 # -- independent quadrature oracles -------------------------------------
 
 
+def edge_gauss():
+    """4-point Gauss-Legendre points and weights on (0, 1), exact to degree 7."""
+    x, w = np.polynomial.legendre.leggauss(4)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
 def oracle_edge_jumps(sol):
     """Interior-edge jump terms via 4-point Gauss quadrature per edge."""
     part, dm = sol.partition, sol.dofmap
     coeff = sol.u_nodes()[dm.cell_nodes]
-    t_pts, t_w = edge_rule()
+    t_pts, t_w = edge_gauss()
     e_verts = part.interior_edge_verts
     e_elems = part.interior_edge_elems
     out = np.zeros(len(e_verts))
@@ -115,7 +120,7 @@ def oracle_div_terms(sol):
     div_l2 = np.einsum("q,tq->t", rule.tri_weights, div * div) * part.det
 
     ref_corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    t_pts, t_w = edge_rule()
+    t_pts, t_w = edge_gauss()
     div_edge = np.zeros(part.n_leaves)
     for i, j in ((1, 2), (2, 0), (0, 1)):
         seg = ref_corners[i] + t_pts[:, None] * (ref_corners[j] - ref_corners[i])
@@ -299,6 +304,27 @@ def test_subset_monotone(mms_state, data):
     eta_small = eta("eta2", ind, [leaves[i] for i in small])
     eta_big = eta("eta2", ind, [leaves[i] for i in big])
     assert 0.0 <= eta_small <= eta_big * (1 + 1e-13) + 1e-30
+
+
+def test_id_subset_matches_mask_subset():
+    prob = get_problem("smooth-mms")
+    part = refine_all(prob.make_partition(), 2)
+    part = refine(part, part.leaves[::5])
+    dm = build_dofmap(part)
+    system = assemble(part, dm, prob.f, prob.g)
+    ind = compute_indicators(solve(system), system.load_q)
+    rng = np.random.default_rng(11)
+    mask = rng.random(part.n_leaves) < 0.4
+    ids = rng.permutation(part.leaves[mask])
+    for subset in (ids, ids.tolist(), np.concatenate([ids, ids[:3]])):
+        for kind in ESTIMATOR_KINDS:
+            assert eta(kind, ind, subset) == eta(kind, ind, mask)
+        assert oscillation(ind, subset) == oscillation(ind, mask)
+    refined = int(part.forest.parent[part.leaves[-1]])
+    for bad in (refined, part.forest.n_elements):
+        with pytest.raises(ValueError,
+                           match=f"^element {bad} is not a leaf of the partition$"):
+            eta("eta0", ind, [int(part.leaves[0]), bad, -1])
 
 
 def test_marking_shares_identity(mms_state):

@@ -19,7 +19,6 @@ from stokesafem.femspace import (
     P1_GRADS,
     P2_HESSIANS,
     build_dofmap,
-    edge_rule,
     eval_pressure,
     eval_velocity,
     eval_velocity_gradient,
@@ -57,26 +56,17 @@ def test_triangle_rule_exact_to_degree_6():
             assert abs(got - exact) <= 1e-13 * exact
 
 
-def test_edge_rule_exact_to_degree_7():
-    r = tri_rule()
-    t, w = r.edge_t, r.edge_weights
-    for a in range(8):
-        exact = 1.0 / (a + 1)
-        assert abs(float(w @ t ** a) - exact) <= 1e-13 * exact
-
-
 def test_rule_weights_positive_and_normalized():
     r = tri_rule()
-    assert (r.tri_weights > 0).all() and (r.edge_weights > 0).all()
+    assert (r.tri_weights > 0).all()
     assert r.tri_weights.sum() == pytest.approx(0.5, abs=1e-15)
-    assert r.edge_weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert (r.tri_bary > 0).all() and (r.tri_bary < 1).all()
 
 
 def test_rules_are_shared_and_read_only():
     r = tri_rule()
     assert tri_rule() is r
-    for arr in (r.tri_bary, r.tri_weights, r.edge_t, r.edge_weights, *edge_rule()):
+    for arr in (r.tri_bary, r.tri_weights):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
     assert r.tri_weights.sum() == pytest.approx(0.5, abs=1e-15)
@@ -158,7 +148,8 @@ def test_dofmap_counts_match_euler():
 
 def reference_edge_numbering(part):
     """``edge_verts``, ``cell_nodes`` and ``boundary_nodes`` by the dof map's
-    former route: its own sort of the 3N leaf edge codes."""
+    former route: its own sort of the 3N leaf edge codes, vertex nodes first
+    and edge nodes after."""
     tris = part.leaf_tris
     vert_ids = part.active_vert_ids
     vmap = np.full(part.forest.n_vertices, -1, dtype=np.int64)
@@ -190,9 +181,32 @@ def test_dofmap_edge_numbering_matches_former_route(root, rounds, data):
         part = refine(part, part.leaves[pos])
     dm = build_dofmap(part)
     edge_verts, cell_nodes, boundary_nodes = reference_edge_numbering(part)
+    # the factor order: ascending key, 2 v for vertex v and a + b for the
+    # node of edge (a, b), ties in the former order
+    key = np.concatenate([2 * part.active_vert_ids, edge_verts.sum(axis=1)])
+    node = np.empty(len(key), dtype=np.int64)
+    node[np.argsort(key, kind="stable")] = np.arange(len(key))
     assert np.array_equal(dm.edge_verts, edge_verts)
-    assert np.array_equal(dm.cell_nodes, cell_nodes)
-    assert np.array_equal(dm.boundary_nodes, boundary_nodes)
+    assert np.array_equal(dm.cell_nodes, node[cell_nodes])
+    assert np.array_equal(dm.boundary_nodes, np.sort(node[boundary_nodes]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(root=st.sampled_from(["square", "lshape"]), rounds=st.integers(0, 5),
+       data=st.data())
+def test_vertex_nodes_and_free_mask(root, rounds, data):
+    part = {"square": unit_square_partition, "lshape": l_shape_partition}[root]()
+    for _ in range(rounds):
+        pos = data.draw(st.lists(st.integers(0, part.n_leaves - 1), min_size=1,
+                                 max_size=10, unique=True))
+        part = refine(part, part.leaves[pos])
+    dm = build_dofmap(part)
+    assert np.array_equal(dm.node_xy[dm.vertex_nodes], part.coords(part.active_vert_ids))
+    # the former construction: velocity dofs of the boundary nodes, masked out
+    b = dm.boundary_nodes
+    mask = np.ones(dm.n_u, dtype=bool)
+    mask[np.sort(np.concatenate([2 * b, 2 * b + 1]))] = False
+    assert np.array_equal(dm.free_umask, mask)
 
 
 def test_dofmap_cell_tables_are_consistent():
@@ -244,7 +258,7 @@ def test_interpolate_shifts_pressure_to_zero_mean():
     dm = build_dofmap(p)
     sol = interpolate(lambda xy: np.zeros_like(xy), lambda xy: xy[:, 0], dm)
     # p = x on the unit square has mean 1/2; nodal values shift by exactly that
-    assert np.allclose(sol.p, dm.node_xy[: dm.n_p, 0] - 0.5, atol=1e-13)
+    assert np.allclose(sol.p, dm.node_xy[dm.vertex_nodes, 0] - 0.5, atol=1e-13)
     rng = np.random.default_rng(4)
     pts = rng.random((20, 2))
     assert np.allclose(eval_pressure(sol, pts), pts[:, 0] - 0.5, atol=1e-13)

@@ -216,7 +216,8 @@ def oracle_prolong(coarse, fine_dm):
     u = np.zeros((fine_dm.n_nodes, 2))
     u[fine_dm.cell_nodes.reshape(-1)] = uvals.reshape(-1, 2)
     refp = np.einsum("tkl,tnl->tnk", binv,
-                     fine_dm.node_xy[fine_dm.cell_pnodes] - cxy[:, None, 0])
+                     fine_dm.node_xy[fine_dm.vertex_nodes[fine_dm.cell_pnodes]]
+                     - cxy[:, None, 0])
     pcell = np.einsum("tnb,tb->tn", p1_values(refp.reshape(-1, 2)).reshape(T, 3, 3), cp)
     p = np.zeros(fine_dm.n_p)
     p[fine_dm.cell_pnodes.reshape(-1)] = pcell.reshape(-1)

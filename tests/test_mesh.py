@@ -806,7 +806,7 @@ def test_forest_mirrors_follow_growth():
     children = np.flatnonzero(f.child0 >= 0)
     assert np.array_equal(f.child1[children], f.child0[children] + 1)
     assert np.array_equal(f.parent[f.child0[children]], children)
-    for name in rows:
+    for name in (*rows, "child0", "child1"):
         with pytest.raises(ValueError):
             getattr(f, name)[0] = 1
 
