@@ -122,9 +122,19 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
         raise ValueError("the dofmap was built on another partition")
     T = part.n_leaves
     det = part.det
-    binv_t = part.binv.transpose(0, 2, 1)
+    np_, nu = dm.n_p, dm.n_u
+
+    # load vector, first: the COO arrays below live to the end of the
+    # function, and the temporaries of f would add to their peak
+    f_q = load_at_quadrature(part, f)
+    if not np.isfinite(f_q).all():
+        raise SolverFailure("non-finite load data at the quadrature points")
+    load_loc = det[:, None, None] * (_LOAD_REF @ f_q)
+    rhs = np.bincount(dm.cell_udofs().reshape(-1), weights=load_loc.reshape(-1),
+                      minlength=nu)
 
     # scalar quadratic stiffness: det * sum_kl (B^-1 B^-T)_kl R_kl
+    binv_t = part.binv.transpose(0, 2, 1)
     c_mat = (part.binv @ binv_t).reshape(T, 4)
     k_loc = det[:, None] * (c_mat @ _STIFF_REF)                   # (T, 36)
     nn = dm.n_nodes
@@ -135,7 +145,6 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     # divergence pairing det * B^-T Q, one (3, 6) block per velocity
     # component l, in column 2 * node + l
     b_loc = det[:, None, None] * (binv_t @ _DIV_REF)              # (T, 2, 18)
-    np_, nu = dm.n_p, dm.n_u
     shape = (T, 2, 3, 6)
     prow = np.broadcast_to(dm.cell_pnodes[:, None, :, None], shape)
     ucol = np.broadcast_to(2 * dm.cell_nodes[:, None, None, :]
@@ -150,14 +159,6 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     mass_p = sp.coo_matrix((mp_loc.reshape(-1), (prow_m, pcol_m)),
                            shape=(np_, np_)).tocsr()
     mean_vec = np.asarray(mass_p.sum(axis=1)).ravel()
-
-    # load vector
-    f_q = load_at_quadrature(part, f)
-    if not np.isfinite(f_q).all():
-        raise SolverFailure("non-finite load data at the quadrature points")
-    load_loc = det[:, None, None] * (_LOAD_REF @ f_q)
-    rhs = np.bincount(dm.cell_udofs().reshape(-1), weights=load_loc.reshape(-1),
-                      minlength=nu)
 
     # Dirichlet lift
     g_vec = np.zeros(nu)
@@ -229,9 +230,11 @@ def solve(system: StokesSystem) -> SolutionPair:
     ``A^-1`` is one sparse LU of the scalar P2 stiffness, exact because
     ``A = K (x) I_2``, applied to both velocity components at once.  Both
     ``K_ff`` and ``M_p`` are symmetric positive definite, so both are
-    factored in SuperLU's symmetric mode (see ``_spd_lu``).  ``K_ff`` is
-    factored with its free nodes in dof order, which ``build_dofmap`` makes
-    the factor order and SuperLU's minimum-degree ordering then refines.
+    factored in SuperLU's symmetric mode, from their CSR arrays read as CSC
+    (see ``_spd_lu``); ``B_f^T`` is likewise the CSC view of ``B_f``, and
+    nothing changes format.  ``K_ff`` is factored with its free nodes in
+    dof order, which ``build_dofmap`` makes the factor order and SuperLU's
+    minimum-degree ordering then refines.
 
     CG starts from ``system.p_start`` when it is set (the adaptive loop sets
     the previous pressure, lifted) and from zero otherwise.  Alongside ``p``
@@ -255,7 +258,7 @@ def solve(system: StokesSystem) -> SolutionPair:
         return lu.solve(v.reshape(len(nodes), -1)).reshape(v.shape)
 
     b_f = system.b_mat[:, free]
-    bt_f = b_f.T.tocsr()
+    bt_f = b_f.T
     if not dm.meets_stability:
         _check_pressure_kernel(b_f, bt_f, np.repeat(system.k_mat.diagonal()[nodes], 2))
     m = system.mean_vec
@@ -312,21 +315,24 @@ def _start_pressure(system: StokesSystem) -> np.ndarray:
     return p
 
 
-def _spd_lu(mat: sp.spmatrix):
-    """Sparse LU of a symmetric positive definite matrix.
+def _spd_lu(mat: sp.csr_matrix):
+    """Sparse LU of a symmetric positive definite CSR matrix.
 
     SuperLU's symmetric mode: a minimum-degree ordering of ``A^T + A``
     applied to rows and columns alike, and no pivoting, which keeps the
-    fill near that of a Cholesky factor.
+    fill near that of a Cholesky factor.  It is handed ``mat.T``, the CSC
+    view of the CSR arrays, so no copy is made: SuperLU factors the
+    transpose, which equals ``mat`` up to the round-off of assembly and
+    has the same pattern, ordering and fill.
     """
     try:
-        return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return splu(mat.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
     except (RuntimeError, ValueError) as exc:
         raise SolverFailure(f"sparse factorization failed: {exc}") from exc
 
 
-def _check_pressure_kernel(b_f: sp.csr_matrix, bt_f: sp.csr_matrix,
+def _check_pressure_kernel(b_f: sp.csr_matrix, bt_f: sp.csc_matrix,
                            a_diag: np.ndarray) -> None:
     """Raise unless the kernel of ``B_f^T`` is exactly the constants.
 
@@ -408,18 +414,22 @@ def pressure_l2_sq(system: StokesSystem, p: np.ndarray) -> float:
     return float(p @ (system.mass_p @ p))
 
 
-def error_norms(sol: SolutionPair, exact) -> tuple[float, float]:
+def error_norms(sol: SolutionPair, exact, *,
+                corner_grads: np.ndarray | None = None) -> tuple[float, float]:
     """Quadrature gradient-seminorm and zero-mean-aligned pressure errors.
 
     ``exact`` provides vectorized callables ``grad_u`` ((n,2,2) with entry
-    [k,l] = d u_k / d x_l) and ``p``.
+    [k,l] = d u_k / d x_l) and ``p``.  ``corner_grads`` is
+    ``corner_gradients(sol)``, computed when not given.
     """
     part, dm = sol.partition, sol.dofmap
     T = part.n_leaves
     wdet = part.det[:, None] * _W
+    if corner_grads is None:
+        corner_grads = corner_gradients(sol)
 
     # the discrete gradient is affine: interpolate its corner values
-    grad_h = _P1_Q @ corner_gradients(sol).reshape(T, 3, 4)       # (T, nq, 4)
+    grad_h = _P1_Q @ corner_grads.reshape(T, 3, 4)                # (T, nq, 4)
     xq = quad_points(part).reshape(-1, 2)
     grad_ex = np.asarray(exact.grad_u(xq), dtype=float).reshape(T, -1, 4)
     diff = grad_ex - grad_h

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS = ("eta0", "eta1", "eta2")
+# the other two corners of a triangle, after and before corner i
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass
@@ -73,9 +75,12 @@ def element_oscillation(part: Partition, fq: np.ndarray) -> np.ndarray:
     return part.areas * part.det * quad
 
 
-def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
+def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
+                       corner_grads: np.ndarray | None = None) -> ElementIndicators:
     """Evaluate all indicator ingredients for one discrete solution from the
-    load at its quadrature points (``StokesSystem.load_q``)."""
+    load at its quadrature points (``StokesSystem.load_q``) and the velocity
+    gradient at the leaf corners (``corner_gradients(sol)``, computed when
+    not given)."""
     part, dm = sol.partition, sol.dofmap
     T = part.n_leaves
     expected = (T, len(tri_rule().tri_weights), 2)
@@ -101,7 +106,7 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
     vol = h_sq * part.det * ((resid * resid).sum(axis=2) @ tri_rule().tri_weights)
     osc = element_oscillation(part, fq)
 
-    grad_v = corner_gradients(sol)                                # (T, 3, 2, 2)
+    grad_v = corner_gradients(sol) if corner_grads is None else corner_grads
     div_v = grad_v[:, :, 0, 0] + grad_v[:, :, 1, 1]               # (T, 3)
 
     # exact integral of the squared affine divergence over the element
@@ -109,10 +114,10 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
     div_l2 = area / 6.0 * (d0 * d0 + d1 * d1 + d2 * d2
                            + d0 * d1 + d1 * d2 + d2 * d0)
 
-    # trace integral over the element boundary; edge i joins corners j, k
-    j, k = [1, 2, 0], [2, 0, 1]
-    elen = np.linalg.norm(part.corner_xy[:, j] - part.corner_xy[:, k], axis=2)
-    dj, dk = div_v[:, j], div_v[:, k]
+    # trace integral over the element boundary; edge i joins the corners
+    # _NEXT[i] and _PREV[i]
+    elen = np.linalg.norm(part.corner_xy[:, _NEXT] - part.corner_xy[:, _PREV], axis=2)
+    dj, dk = div_v[:, _NEXT], div_v[:, _PREV]
     div_edge = np.sqrt(area) * (elen * (dj * dj + dj * dk + dk * dk)).sum(axis=1) / 3.0
 
     # normal-derivative jumps across interior edges; the jump of the affine
@@ -122,10 +127,7 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
     tang = part.coords(e_verts[:, 1]) - part.coords(e_verts[:, 0])
     elen = np.linalg.norm(tang, axis=1)
     normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
-    # local corner of each adjacent element at each endpoint: (m, side, end)
-    loc = np.argmax(part.leaf_tris[e_elems][:, :, None, :]
-                    == e_verts[:, None, :, None], axis=3)
-    g_end = grad_v[e_elems[:, :, None], loc]                      # (m, 2, 2, 2, 2)
+    g_end = grad_v[e_elems[:, :, None], _edge_end_corners(part)]  # (m, 2, 2, 2, 2)
     j_end = ((g_end[:, 0] - g_end[:, 1]) @ normal[:, None, :, None])[..., 0]
     ja, jb = j_end[:, 0], j_end[:, 1]
     # weighted term h_e * ||J||^2_{L2(e)}; the edge L2 norm of the affine
@@ -137,6 +139,23 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
         partition=part, vol=vol, div_l2=div_l2, div_edge=div_edge, osc=osc,
         jump=jump, edge_elems=e_elems.copy(),
     )
+
+
+def _edge_end_corners(part: Partition) -> np.ndarray:
+    """(m, side, end) local corner of each interior edge's endpoints in its
+    two elements, the endpoint with the lower vertex id first, as in
+    ``interior_edge_verts``.  The edge table gives the edge's local index
+    in each element; the edge opposite corner i joins _NEXT[i] and _PREV[i].
+    """
+    e_elems = part.interior_edge_elems
+    interior = np.ones(part.n_edges, dtype=bool)
+    interior[part.boundary_edges] = False
+    rows = np.flatnonzero(interior)[:, None, None]
+    opp = np.argmax(part.leaf_edges[e_elems] == rows, axis=2)      # (m, 2)
+    c1, c2 = _NEXT[opp], _PREV[opp]
+    tris = part.leaf_tris.ravel()
+    swap = tris[3 * e_elems + c1] > tris[3 * e_elems + c2]
+    return np.stack([np.where(swap, c2, c1), np.where(swap, c1, c2)], axis=2)
 
 
 def _subset_mask(ind: ElementIndicators, subset) -> np.ndarray:

@@ -177,11 +177,6 @@ class DofMap:
     meets_stability: bool       # >= 3 leaves, each with an interior vertex
 
     @property
-    def vert_ids(self) -> np.ndarray:
-        """Sorted forest vertex ids of the pressure nodes."""
-        return self.partition.active_vert_ids
-
-    @property
     def edge_verts(self) -> np.ndarray:
         """(nE, 2) sorted vertex pairs of the leaf edges, lexicographic."""
         return self.partition.edge_verts

@@ -303,10 +303,6 @@ class Partition:
         return self.forest.tri[self.leaves]
 
     @cached_property
-    def leaf_pos(self) -> dict[int, int]:
-        return {int(e): i for i, e in enumerate(self.leaves)}
-
-    @cached_property
     def is_leaf_mask(self) -> np.ndarray:
         mask = np.zeros(self.forest.n_elements, dtype=bool)
         mask[self.leaves] = True

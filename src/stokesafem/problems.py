@@ -2,10 +2,13 @@
 
 The manufactured solutions are plain polynomials.  ``smooth-mms`` takes its
 velocity as the rotated gradient (curl) of the stream function
-psi = (x(1-x)y(1-y))^2, so its divergence vanishes identically, and its load
-is f = -laplace(u) + grad(p).  The expressions below keep the term order of
-the symbolic derivation, so they evaluate to the same floating-point values.
-``tests/test_problems.py`` re-derives every field with SymPy and checks them.
+psi = g(x) g(y), g(t) = t^2 (1-t)^2, and its load is
+f = -laplace(u) + grad(p).  Every field is a short product of the 1-D factors
+g, g', g'', g''' at x and at y: the divergence g'(x) g'(y) - g'(x) g'(y) is
+exactly zero, and the velocity is exactly zero on the sides of the unit
+square, where g and g' vanish.  These forms round differently from the
+expanded polynomials of the symbolic derivation; ``tests/test_problems.py``
+re-derives every field with SymPy and checks them to a relative 1e-12.
 """
 
 from __future__ import annotations
@@ -71,39 +74,39 @@ def _patch_f(xy: np.ndarray) -> np.ndarray:
     return np.zeros((len(np.atleast_2d(xy)), 2))
 
 
+def _g_series(t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """g and its first three derivatives, g(t) = t^2 (1 - t)^2."""
+    s = t * (1 - t)
+    return s * s, 2 * s * (1 - 2 * t), 2 - 12 * s, 24 * t - 12
+
+
 def _mms_u(xy: np.ndarray) -> np.ndarray:
     x, y = _columns(xy)
-    return np.stack([
-        x**2*y**2*(1 - x)**2*(2*y - 2) + 2*x**2*y*(1 - x)**2*(1 - y)**2,
-        -x**2*y**2*(1 - y)**2*(2*x - 2) - 2*x*y**2*(1 - x)**2*(1 - y)**2,
-    ], axis=1)
+    gx, g1x, _, _ = _g_series(x)
+    gy, g1y, _, _ = _g_series(y)
+    return np.stack([gx * g1y, -(g1x * gy)], axis=1)
 
 
 def _mms_grad_u(xy: np.ndarray) -> np.ndarray:
     x, y = _columns(xy)
-    return np.stack([   # entries [k,l] = d u_k / d x_l, row by row
-        x**2*y**2*(2*x - 2)*(2*y - 2) + 2*x**2*y*(1 - y)**2*(2*x - 2)
-        + 2*x*y**2*(1 - x)**2*(2*y - 2) + 4*x*y*(1 - x)**2*(1 - y)**2,
-        2*x**2*y**2*(1 - x)**2 + 4*x**2*y*(1 - x)**2*(2*y - 2) + 2*x**2*(1 - x)**2*(1 - y)**2,
-        -2*x**2*y**2*(1 - y)**2 - 4*x*y**2*(1 - y)**2*(2*x - 2) - 2*y**2*(1 - x)**2*(1 - y)**2,
-        -x**2*y**2*(2*x - 2)*(2*y - 2) - 2*x**2*y*(1 - y)**2*(2*x - 2)
-        - 2*x*y**2*(1 - x)**2*(2*y - 2) - 4*x*y*(1 - x)**2*(1 - y)**2,
-    ], axis=1).reshape(-1, 2, 2)
+    gx, g1x, g2x, _ = _g_series(x)
+    gy, g1y, g2y, _ = _g_series(y)
+    d = g1x * g1y   # d u_1 / dx = -d u_2 / dy: the divergence is exactly zero
+    return np.stack([d, gx * g2y, -(g2x * gy), -d], axis=1).reshape(-1, 2, 2)
 
 
 def _mms_p(xy: np.ndarray) -> np.ndarray:
     x, y = _columns(xy)
-    return x**3 + y**3 - 0.5
+    return x * x * x + y * y * y - 0.5
 
 
 def _mms_f(xy: np.ndarray) -> np.ndarray:
+    # laplace(u_1) = g''(x) g'(y) + g(x) g'''(y), grad(p) = (3x^2, 3y^2)
     x, y = _columns(xy)
-    return np.stack([
-        -24*x**4*y + 12*x**4 + 48*x**3*y - 24*x**3 - 48*x**2*y**3 + 72*x**2*y**2
-        - 48*x**2*y + 15*x**2 + 48*x*y**3 - 72*x*y**2 + 24*x*y - 8*y**3 + 12*y**2 - 4*y,
-        48*x**3*y**2 - 48*x**3*y + 8*x**3 - 72*x**2*y**2 + 72*x**2*y - 12*x**2
-        + 24*x*y**4 - 48*x*y**3 + 48*x*y**2 - 24*x*y + 4*x - 12*y**4 + 24*y**3 - 9*y**2,
-    ], axis=1)
+    gx, g1x, g2x, g3x = _g_series(x)
+    gy, g1y, g2y, g3y = _g_series(y)
+    return np.stack([3 * x * x - g2x * g1y - gx * g3y,
+                     3 * y * y + g3x * gy + g1x * g2y], axis=1)
 
 
 # The L-shape load must not be a gradient field: f = grad(q) is balanced

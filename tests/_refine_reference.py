@@ -190,9 +190,9 @@ class Builder:
 def refine(part: Partition, marked: Iterable[int]) -> Partition:
     """Bisect every marked leaf at least once and complete to conformity."""
     marked = sorted(int(m) for m in set(marked))
-    pos = part.leaf_pos
+    leaves = set(part.leaves.tolist())
     for m in marked:
-        if m not in pos:
+        if m not in leaves:
             raise ValueError(f"marked element {m} is not a leaf of the partition")
     part.check_conforming()
     if not marked:
@@ -212,7 +212,7 @@ def refine(part: Partition, marked: Iterable[int]) -> Partition:
 
 def bisect(part: Partition, elem: int) -> Partition:
     """Single raw bisection of one leaf; the result may be non-conforming."""
-    if int(elem) not in part.leaf_pos:
+    if int(elem) not in set(part.leaves.tolist()):
         raise ValueError(f"element {elem} is not a leaf of the partition")
     b = Builder(part)
     b.bisect_leaf(int(elem))

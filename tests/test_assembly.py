@@ -5,8 +5,11 @@ diagnostic.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -479,12 +482,35 @@ def test_fill_order_cuts_the_stiffness_factor(mms, monkeypatch):
     former[dm.cell_nodes[:, 3:]] = dm.n_p + dm.partition.leaf_edges
     fnode_former = fnode[np.argsort(former[fnode])]
     k_mat = assemble(dm.partition, dm, mms.f, mms.g).k_mat
-    assert (k_ordered != k_mat[fnode][:, fnode]).nnz == 0
+    # SuperLU is handed the CSC view of K_ff's CSR arrays: its transpose
+    assert (k_ordered != k_mat[fnode][:, fnode].T).nnz == 0
     k_former = k_mat[fnode_former][:, fnode_former]
     # the same matrix, permuted symmetrically
     assert k_ordered.nnz == k_former.nnz
     assert np.array_equal(np.sort(k_ordered.diagonal()), np.sort(k_former.diagonal()))
     assert nnz <= 0.8 * assembly._spd_lu(k_former).nnz
+
+
+def test_solve_converts_no_sparse_format(mms, monkeypatch):
+    # K_ff and M_p reach SuperLU as the CSC views of their CSR arrays, and
+    # B_f^T is the CSC view of B_f
+    part = uniform_refine(unit_square_partition(), 9)
+    sysm = assemble(part, build_dofmap(part), mms.f, mms.g)
+    calls = []
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix):
+        for name in ("tocsr", "tocsc"):
+            def spy(self, *args, _fn=getattr(cls, name),
+                    _name=f"{cls.__name__}.{name}", **kwargs):
+                calls.append(_name)
+                return _fn(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+    with warnings.catch_warnings():
+        # splu warns when it has to convert its input itself
+        warnings.simplefilter("error", sp.SparseEfficiencyWarning)
+        sol = solve(sysm)
+    assert sol.cg_iterations > 0
+    assert calls == []
 
 
 def test_exact_start_takes_no_cg_iteration(mms):

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesafem import adaptloop
+from stokesafem import adaptloop, estimators
 from stokesafem.assembly import (
     assemble,
     error_norms,
@@ -32,6 +32,7 @@ from stokesafem.femspace import (
     P2_HESSIANS,
     SolutionPair,
     build_dofmap,
+    corner_gradients,
     p1_values,
     p2_grads,
     p2_values,
@@ -202,7 +203,7 @@ def oracle_indicators(sol, f):
 def oracle_prolong(coarse, fine_dm):
     cpart, fpart = coarse.partition, fine_dm.partition
     anc = fpart.ancestor_leaf_in(cpart)
-    cpos = np.asarray([cpart.leaf_pos[int(a)] for a in anc], dtype=np.int64)
+    cpos = np.searchsorted(cpart.leaves, anc)
     cdm = coarse.dofmap
     cxy = cpart.corner_xy[cpos]
     b_mat = np.stack([cxy[:, 1] - cxy[:, 0], cxy[:, 2] - cxy[:, 0]], axis=2)
@@ -258,6 +259,33 @@ def test_error_norms_and_indicators_match_quadrature_oracle(root, rounds, seed):
     ind = compute_indicators(sol, load_at_quadrature(part, prob.f))
     for name, ref in oracle_indicators(sol, prob.f).items():
         assert_close(getattr(ind, name), ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**meshes)
+def test_edge_end_corners_match_former_search(root, rounds, seed):
+    # the former search: each endpoint's vertex id among the element's corners
+    part = random_partition(root, rounds, np.random.default_rng(seed))
+    e_verts, e_elems = part.interior_edge_verts, part.interior_edge_elems
+    former = np.argmax(part.leaf_tris[e_elems][:, :, None, :]
+                       == e_verts[:, None, :, None], axis=3)
+    assert np.array_equal(estimators._edge_end_corners(part), former)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**meshes)
+def test_passed_corner_gradients_change_nothing(root, rounds, seed):
+    # the adaptive loop computes the corner gradients once and hands them to both
+    rng = np.random.default_rng(seed)
+    part = random_partition(root, rounds, rng)
+    sol = random_pair(build_dofmap(part), rng)
+    prob = get_problem("smooth-mms")
+    grads = corner_gradients(sol)
+    assert error_norms(sol, prob.exact, corner_grads=grads) == error_norms(sol, prob.exact)
+    fq = load_at_quadrature(part, prob.f)
+    own, passed = compute_indicators(sol, fq), compute_indicators(sol, fq, corner_grads=grads)
+    for name in ("vol", "div_l2", "div_edge", "osc", "jump", "edge_elems"):
+        assert np.array_equal(getattr(passed, name), getattr(own, name)), name
 
 
 @settings(max_examples=30, deadline=None)

@@ -107,11 +107,11 @@ def test_bisect_halves_area_and_creates_children():
     q = bisect(p, elem)
     assert q.n_leaves == 3
     assert q.total_area == pytest.approx(1.0)
-    kids = [e for e in q.leaves if e not in p.leaf_pos]
+    kids = np.setdiff1d(q.leaves, p.leaves)
     assert len(kids) == 2
-    parent_area = p.areas[p.leaf_pos[elem]]
+    parent_area = p.areas[np.searchsorted(p.leaves, elem)]
     for k in kids:
-        assert q.areas[q.leaf_pos[int(k)]] == pytest.approx(parent_area / 2)
+        assert q.areas[np.searchsorted(q.leaves, k)] == pytest.approx(parent_area / 2)
         assert q.forest.parent[int(k)] == elem
         assert q.forest.gen[int(k)] == 1
 
@@ -163,7 +163,7 @@ def test_refine_marked_elements_are_gone():
     marked = [int(p.leaves[1]), int(p.leaves[3])]
     q = refine(p, marked)
     for m in marked:
-        assert m not in q.leaf_pos
+        assert m not in q.leaves
     # monotone nesting: dropped leaves = refined elements
     dropped = set(p.leaves.tolist()) - set(q.leaves.tolist())
     assert set(marked) <= dropped
@@ -519,7 +519,7 @@ def per_leaf_grading_and_star(part: Partition):
 
     def star_of(elem: int) -> np.ndarray:
         seen: set[int] = set()
-        for v in part.leaf_tris[part.leaf_pos[elem]]:
+        for v in part.leaf_tris[np.searchsorted(part.leaves, elem)]:
             seen.update(vert_leaves[int(v)])
         return part.leaves[np.sort(np.fromiter(seen, dtype=np.int64))]
 
