@@ -82,7 +82,6 @@ def load_at_quadrature(part: Partition, f: VectorField) -> np.ndarray:
 class StokesSystem:
     """Assembled matrices and data for one partition."""
 
-    partition: Partition
     dofmap: DofMap
     k_mat: sp.csr_matrix     # (n_nodes, n_nodes) scalar P2 stiffness K
     b_mat: sp.csr_matrix     # (n_p, n_u) divergence pairing
@@ -92,6 +91,10 @@ class StokesSystem:
     g_vec: np.ndarray        # (n_u,) Dirichlet lift (zero off the boundary)
     load_q: np.ndarray       # (T, nq, 2) load at the quadrature points
     p_start: np.ndarray | None = None   # (n_p,) CG start pressure; zero if None
+
+    @property
+    def partition(self) -> Partition:
+        return self.dofmap.partition
 
     @property
     def a_mat(self) -> sp.csr_matrix:
@@ -122,65 +125,64 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
         raise ValueError("the dofmap was built on another partition")
     T = part.n_leaves
     det = part.det
-    np_, nu = dm.n_p, dm.n_u
+    np_, nu, nn = dm.n_p, dm.n_u, dm.n_nodes
 
-    # load vector, first: the COO arrays below live to the end of the
-    # function, and the temporaries of f would add to their peak
     f_q = load_at_quadrature(part, f)
     if not np.isfinite(f_q).all():
         raise SolverFailure("non-finite load data at the quadrature points")
-    load_loc = det[:, None, None] * (_LOAD_REF @ f_q)
-    rhs = np.bincount(dm.cell_udofs().reshape(-1), weights=load_loc.reshape(-1),
+    rhs = np.bincount(dm.cell_udofs().reshape(-1),
+                      weights=(det[:, None, None] * (_LOAD_REF @ f_q)).reshape(-1),
                       minlength=nu)
 
-    # scalar quadratic stiffness: det * sum_kl (B^-1 B^-T)_kl R_kl
+    # each matrix's local blocks and index arrays are made in its ``_csr``
+    # call and die with it, before the next matrix is built
+    nodes, pnodes = dm.cell_nodes, dm.cell_pnodes
     binv_t = part.binv.transpose(0, 2, 1)
-    c_mat = (part.binv @ binv_t).reshape(T, 4)
-    k_loc = det[:, None] * (c_mat @ _STIFF_REF)                   # (T, 36)
-    nn = dm.n_nodes
-    rows = np.repeat(dm.cell_nodes, 6, axis=1).reshape(-1)
-    cols = np.tile(dm.cell_nodes, (1, 6)).reshape(-1)
-    k_mat = sp.coo_matrix((k_loc.reshape(-1), (rows, cols)), shape=(nn, nn)).tocsr()
-
+    # scalar quadratic stiffness: det * sum_kl (B^-1 B^-T)_kl R_kl
+    k_mat = _csr(det[:, None] * ((part.binv @ binv_t).reshape(T, 4) @ _STIFF_REF),
+                 np.repeat(nodes, 6, axis=1), np.tile(nodes, (1, 6)), (nn, nn))
     # divergence pairing det * B^-T Q, one (3, 6) block per velocity
     # component l, in column 2 * node + l
-    b_loc = det[:, None, None] * (binv_t @ _DIV_REF)              # (T, 2, 18)
     shape = (T, 2, 3, 6)
-    prow = np.broadcast_to(dm.cell_pnodes[:, None, :, None], shape)
-    ucol = np.broadcast_to(2 * dm.cell_nodes[:, None, None, :]
-                           + np.arange(2)[:, None, None], shape)
-    b_mat = sp.coo_matrix((b_loc.reshape(-1), (prow.reshape(-1), ucol.reshape(-1))),
-                          shape=(np_, nu)).tocsr()
-
-    # pressure mass and mean vector
-    mp_loc = det[:, None] * _MASS_REF
-    prow_m = np.repeat(dm.cell_pnodes, 3, axis=1).reshape(-1)
-    pcol_m = np.tile(dm.cell_pnodes, (1, 3)).reshape(-1)
-    mass_p = sp.coo_matrix((mp_loc.reshape(-1), (prow_m, pcol_m)),
-                           shape=(np_, np_)).tocsr()
+    b_mat = _csr(det[:, None, None] * (binv_t @ _DIV_REF),
+                 np.broadcast_to(pnodes[:, None, :, None], shape),
+                 np.broadcast_to(2 * nodes[:, None, None, :]
+                                 + np.arange(2)[:, None, None], shape),
+                 (np_, nu))
+    mass_p = _csr(det[:, None] * _MASS_REF, np.repeat(pnodes, 3, axis=1),
+                  np.tile(pnodes, (1, 3)), (np_, np_))
     mean_vec = np.asarray(mass_p.sum(axis=1)).ravel()
 
-    # Dirichlet lift
+    # Dirichlet lift on the boundary nodes, which are numbered last
     g_vec = np.zeros(nu)
-    if g is not None and len(dm.boundary_nodes):
-        bxy = dm.node_xy[dm.boundary_nodes]
-        gv = np.asarray(g(bxy), dtype=float)
-        g_vec[2 * dm.boundary_nodes] = gv[:, 0]
-        g_vec[2 * dm.boundary_nodes + 1] = gv[:, 1]
+    if g is not None:
+        g_vec[2 * dm.n_free:] = np.asarray(g(dm.node_xy[dm.n_free:]),
+                                           dtype=float).reshape(-1)
 
-    return StokesSystem(partition=part, dofmap=dm, k_mat=k_mat, b_mat=b_mat,
-                        mass_p=mass_p, mean_vec=mean_vec, rhs=rhs, g_vec=g_vec,
-                        load_q=f_q)
+    return StokesSystem(dofmap=dm, k_mat=k_mat, b_mat=b_mat, mass_p=mass_p,
+                        mean_vec=mean_vec, rhs=rhs, g_vec=g_vec, load_q=f_q)
 
 
-def saddle_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+def _csr(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+         shape: tuple[int, int]) -> sp.csr_matrix:
+    """CSR matrix of the entries ``vals`` at ``(rows, cols)``, duplicates
+    summed; entries that sum to zero stay in the pattern."""
+    return sp.coo_matrix((vals.reshape(-1), (rows.reshape(-1), cols.reshape(-1))),
+                         shape=shape).tocsr()
+
+
+def saddle_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, int]:
     """Reduced symmetric saddle matrix with the zero-mean multiplier row.
 
-    Reference for tests; the solver checks its residual blockwise.
+    Returns ``(kkt, rhs, nf)``: the unknowns are the ``nf`` free velocity
+    dofs, which are the leading ``nf`` dofs, then the pressure and the
+    multiplier.  Reference for tests; the solver checks its residual
+    blockwise.
     """
-    free, r1, r2 = _reduced_data(system)
-    a_ff = system.a_mat[free][:, free]
-    b_f = system.b_mat[:, free]
+    nf = 2 * system.dofmap.n_free
+    r1, r2 = _reduced_data(system)
+    a_ff = system.a_mat[:nf, :nf]
+    b_f = system.b_mat[:, :nf]
     m = sp.csr_matrix(system.mean_vec[:, None])
     kkt = sp.bmat(
         [[a_ff, -b_f.T, None],
@@ -189,10 +191,10 @@ def saddle_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
         format="csc",
     )
     rhs = np.concatenate([r1, r2, [0.0]])
-    return kkt, rhs, free
+    return kkt, rhs, nf
 
 
-def pinned_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+def pinned_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, int]:
     """Nonsingular companion system for a direct factorization (reference).
 
     The continuity rows carry an exact rank-1 redundancy: the linear pressure
@@ -203,8 +205,7 @@ def pinned_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
     factorization blow up on strongly graded meshes.  The zero-mean pressure
     representative is recovered by a constant shift after the solve.
     """
-    kkt, rhs, free = saddle_matrix(system)
-    nf = int(free.sum())
+    kkt, rhs, nf = saddle_matrix(system)
     mat = kkt[:-1, :-1].tocsr()   # without the multiplier
     row_scale = np.ones(mat.shape[0])
     row_scale[nf] = 0.0
@@ -212,7 +213,7 @@ def pinned_matrix(system: StokesSystem) -> tuple[sp.csc_matrix, np.ndarray, np.n
     mat = (mat + sp.coo_matrix(([1.0], ([nf], [nf])), shape=mat.shape)).tocsc()
     rhs = rhs[:-1].copy()
     rhs[nf] = 0.0
-    return mat, rhs, free
+    return mat, rhs, nf
 
 
 def solve(system: StokesSystem) -> SolutionPair:
@@ -232,9 +233,10 @@ def solve(system: StokesSystem) -> SolutionPair:
     ``K_ff`` and ``M_p`` are symmetric positive definite, so both are
     factored in SuperLU's symmetric mode, from their CSR arrays read as CSC
     (see ``_spd_lu``); ``B_f^T`` is likewise the CSC view of ``B_f``, and
-    nothing changes format.  ``K_ff`` is factored with its free nodes in
-    dof order, which ``build_dofmap`` makes the factor order and SuperLU's
-    minimum-degree ordering then refines.
+    nothing changes format.  ``build_dofmap`` numbers the free nodes first,
+    in factor order, so ``K_ff`` is the leading ``n_free`` block of ``K``
+    and ``B_f`` the leading ``2 n_free`` columns of ``B``; SuperLU's
+    minimum-degree ordering then refines that order.
 
     CG starts from ``system.p_start`` when it is set (the adaptive loop sets
     the previous pressure, lifted) and from zero otherwise.  Alongside ``p``
@@ -247,20 +249,20 @@ def solve(system: StokesSystem) -> SolutionPair:
     system; the pair records the iteration count as ``cg_iterations``.
     """
     dm = system.dofmap
-    free, r1, r2 = _reduced_data(system)
+    n_free = dm.n_free
+    r1, r2 = _reduced_data(system)
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise SolverFailure("non-finite load or boundary data")
     p = _start_pressure(system)
-    nodes = np.flatnonzero(free[0::2])
-    lu = _spd_lu(system.k_mat[nodes][:, nodes])
+    lu = _spd_lu(system.k_mat[:n_free, :n_free])
 
     def a_inv(v: np.ndarray) -> np.ndarray:
-        return lu.solve(v.reshape(len(nodes), -1)).reshape(v.shape)
+        return lu.solve(v.reshape(n_free, -1)).reshape(v.shape)
 
-    b_f = system.b_mat[:, free]
+    b_f = system.b_mat[:, :2 * n_free]
     bt_f = b_f.T
     if not dm.meets_stability:
-        _check_pressure_kernel(b_f, bt_f, np.repeat(system.k_mat.diagonal()[nodes], 2))
+        _check_pressure_kernel(b_f, bt_f, np.repeat(system.k_mat.diagonal()[:n_free], 2))
     m = system.mean_vec
     lam = float(r2.sum()) / float(m.sum())
     if p.any():
@@ -349,11 +351,11 @@ def _check_pressure_kernel(b_f: sp.csr_matrix, bt_f: sp.csc_matrix,
             f"on this partition ({exc})") from exc
 
 
-def _reduced_data(system: StokesSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Free-dof mask and the momentum/continuity data after the Dirichlet lift."""
-    free = system.dofmap.free_umask
-    g = np.where(free, 0.0, system.g_vec)
-    return free, system.rhs[free] - _a_dot(system, g)[free], system.b_mat @ g
+def _reduced_data(system: StokesSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The free momentum and the continuity data after the Dirichlet lift."""
+    nf = 2 * system.dofmap.n_free
+    g = system.g_vec
+    return system.rhs[:nf] - _a_dot(system, g)[:nf], system.b_mat @ g
 
 
 def _a_dot(system: StokesSystem, u: np.ndarray) -> np.ndarray:
@@ -369,11 +371,11 @@ def _saddle_residual(system: StokesSystem, u: np.ndarray,
     values.  The multiplier absorbs any data incompatibility in the
     continuity rows (zero for compatible data).
     """
-    free = system.dofmap.free_umask
+    nf = 2 * system.dofmap.n_free
     m = system.mean_vec
     bu = system.b_mat @ u
     lam = float(m @ bu) / float(m @ m)
-    r_mom = (_a_dot(system, u) - system.b_mat.T @ p - system.rhs)[free]
+    r_mom = (_a_dot(system, u) - system.b_mat.T @ p - system.rhs)[:nf]
     resid = max(float(np.abs(r_mom).max(initial=0.0)),
                 float(np.abs(bu - m * lam).max()), abs(float(m @ p)))
     return resid, lam
@@ -390,7 +392,7 @@ def _verified_pair(system: StokesSystem, u_free: np.ndarray, p: np.ndarray,
         raise SolverFailure("solver produced non-finite values")
     dm = system.dofmap
     u = system.g_vec.copy()
-    u[dm.free_umask] = u_free
+    u[:2 * dm.n_free] = u_free
     resid, lam = _saddle_residual(system, u, p)
     tol = RESIDUAL_RTOL * data
     if resid > tol:
@@ -401,8 +403,7 @@ def _verified_pair(system: StokesSystem, u_free: np.ndarray, p: np.ndarray,
     scale = float(np.sqrt(pressure_l2_sq(system, p))) if dm.n_p else 0.0
     if mean > 1e-10 * max(scale, 1.0):
         raise SolverFailure(f"discrete pressure mean {mean:.3e} is not zero")
-    return SolutionPair(u=u, p=p, partition=system.partition, dofmap=dm,
-                        residual=resid, mean_multiplier=lam)
+    return SolutionPair(u=u, p=p, dofmap=dm, residual=resid, mean_multiplier=lam)
 
 
 def velocity_energy_sq(system: StokesSystem, u: np.ndarray) -> float:
@@ -456,9 +457,9 @@ def inf_sup_constant(system: StokesSystem) -> float:
         raise ValueError(
             f"inf-sup diagnostic is dense; {dm.n_dofs} dofs exceed the 4000 limit"
         )
-    free = dm.free_umask
-    a_ff = system.a_mat[free][:, free].toarray()
-    b_f = system.b_mat[:, free].toarray()
+    nf = 2 * dm.n_free
+    a_ff = system.a_mat[:nf, :nf].toarray()
+    b_f = system.b_mat[:, :nf].toarray()
     if a_ff.shape[0] == 0:
         return 0.0
     schur = b_f @ np.linalg.solve(a_ff, b_f.T)

@@ -344,7 +344,7 @@ def cmd_mesh_info(ns: argparse.Namespace) -> int:
     print(f"source: {source}")
     print(f"leaves: {stats.n_leaves}")
     print(f"vertices: {dm.n_vertices}")
-    print(f"edges: {dm.n_edges}")
+    print(f"edges: {part.n_edges}")
     print(f"n_u: {dm.n_u}")
     print(f"n_p: {dm.n_p}")
     print(f"dofs: {dm.n_dofs}")

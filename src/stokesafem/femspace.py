@@ -3,12 +3,14 @@
 Scalar velocity nodes are the mesh vertices plus one node per edge midpoint;
 each carries two interleaved velocity components (dof = 2*node + component).
 Pressure nodes are the vertices, in ascending forest vertex id.  The scalar
-nodes are numbered in the order the stiffness is factored in: ascending key,
-``2 v`` for vertex ``v`` and ``a + b`` for the node of edge ``(a, b)`` in
-forest vertex ids, ties vertex first and then edges in lexicographic order.
-``DofMap.vertex_nodes`` maps each pressure node to its scalar node.  All
-tables are dense numpy arrays so the assembly and estimator layers can run
-vectorized over elements.
+nodes off the domain boundary come first, ``0 .. n_free - 1``, and the
+Dirichlet nodes after them, so the free velocity dofs are the prefix
+``[:2 n_free]``.  Each block is numbered in the order the stiffness is
+factored in: ascending key, ``2 v`` for vertex ``v`` and ``a + b`` for the
+node of edge ``(a, b)`` in forest vertex ids, ties vertex first and then
+edges in lexicographic order.  ``DofMap.vertex_nodes`` maps each pressure
+node to its scalar node.  All tables are dense numpy arrays so the assembly
+and estimator layers can run vectorized over elements.
 """
 
 from __future__ import annotations
@@ -162,9 +164,10 @@ _CORNER_GRADS = p2_grads(_REF_NODES[:3]).transpose(1, 0, 2).reshape(6, 6)
 class DofMap:
     """Global Taylor-Hood numbering over the leaves of one partition.
 
-    Scalar nodes are in factor order (see the module docstring), pressure
-    nodes in ascending vertex id; ``vertex_nodes[i]`` is the scalar node at
-    pressure node ``i``'s vertex.
+    Scalar nodes are free nodes then boundary nodes, each block in factor
+    order (see the module docstring), pressure nodes in ascending vertex
+    id; ``vertex_nodes[i]`` is the scalar node at pressure node ``i``'s
+    vertex.
     """
 
     partition: Partition
@@ -172,22 +175,12 @@ class DofMap:
     cell_pnodes: np.ndarray     # (T, 3) pressure node per local vertex
     node_xy: np.ndarray         # (n_nodes, 2) scalar node coordinates
     vertex_nodes: np.ndarray    # (n_p,) scalar node of each pressure node
-    boundary_nodes: np.ndarray  # sorted scalar node ids on the domain boundary
-    free_umask: np.ndarray      # (n_u,) velocity dofs off the boundary
+    n_free: int                 # nodes off the boundary: 0 .. n_free - 1
     meets_stability: bool       # >= 3 leaves, each with an interior vertex
-
-    @property
-    def edge_verts(self) -> np.ndarray:
-        """(nE, 2) sorted vertex pairs of the leaf edges, lexicographic."""
-        return self.partition.edge_verts
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertex_nodes)
-
-    @property
-    def n_edges(self) -> int:
-        return self.partition.n_edges
 
     @property
     def n_nodes(self) -> int:
@@ -217,12 +210,13 @@ class DofMap:
 def build_dofmap(part: Partition) -> DofMap:
     """Construct the Taylor-Hood dof tables for a conforming partition.
 
-    Numbers the scalar nodes in factor order: SuperLU's minimum-degree
-    ordering breaks ties by input position, and from vertices-then-edges it
-    fills badly on some meshes (summed over seed-0 ``mms-uniform``,
-    ``K_ff``'s L+U holds 545k nonzeros from this order and 873k from that
-    one); each edge node goes where refinement's id rule would put its
-    edge's midpoint vertex.
+    Numbers the scalar nodes off the boundary first and the Dirichlet nodes
+    after them, each block in factor order: SuperLU's minimum-degree ordering
+    breaks ties by input position, and from vertices-then-edges it fills
+    badly on some meshes (summed over seed-0 ``mms-uniform``, ``K_ff``'s L+U
+    holds 545k nonzeros from this order and 873k from that one); each edge
+    node goes where refinement's id rule would put its edge's midpoint
+    vertex.
 
     Emits a warning (and flags the result) when the partition violates the
     discrete pressure-stability requirement: at least three elements, each
@@ -232,13 +226,16 @@ def build_dofmap(part: Partition) -> DofMap:
     vert_ids = part.active_vert_ids
     edge_verts = part.edge_verts
     nv = len(vert_ids)
-    key = np.concatenate([2 * vert_ids, edge_verts.sum(axis=1)])
-    node = np.empty(len(key), dtype=np.int64)
-    node[np.argsort(key, kind="stable")] = np.arange(len(key))
-    vertex_nodes, edge_nodes = node[:nv], node[nv:]
-
     vmap = np.full(part.forest.n_vertices, -1, dtype=np.int64)
     vmap[vert_ids] = np.arange(nv)
+    on_boundary = np.zeros(nv + len(edge_verts), dtype=bool)
+    on_boundary[vmap[part.boundary_edge_verts]] = True
+    on_boundary[nv + part.boundary_edges] = True
+    key = np.concatenate([2 * vert_ids, edge_verts.sum(axis=1)])
+    node = np.empty(len(key), dtype=np.int64)
+    node[np.lexsort((key, on_boundary))] = np.arange(len(key))
+    vertex_nodes, edge_nodes = node[:nv], node[nv:]
+
     cell_pnodes = vmap[part.leaf_tris]
     cell_nodes = np.concatenate([vertex_nodes[cell_pnodes], edge_nodes[part.leaf_edges]],
                                 axis=1)
@@ -248,15 +245,7 @@ def build_dofmap(part: Partition) -> DofMap:
     node_xy[edge_nodes] = 0.5 * (part.coords(edge_verts[:, 0])
                                  + part.coords(edge_verts[:, 1]))
 
-    bvert = np.unique(vmap[part.boundary_edge_verts])
-    boundary_nodes = np.unique(np.concatenate([vertex_nodes[bvert],
-                                               edge_nodes[part.boundary_edges]]))
-    free_node = np.ones(len(key), dtype=bool)
-    free_node[boundary_nodes] = False
-
-    interior_vmask = np.ones(nv, dtype=bool)
-    interior_vmask[bvert] = False
-    stable = part.n_leaves >= 3 and bool(interior_vmask[cell_pnodes].any(axis=1).all())
+    stable = part.n_leaves >= 3 and not on_boundary[cell_pnodes].all(axis=1).any()
     if not stable:
         warnings.warn(
             "partition violates the pressure-stability requirement "
@@ -270,8 +259,7 @@ def build_dofmap(part: Partition) -> DofMap:
         cell_pnodes=cell_pnodes,
         node_xy=node_xy,
         vertex_nodes=vertex_nodes,
-        boundary_nodes=boundary_nodes,
-        free_umask=np.repeat(free_node, 2),
+        n_free=len(key) - int(on_boundary.sum()),
         meets_stability=stable,
     )
 
@@ -289,11 +277,14 @@ class SolutionPair:
 
     u: np.ndarray
     p: np.ndarray
-    partition: Partition
     dofmap: DofMap
     residual: float = 0.0
     mean_multiplier: float = 0.0
     cg_iterations: int | None = None   # pressure CG iterations, set by ``solve``
+
+    @property
+    def partition(self) -> Partition:
+        return self.dofmap.partition
 
     def u_nodes(self) -> np.ndarray:
         """(n_nodes, 2) velocity values by scalar node."""
@@ -325,7 +316,7 @@ def interpolate(u_fn: VectorField, p_fn: ScalarField, dm: DofMap) -> SolutionPai
     p = np.asarray(p_fn(dm.node_xy[dm.vertex_nodes]), dtype=float).copy()
     w = _pressure_weights(dm)
     p -= (w @ p) / w.sum()
-    return SolutionPair(u=u, p=p, partition=dm.partition, dofmap=dm)
+    return SolutionPair(u=u, p=p, dofmap=dm)
 
 
 def transfer(coarse_dm: DofMap, fine_dm: DofMap) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -372,7 +363,7 @@ def prolong(coarse: SolutionPair, fine_dm: DofMap) -> SolutionPair:
     p2, p1 = transfer(coarse.dofmap, fine_dm)
     u = p2 @ coarse.u.reshape(coarse.dofmap.n_nodes, -1)
     return SolutionPair(u=u.reshape((fine_dm.n_u,) + coarse.u.shape[1:]),
-                        p=p1 @ coarse.p, partition=fine_dm.partition, dofmap=fine_dm)
+                        p=p1 @ coarse.p, dofmap=fine_dm)
 
 
 # -- point evaluation (tree descent; intended for diagnostics/tests) ------

@@ -34,6 +34,7 @@ from stokesafem.femspace import (
     tri_rule,
 )
 from stokesafem.mesh import (
+    l_shape_partition,
     partition_from_arrays,
     refine,
     two_triangle_square,
@@ -74,13 +75,11 @@ def quadrature_energy(part, dm, u_coeff):
 
 def dense_solve(system):
     """Independent route: dense LU of the saddle matrix with the mean row."""
-    kkt, rhs, free = saddle_matrix(system)
-    nf = int(free.sum())
+    kkt, rhs, nf = saddle_matrix(system)
     z = np.linalg.solve(kkt.toarray(), rhs)
     u = system.g_vec.copy()
-    u[free] = z[:nf]
-    return SolutionPair(u=u, p=z[nf:-1], partition=system.partition,
-                        dofmap=system.dofmap)
+    u[:nf] = z[:nf]
+    return SolutionPair(u=u, p=z[nf:-1], dofmap=system.dofmap)
 
 
 def test_stiffness_quadratic_form_matches_quadrature_oracle():
@@ -114,7 +113,7 @@ def test_divergence_row_sums_vanish_on_interior_velocities():
     ones = np.ones(dm.n_p)
     for _ in range(5):
         v = rng.standard_normal(dm.n_u)
-        v[~dm.free_umask] = 0.0
+        v[2 * dm.n_free:] = 0.0
         assert abs(ones @ (sysm.b_mat @ v)) <= 1e-12 * np.abs(v).max()
 
 
@@ -255,7 +254,7 @@ def test_blockwise_residual_matches_kkt_residual(problem, rounds, seed):
         part = refine(part, rng.choice(part.leaves, size=k, replace=False).tolist())
     dm = build_dofmap(part)
     sysm = assemble(part, dm, prob.f, prob.g)
-    kkt, rhs, free = saddle_matrix(sysm)
+    kkt, rhs, nf = saddle_matrix(sysm)
     m = sysm.mean_vec
 
     def kkt_residual(u_free, p):
@@ -266,10 +265,10 @@ def test_blockwise_residual_matches_kkt_residual(problem, rounds, seed):
 
     # an arbitrary pair, whose residual is far from round-off
     u = sysm.g_vec.copy()
-    u[free] = rng.standard_normal(int(free.sum()))
+    u[:nf] = rng.standard_normal(nf)
     p = rng.standard_normal(dm.n_p)
     resid, lam = assembly._saddle_residual(sysm, u, p)
-    ref, lam_ref = kkt_residual(u[free], p)
+    ref, lam_ref = kkt_residual(u[:nf], p)
     assert abs(resid - ref) <= 1e-12 * ref
     bu_scale = float(np.abs(m) @ np.abs(sysm.b_mat @ u)) / float(m @ m)
     assert abs(lam - lam_ref) <= 1e-12 * bu_scale
@@ -277,12 +276,12 @@ def test_blockwise_residual_matches_kkt_residual(problem, rounds, seed):
     # the solution passes, and its residual agrees at round-off level
     sol = solve(sysm)
     data = 1.0 + float(np.abs(rhs).max())
-    assert abs(sol.residual - kkt_residual(sol.u[free], sol.p)[0]) <= 1e-12 * data
+    assert abs(sol.residual - kkt_residual(sol.u[:nf], sol.p)[0]) <= 1e-12 * data
     # a perturbed zero-mean pressure trips the gate
     dp = rng.standard_normal(dm.n_p)
     dp -= (m @ dp) / m.sum()
     with pytest.raises(SolverFailure, match="residual"):
-        assembly._verified_pair(sysm, sol.u[free], sol.p + 1e-4 * data * dp, data)
+        assembly._verified_pair(sysm, sol.u[:nf], sol.p + 1e-4 * data * dp, data)
 
 
 def test_spurious_pressure_mode_raises():
@@ -361,7 +360,7 @@ def test_galerkin_orthogonality(mms):
     scale = np.sqrt(velocity_energy_sq(sysm, ex.u) + pressure_l2_sq(sysm, ex.p))
     for _ in range(10):
         v = rng.standard_normal(dm.n_u)
-        v[~dm.free_umask] = 0.0
+        v[2 * dm.n_free:] = 0.0
         q = rng.standard_normal(dm.n_p)
         vg = np.einsum("tbc,tqbl->tqcl", v.reshape(-1, 2)[dm.cell_nodes], phys)
         div_v = vg[:, :, 0, 0] + vg[:, :, 1, 1]
@@ -474,21 +473,75 @@ def test_fill_order_cuts_the_stiffness_factor(mms, monkeypatch):
     monkeypatch.setattr(assembly, "splu", spy)
     trace = uniform_run(mms, 10)
     dm = trace.final_solution.dofmap
-    fnode = np.flatnonzero(dm.free_umask[0::2])
-    k_ordered, nnz = [f for f in factors if f[0].shape[0] == len(fnode)][-1]
+    nf = dm.n_free
+    k_ordered, nnz = [f for f in factors if f[0].shape[0] == nf][-1]
     # each node's position in the former order: vertices, then edges
     former = np.empty(dm.n_nodes, dtype=np.int64)
     former[dm.vertex_nodes] = np.arange(dm.n_p)
     former[dm.cell_nodes[:, 3:]] = dm.n_p + dm.partition.leaf_edges
-    fnode_former = fnode[np.argsort(former[fnode])]
+    fnode_former = np.argsort(former[:nf])
     k_mat = assemble(dm.partition, dm, mms.f, mms.g).k_mat
     # SuperLU is handed the CSC view of K_ff's CSR arrays: its transpose
-    assert (k_ordered != k_mat[fnode][:, fnode].T).nnz == 0
+    assert (k_ordered != k_mat[:nf, :nf].T).nnz == 0
     k_former = k_mat[fnode_former][:, fnode_former]
     # the same matrix, permuted symmetrically
     assert k_ordered.nnz == k_former.nnz
     assert np.array_equal(np.sort(k_ordered.diagonal()), np.sort(k_former.diagonal()))
     assert nnz <= 0.8 * assembly._spd_lu(k_former).nnz
+
+
+@settings(max_examples=25, deadline=None)
+@given(root=st.sampled_from(["square", "lshape"]), rounds=st.integers(0, 5),
+       data=st.data())
+def test_free_blocks_match_the_former_mask_extraction(root, rounds, data):
+    # the former numbering, every node in factor order with the boundary
+    # nodes among the free ones, is this dofmap permuted; K_ff and B_f taken
+    # from it by the free mask are the leading blocks of this numbering
+    import dataclasses
+
+    part = {"square": unit_square_partition, "lshape": l_shape_partition}[root]()
+    for _ in range(rounds):
+        pos = data.draw(st.lists(st.integers(0, part.n_leaves - 1), min_size=1,
+                                 max_size=10, unique=True))
+        part = refine(part, part.leaves[pos])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dm = build_dofmap(part)
+    # the former order: ascending key, ties vertices first, then edges in
+    # lexicographic order
+    key = np.empty(dm.n_nodes, dtype=np.int64)
+    tie = np.empty(dm.n_nodes, dtype=np.int64)
+    key[dm.vertex_nodes] = 2 * part.active_vert_ids
+    tie[dm.vertex_nodes] = np.arange(dm.n_p)
+    key[dm.cell_nodes[:, 3:]] = part.edge_verts.sum(axis=1)[part.leaf_edges]
+    tie[dm.cell_nodes[:, 3:]] = dm.n_p + part.leaf_edges
+    former = np.empty(dm.n_nodes, dtype=np.int64)
+    former[np.lexsort((tie, key))] = np.arange(dm.n_nodes)
+    node_xy = np.empty_like(dm.node_xy)
+    node_xy[former] = dm.node_xy
+    # only the lift reads n_free, and no lift is assembled here
+    former_dm = dataclasses.replace(dm, cell_nodes=former[dm.cell_nodes],
+                                    vertex_nodes=former[dm.vertex_nodes],
+                                    node_xy=node_xy)
+
+    def zero(xy):
+        return np.zeros_like(xy)
+
+    new = assemble(part, dm, zero)
+    old = assemble(part, former_dm, zero)
+    nf = dm.n_free
+    free = np.zeros(dm.n_nodes, dtype=bool)
+    free[former[:nf]] = True
+    fnode = np.flatnonzero(free)
+    k_new, k_old = new.k_mat[:nf, :nf], old.k_mat[fnode][:, fnode]
+    b_new, b_old = new.b_mat[:, :2 * nf], old.b_mat[:, np.repeat(free, 2)]
+    for a, b in ((k_new, k_old), (b_new, b_old)):
+        a, b = a.sorted_indices(), b.sorted_indices()
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        np.testing.assert_allclose(a.data, b.data, rtol=1e-14,
+                                   atol=1e-14 * np.abs(b.data).max())
+    assert assembly._spd_lu(k_new).nnz == assembly._spd_lu(k_old).nnz
 
 
 def test_solve_converts_no_sparse_format(mms, monkeypatch):

@@ -232,7 +232,7 @@ def test_jump_scale_on_hand_built_ramp():
     xy = dm.node_xy
     u = np.zeros(dm.n_u)
     u[0::2] = np.maximum(xy[:, 1] - xy[:, 0], 0.0)
-    sol = SolutionPair(u=u, p=np.zeros(dm.n_p), partition=part, dofmap=dm)
+    sol = SolutionPair(u=u, p=np.zeros(dm.n_p), dofmap=dm)
     ind = compute_indicators(sol, zero_load(part))
     np.testing.assert_allclose(ind.jump, [4.0], rtol=1e-14)
     assert ind.vol == pytest.approx([0.0, 0.0], abs=1e-25)

@@ -132,14 +132,14 @@ def test_dofmap_counts_two_triangle_square():
     assert not dm.meets_stability
     # all four corner vertices and four rim midpoints are boundary nodes;
     # only the diagonal midpoint is interior
-    assert len(dm.boundary_nodes) == 8
-    assert dm.free_umask.sum() == 2
+    assert dm.n_nodes - dm.n_free == 8
+    assert dm.n_free == 1
 
 
 def test_dofmap_counts_match_euler():
     p = uniform_refine(unit_square_partition(), 3)
     dm = build_dofmap(p)
-    v, e, t = dm.n_vertices, dm.n_edges, p.n_leaves
+    v, e, t = dm.n_vertices, p.n_edges, p.n_leaves
     assert v - e + t == 1
     assert dm.n_u == 2 * (v + e)
     assert dm.n_p == v
@@ -181,14 +181,19 @@ def test_dofmap_edge_numbering_matches_former_route(root, rounds, data):
         part = refine(part, part.leaves[pos])
     dm = build_dofmap(part)
     edge_verts, cell_nodes, boundary_nodes = reference_edge_numbering(part)
-    # the factor order: ascending key, 2 v for vertex v and a + b for the
-    # node of edge (a, b), ties in the former order
+    # free nodes first, then boundary nodes, each block in the factor order:
+    # ascending key, 2 v for vertex v and a + b for the node of edge (a, b),
+    # ties in the former order
     key = np.concatenate([2 * part.active_vert_ids, edge_verts.sum(axis=1)])
+    free = np.setdiff1d(np.arange(len(key)), boundary_nodes)
+    order = np.concatenate([block[np.argsort(key[block], kind="stable")]
+                            for block in (free, boundary_nodes)])
     node = np.empty(len(key), dtype=np.int64)
-    node[np.argsort(key, kind="stable")] = np.arange(len(key))
-    assert np.array_equal(dm.edge_verts, edge_verts)
+    node[order] = np.arange(len(key))
+    assert np.array_equal(part.edge_verts, edge_verts)
     assert np.array_equal(dm.cell_nodes, node[cell_nodes])
-    assert np.array_equal(dm.boundary_nodes, np.sort(node[boundary_nodes]))
+    assert dm.n_free == len(free)
+    assert np.array_equal(np.sort(node[boundary_nodes]), np.arange(dm.n_free, dm.n_nodes))
 
 
 @settings(max_examples=30, deadline=None)
@@ -202,11 +207,14 @@ def test_vertex_nodes_and_free_mask(root, rounds, data):
         part = refine(part, part.leaves[pos])
     dm = build_dofmap(part)
     assert np.array_equal(dm.node_xy[dm.vertex_nodes], part.coords(part.active_vert_ids))
-    # the former construction: velocity dofs of the boundary nodes, masked out
-    b = dm.boundary_nodes
-    mask = np.ones(dm.n_u, dtype=bool)
-    mask[np.sort(np.concatenate([2 * b, 2 * b + 1]))] = False
-    assert np.array_equal(dm.free_umask, mask)
+    # the nodes on the boundary edges, by their leaves: the corners of each
+    # boundary edge and the edge node opposite it are exactly the nodes
+    # numbered n_free and after
+    tris, local = np.nonzero(np.isin(part.leaf_edges, part.boundary_edges))
+    corners = dm.cell_nodes[tris[:, None], (local[:, None] + [1, 2]) % 3]
+    on_boundary = np.unique(np.concatenate([corners.reshape(-1),
+                                            dm.cell_nodes[tris, 3 + local]]))
+    assert np.array_equal(on_boundary, np.arange(dm.n_free, dm.n_nodes))
 
 
 def test_dofmap_cell_tables_are_consistent():

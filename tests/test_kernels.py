@@ -69,7 +69,7 @@ def refine_randomly(part, rounds: int, rng):
 
 def random_pair(dm, rng) -> SolutionPair:
     return SolutionPair(u=rng.standard_normal(dm.n_u), p=rng.standard_normal(dm.n_p),
-                        partition=dm.partition, dofmap=dm)
+                        dofmap=dm)
 
 
 # -- the quadrature oracle -------------------------------------------------
@@ -309,8 +309,7 @@ def test_prolong_of_stack_equals_columnwise(root, rounds, seed, more, width):
     cdm = build_dofmap(coarse)
     pairs = [random_pair(cdm, rng) for _ in range(width)]
     stack = SolutionPair(u=np.column_stack([s.u for s in pairs]),
-                         p=np.column_stack([s.p for s in pairs]),
-                         partition=coarse, dofmap=cdm)
+                         p=np.column_stack([s.p for s in pairs]), dofmap=cdm)
     fine_dm = build_dofmap(refine_randomly(coarse, more, rng))
     lifted = prolong(stack, fine_dm)
     assert lifted.u.shape == (fine_dm.n_u, width)
