@@ -284,6 +284,8 @@ def uniform_run(problem: ProblemDef | str, levels: int,
         raise ValueError("levels must be >= 0")
     if estimator not in ESTIMATOR_KINDS:
         raise ValueError(f"estimator must be one of {ESTIMATOR_KINDS}")
+    if max_dofs < 1:
+        raise ValueError("max_dofs must be >= 1")
     return _run(prob, "uniform", estimator, 1.0,
                 lambda k, part, ind, eta_sq: (np.arange(part.n_leaves), 1.0),
                 levels + 1, max_dofs, monitors)

@@ -130,25 +130,27 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     f_q = load_at_quadrature(part, f)
     if not np.isfinite(f_q).all():
         raise SolverFailure("non-finite load data at the quadrature points")
-    rhs = np.bincount(dm.cell_udofs().reshape(-1),
+    # velocity dof 2 * node + component, (T, 6, 2) per element
+    nodes, pnodes = dm.cell_nodes, dm.cell_pnodes
+    udofs = 2 * nodes[:, :, None] + np.arange(2)
+    rhs = np.bincount(udofs.reshape(-1),
                       weights=(det[:, None, None] * (_LOAD_REF @ f_q)).reshape(-1),
                       minlength=nu)
 
     # each matrix's local blocks and index arrays are made in its ``_csr``
     # call and die with it, before the next matrix is built
-    nodes, pnodes = dm.cell_nodes, dm.cell_pnodes
     binv_t = part.binv.transpose(0, 2, 1)
     # scalar quadratic stiffness: det * sum_kl (B^-1 B^-T)_kl R_kl
     k_mat = _csr(det[:, None] * ((part.binv @ binv_t).reshape(T, 4) @ _STIFF_REF),
                  np.repeat(nodes, 6, axis=1), np.tile(nodes, (1, 6)), (nn, nn))
     # divergence pairing det * B^-T Q, one (3, 6) block per velocity
-    # component l, in column 2 * node + l
+    # component l, in column udofs[:, :, l]
     shape = (T, 2, 3, 6)
     b_mat = _csr(det[:, None, None] * (binv_t @ _DIV_REF),
                  np.broadcast_to(pnodes[:, None, :, None], shape),
-                 np.broadcast_to(2 * nodes[:, None, None, :]
-                                 + np.arange(2)[:, None, None], shape),
+                 np.broadcast_to(udofs.transpose(0, 2, 1)[:, :, None, :], shape),
                  (np_, nu))
+    del udofs
     mass_p = _csr(det[:, None] * _MASS_REF, np.repeat(pnodes, 3, axis=1),
                   np.tile(pnodes, (1, 3)), (np_, np_))
     mean_vec = np.asarray(mass_p.sum(axis=1)).ravel()

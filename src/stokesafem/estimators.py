@@ -116,16 +116,18 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
 
     # trace integral over the element boundary; edge i joins the corners
     # _NEXT[i] and _PREV[i]
-    elen = np.linalg.norm(part.corner_xy[:, _NEXT] - part.corner_xy[:, _PREV], axis=2)
+    edge_vec = part.corner_xy[:, _PREV] - part.corner_xy[:, _NEXT]    # (T, 3, 2)
+    elen = np.linalg.norm(edge_vec, axis=2)
     dj, dk = div_v[:, _NEXT], div_v[:, _PREV]
     div_edge = np.sqrt(area) * (elen * (dj * dj + dj * dk + dk * dk)).sum(axis=1) / 3.0
 
     # normal-derivative jumps across interior edges; the jump of the affine
-    # gradient is integrated exactly from its values at the edge endpoints
-    e_verts = part.interior_edge_verts
+    # gradient is integrated exactly from its values at the edge endpoints.
+    # The tangent is read from the first leaf, so its sign depends on that
+    # leaf's orientation; the jumps enter only squared and as products.
     e_elems = part.interior_edge_elems
-    tang = part.coords(e_verts[:, 1]) - part.coords(e_verts[:, 0])
-    elen = np.linalg.norm(tang, axis=1)
+    side0 = (e_elems[:, 0], part.interior_edge_local[:, 0])
+    tang, elen = edge_vec[side0], elen[side0]
     normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
     g_end = grad_v[e_elems[:, :, None], _edge_end_corners(part)]  # (m, 2, 2, 2, 2)
     j_end = ((g_end[:, 0] - g_end[:, 1]) @ normal[:, None, :, None])[..., 0]
@@ -143,15 +145,11 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
 
 def _edge_end_corners(part: Partition) -> np.ndarray:
     """(m, side, end) local corner of each interior edge's endpoints in its
-    two elements, the endpoint with the lower vertex id first, as in
-    ``interior_edge_verts``.  The edge table gives the edge's local index
-    in each element; the edge opposite corner i joins _NEXT[i] and _PREV[i].
+    two elements, the endpoint with the lower vertex id first.  The edge
+    table's ``interior_edge_local`` gives the edge's local index in each
+    element; the edge opposite corner i joins _NEXT[i] and _PREV[i].
     """
-    e_elems = part.interior_edge_elems
-    interior = np.ones(part.n_edges, dtype=bool)
-    interior[part.boundary_edges] = False
-    rows = np.flatnonzero(interior)[:, None, None]
-    opp = np.argmax(part.leaf_edges[e_elems] == rows, axis=2)      # (m, 2)
+    e_elems, opp = part.interior_edge_elems, part.interior_edge_local
     c1, c2 = _NEXT[opp], _PREV[opp]
     tris = part.leaf_tris.ravel()
     swap = tris[3 * e_elems + c1] > tris[3 * e_elems + c2]

@@ -198,14 +198,6 @@ class DofMap:
     def n_dofs(self) -> int:
         return self.n_u + self.n_p
 
-    def cell_udofs(self) -> np.ndarray:
-        """(T, 12) velocity dofs per element, components interleaved."""
-        nodes = self.cell_nodes
-        out = np.empty((len(nodes), 12), dtype=np.int64)
-        out[:, 0::2] = 2 * nodes
-        out[:, 1::2] = 2 * nodes + 1
-        return out
-
 
 def build_dofmap(part: Partition) -> DofMap:
     """Construct the Taylor-Hood dof tables for a conforming partition.

@@ -11,8 +11,17 @@ refinement edge is one of the parent's two non-refinement edges.
 new conforming snapshot; ``bisect`` performs a single raw bisection (the
 result may be non-conforming, which the structural check detects); ``overlay``
 returns the smallest common refinement of two snapshots over the same initial
-partition.  Edges are keyed by the integer code ``lo << 32 | hi`` of their
-sorted vertex pair everywhere.
+partition: the leaves of each that lie inside a leaf of the other.  Edges are
+keyed by the integer code ``lo << 32 | hi`` of their sorted vertex pair
+everywhere.
+
+Every ancestry query ("which element of this set contains it?") goes through
+one walk, ``Forest.ancestor_in``: ``Partition.ancestor_leaf_in``, ``overlay``
+and the bucket guard of threshold refinement.  A snapshot's edge table
+comes from one sort of its leaves' edge codes and stores, per edge, its one
+or two leaf slots ``3k + i`` (leaf k, the edge opposite its local vertex i),
+so ``interior_edge_elems`` and ``interior_edge_local`` read the adjacent
+leaves and the edge's local index in each from the same sort.
 
 ``refine`` runs three NumPy steps over the input snapshot's edge table
 (Funken, Praetorius & Wissgott, CMAM 11, 2011): mark the refinement edge of
@@ -95,8 +104,9 @@ def _split_codes(codes: np.ndarray) -> np.ndarray:
 def _edge_table(tris: np.ndarray) -> dict:
     """Distinct edges of a triangle list from one sort of their codes: the
     ascending codes, how many triangles have each, the edge opposite each
-    local vertex, and each edge's first two triangles in ascending order
-    (-1 where there is one)."""
+    local vertex, and each edge's first two slots in ascending order (-1
+    where there is one), slot 3k + i being the edge of triangle k opposite
+    its local vertex i."""
     n = len(tris)
     code = _edge_codes(tris)
     o = np.argsort(code)
@@ -108,16 +118,16 @@ def _edge_table(tris: np.ndarray) -> dict:
     counts = np.diff(start, append=len(code_s))
     edge_index = np.empty(len(code_s), dtype=np.int64)
     edge_index[o] = np.repeat(np.arange(len(start)), counts)
-    first = o[start] // 3
-    second = o[np.minimum(start + 1, len(o) - 1)] // 3
+    first = o[start]
+    second = o[np.minimum(start + 1, len(o) - 1)]
     paired = counts > 1
-    elems = np.stack([np.where(paired, np.minimum(first, second), first),
+    slots = np.stack([np.where(paired, np.minimum(first, second), first),
                       np.where(paired, np.maximum(first, second), -1)], axis=1)
     return {
         "edge_codes": code_s[start],
         "edge_counts": counts,
         "edge_index": edge_index.reshape(n, 3),
-        "edge_elems": elems,
+        "edge_slots": slots,
         "n_bad": int((counts > 2).sum()),
     }
 
@@ -201,6 +211,25 @@ class Forest:
     @property
     def root(self) -> np.ndarray:
         return _rows(self._root, self.n_elements)
+
+    def ancestor_in(self, elems: np.ndarray, mask: np.ndarray,
+                    strict: bool = False) -> np.ndarray:
+        """For each of ``elems``, its nearest ancestor flagged in the
+        forest-length boolean ``mask``, or -1 if there is none.  The element
+        itself counts unless ``strict``.  Every chain goes up one level per
+        step and is dropped at its first hit."""
+        parent = self.parent
+        elems = np.asarray(elems, dtype=np.int64)
+        hit = np.full(len(elems), -1, dtype=np.int64)
+        live = np.arange(len(elems))
+        anc = parent[elems] if strict else elems
+        while len(live):
+            keep = anc >= 0
+            live, anc = live[keep], anc[keep]
+            found = mask[anc]
+            hit[live[found]] = anc[found]
+            live, anc = live[~found], parent[anc[~found]]
+        return hit
 
     def midpoints(self, codes: np.ndarray, on_boundary: np.ndarray) -> np.ndarray:
         """Midpoint vertex of each edge in ``codes`` (distinct, ascending).
@@ -302,8 +331,8 @@ class Partition:
         """(n, 3) vertex ids per leaf; refinement edge is (v0, v1)."""
         return self.forest.tri[self.leaves]
 
-    @cached_property
-    def is_leaf_mask(self) -> np.ndarray:
+    def forest_mask(self) -> np.ndarray:
+        """Fresh leaf flags over the forest's elements as it is now."""
         mask = np.zeros(self.forest.n_elements, dtype=bool)
         mask[self.leaves] = True
         return mask
@@ -395,8 +424,15 @@ class Partition:
 
     @cached_property
     def interior_edge_elems(self) -> np.ndarray:
-        """(m, 2) positions into ``leaves`` of the two adjacent elements."""
-        return self._edge_tables["edge_elems"][self._interior]
+        """(m, 2) positions into ``leaves`` of the two leaves at each interior
+        edge, the lower first: the edge table's slots ``// 3``."""
+        return self._edge_tables["edge_slots"][self._interior] // 3
+
+    @cached_property
+    def interior_edge_local(self) -> np.ndarray:
+        """(m, 2) local index of each interior edge in those two leaves, the
+        edge lying opposite that local vertex: the slots ``% 3``."""
+        return self._edge_tables["edge_slots"][self._interior] % 3
 
     @cached_property
     def boundary_edge_verts(self) -> np.ndarray:
@@ -484,7 +520,7 @@ class Partition:
         f = self.forest
         verts, tri = f.verts, f.tri
         child0, child1 = f.child0, f.child1
-        leaf_mask = self.is_leaf_mask
+        leaf_mask = self.forest_mask()
         out = np.full(len(pts), -1, dtype=np.int64)
 
         def inside(t: int, x: float, y: float) -> bool:
@@ -512,27 +548,19 @@ class Partition:
         return out
 
     def ancestor_leaf_in(self, coarse: "Partition") -> np.ndarray:
-        """For each leaf, the id of the ``coarse`` leaf containing it.
+        """For each leaf, the id of the ``coarse`` leaf containing it: its
+        nearest ancestor (itself included) among ``coarse``'s leaves, found
+        by ``Forest.ancestor_in``.
 
         Raises ``ValueError`` unless ``coarse`` is a (weak) coarsening of this
         partition over the same forest.
         """
         if coarse.forest is not self.forest:
             raise ValueError("partitions belong to different forests")
-        parent = self.forest.parent
-        mask = np.zeros(len(parent), dtype=bool)
-        mask[coarse.leaves] = True
-        anc = self.leaves.copy()
-        # a leaf of generation g reaches its root after g steps
-        for _ in range(int(self.generations.max(initial=0)) + 1):
-            todo = ~mask[anc]
-            if not todo.any():
-                return anc
-            up = parent[anc[todo]]
-            if (up < 0).any():
-                break
-            anc[todo] = up
-        raise ValueError("partition is not a refinement of the given one")
+        anc = self.forest.ancestor_in(self.leaves, coarse.forest_mask())
+        if (anc < 0).any():
+            raise ValueError("partition is not a refinement of the given one")
+        return anc
 
 
 # -- snapshot-producing operations --------------------------------------
@@ -595,8 +623,9 @@ def refine(part: Partition, marked: Iterable[int]) -> Partition:
     t = part._edge_tables
     edge_index = t["edge_index"]
     ref_edge = edge_index[:, 2]
+    # -1 // 3 == -1, so an edge's missing second leaf stays -1
     emark = _close_marks(np.unique(ref_edge[np.searchsorted(leaves, marked)]),
-                         ref_edge, t["edge_elems"])
+                         ref_edge, t["edge_slots"] // 3)
     # every marked edge is split, in one round or the other
     split = np.flatnonzero(emark)
     mid = np.full(len(emark), -1, dtype=np.int64)
@@ -612,10 +641,8 @@ def refine(part: Partition, marked: Iterable[int]) -> Partition:
     grandkids = f.split(kids[again][order], mid[kid_edge[again][order]])
     out = Partition(f, np.concatenate([leaves[~emark[ref_edge]], kids[~again],
                                        grandkids.ravel()]))
-    n = f.n_elements
-    in_out = np.zeros(n, dtype=bool)
-    in_out[out.leaves] = True
-    refined = np.zeros(n, dtype=bool)
+    in_out = out.forest_mask()
+    refined = np.zeros(len(in_out), dtype=bool)
     refined[leaves[pos]] = True
     refined[kids[again]] = True
     # monotone nesting: the dropped input leaves are exactly the refined ones
@@ -640,30 +667,15 @@ def bisect(part: Partition, elem: int) -> Partition:
 
 
 def overlay(p: Partition, q: Partition) -> Partition:
-    """Smallest common refinement: per root, the union of both bisection trees."""
+    """Smallest common refinement, the union of both bisection trees: its
+    leaves are the leaves of ``p`` that lie inside a leaf of ``q`` and the
+    leaves of ``q`` that lie inside a leaf of ``p``."""
     if p.forest is not q.forest:
         raise ValueError("overlay requires partitions over the same initial partition")
     f = p.forest
-    p_mask = np.zeros(f.n_elements, dtype=bool)
-    p_mask[p.leaves] = True
-    q_mask = np.zeros(f.n_elements, dtype=bool)
-    q_mask[q.leaves] = True
-    child0, child1 = f.child0.tolist(), f.child1.tolist()
-    out: list[int] = []
-    # (element, active-in-P-tree, active-in-Q-tree), preorder walk
-    stack: list[tuple[int, bool, bool]] = [
-        (r, True, True) for r in reversed(range(f.n_roots))
-    ]
-    while stack:
-        t, p_act, q_act = stack.pop()
-        p_int = p_act and not p_mask[t]
-        q_int = q_act and not q_mask[t]
-        if p_int or q_int:
-            stack.append((child1[t], p_int, q_int))
-            stack.append((child0[t], p_int, q_int))
-        else:
-            out.append(t)
-    result = Partition(f, np.asarray(out, dtype=np.int64))
+    inside_q = f.ancestor_in(p.leaves, q.forest_mask()) >= 0
+    inside_p = f.ancestor_in(q.leaves, p.forest_mask()) >= 0
+    result = Partition(f, np.union1d(p.leaves[inside_q], q.leaves[inside_p]))
     if result.n_leaves > p.n_leaves + q.n_leaves - f.n_roots:
         raise RefinementError("overlay cardinality bound violated")
     return result

@@ -118,24 +118,13 @@ def _bucket_indices(areas: np.ndarray) -> np.ndarray:
 
 
 def _assert_bucket_disjoint(forest, bucket_members) -> None:
-    parent = forest.parent
-    in_bucket = np.zeros(len(parent), dtype=bool)
+    in_bucket = np.zeros(forest.n_elements, dtype=bool)
     for j, members in bucket_members.items():
         members = np.asarray(members, dtype=np.int64)
         in_bucket[members] = True
         if np.count_nonzero(in_bucket) != len(members):
             raise AssertionError(f"bucket {j}: element marked twice")
-        # walk every member's ancestor chain one level per step, recording
-        # the nearest marked ancestor
-        hit = np.full(len(members), -1, dtype=np.int64)
-        live = np.arange(len(members))
-        anc = parent[members]
-        while len(live):
-            keep = anc >= 0
-            live, anc = live[keep], anc[keep]
-            marked = in_bucket[anc]
-            hit[live[marked]] = anc[marked]
-            live, anc = live[~marked], parent[anc[~marked]]
+        hit = forest.ancestor_in(members, in_bucket, strict=True)
         in_bucket[members] = False
         bad = np.flatnonzero(hit >= 0)
         if len(bad):

@@ -10,6 +10,9 @@ Its ids follow the order of the recursive completion, not ``mesh``'s id
 rule, so the two implementations are compared as geometry.  The forest's
 array properties let ``mesh.Partition`` read it, so snapshots and their
 conformity checks are shared.
+
+``overlay`` is the preorder stack walk over the ``child0``/``child1`` lists
+that ``mesh.overlay`` replaced, kept verbatim; it reads a ``mesh.Forest``.
 """
 
 from __future__ import annotations
@@ -217,3 +220,33 @@ def bisect(part: Partition, elem: int) -> Partition:
     b = Builder(part)
     b.bisect_leaf(int(elem))
     return b.snapshot()
+
+
+def overlay(p: Partition, q: Partition) -> Partition:
+    """Smallest common refinement: per root, the union of both bisection trees."""
+    if p.forest is not q.forest:
+        raise ValueError("overlay requires partitions over the same initial partition")
+    f = p.forest
+    p_mask = np.zeros(f.n_elements, dtype=bool)
+    p_mask[p.leaves] = True
+    q_mask = np.zeros(f.n_elements, dtype=bool)
+    q_mask[q.leaves] = True
+    child0, child1 = f.child0.tolist(), f.child1.tolist()
+    out: list[int] = []
+    # (element, active-in-P-tree, active-in-Q-tree), preorder walk
+    stack: list[tuple[int, bool, bool]] = [
+        (r, True, True) for r in reversed(range(f.n_roots))
+    ]
+    while stack:
+        t, p_act, q_act = stack.pop()
+        p_int = p_act and not p_mask[t]
+        q_int = q_act and not q_mask[t]
+        if p_int or q_int:
+            stack.append((child1[t], p_int, q_int))
+            stack.append((child0[t], p_int, q_int))
+        else:
+            out.append(t)
+    result = Partition(f, np.asarray(out, dtype=np.int64))
+    if result.n_leaves > p.n_leaves + q.n_leaves - f.n_roots:
+        raise RefinementError("overlay cardinality bound violated")
+    return result

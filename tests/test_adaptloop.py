@@ -494,6 +494,12 @@ def test_uniform_run_respects_dof_cap():
     assert len(trace.rows) < 11
 
 
+@pytest.mark.parametrize("max_dofs", [0, -5])
+def test_uniform_run_rejects_dof_cap_below_one(max_dofs):
+    with pytest.raises(ValueError, match="max_dofs must be >= 1"):
+        uniform_run("smooth-mms", levels=2, max_dofs=max_dofs)
+
+
 def test_qo_monitor_without_exact():
     cfg = AdaptiveConfig(problem="lshape-smoothf", estimator="eta1",
                          max_dofs=1500)

@@ -169,6 +169,16 @@ def test_exit_code_on_config_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("mode", ["adaptive", "uniform"])
+@pytest.mark.parametrize("max_dofs", ["0", "-5"])
+def test_dof_cap_below_one_exits_2_without_trace(tmp_path, capsys, mode, max_dofs):
+    rc = main(["run", "--mode", mode, "--levels", "2", "--max-dofs", max_dofs,
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "max_dofs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_exit_code_on_solver_failure(monkeypatch, capsys, tmp_path):
     def boom(cfg, problem=None):
         raise SolverFailure("iteration 0: factorization produced nonfinite values")

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokesafem.assembly import assemble
 from stokesafem.femspace import (
     P1_GRADS,
     P2_HESSIANS,
@@ -229,9 +230,15 @@ def test_dofmap_cell_tables_are_consistent():
         0.5 * (xy[:, 0] + xy[:, 1]),
     ], axis=1)
     assert np.allclose(dm.node_xy[dm.cell_nodes[:, 3:]], mids)
-    # interleaved dof layout
-    ud = dm.cell_udofs()
-    assert np.array_equal(ud[:, 0::2] + 1, ud[:, 1::2])
+    # velocity dof 2 * node + component: a unit x-load loads the even dofs
+    # and a unit y-load the odd ones, node by node the same
+    def unit(c):
+        return lambda xy: np.repeat(np.eye(2)[c][None], len(xy), axis=0)
+
+    ex, ey = assemble(p, dm, unit(0)).rhs, assemble(p, dm, unit(1)).rhs
+    assert not ex[1::2].any() and not ey[0::2].any()
+    np.testing.assert_array_equal(ex[0::2], ey[1::2])
+    assert ex.sum() == pytest.approx(p.total_area)
 
 
 def test_dofmap_requires_conforming():

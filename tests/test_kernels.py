@@ -123,7 +123,8 @@ def oracle_assemble(part, dm, f):
     fq = np.asarray(f(xq.reshape(-1, 2)), dtype=float).reshape(T, nq, 2)
     load_loc = np.einsum("tq,qb,tqc->tbc", wdet, p2_values(ref_pts), fq)
     rhs = np.zeros(dm.n_u)
-    np.add.at(rhs, dm.cell_udofs().reshape(-1), load_loc.reshape(-1))
+    udofs = 2 * dm.cell_nodes[:, :, None] + np.arange(2)      # (T, 6, 2)
+    np.add.at(rhs, udofs.reshape(-1), load_loc.reshape(-1))
     return a_mat, b_mat, mass_p, rhs
 
 

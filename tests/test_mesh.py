@@ -584,6 +584,76 @@ def test_ancestor_leaf_lookup():
         p.ancestor_leaf_in(q)   # p is coarser, not a refinement of q
 
 
+def test_ancestor_in_strict_and_not():
+    part = unit_square_partition()
+    f = part.forest
+    # the chain r -> c -> g: a root, its first child and its first grandchild
+    r = int(part.leaves[0])
+    half = bisect(part, r)
+    c = int(f.child0[r])
+    bisect(half, c)
+    g = int(f.child0[c])
+    other = int(part.leaves[1])
+    elems = np.array([g, c, r, other])
+    # flagged elements -> (nearest ancestor, nearest proper ancestor)
+    cases = {(r,): ([r, r, r, -1], [r, r, -1, -1]),
+             (r, c): ([c, c, r, -1], [c, r, -1, -1]),
+             (g, other): ([g, -1, -1, other], [-1, -1, -1, -1]),
+             (): ([-1] * 4, [-1] * 4)}
+    for flagged, (loose, strict) in cases.items():
+        mask = np.zeros(f.n_elements, dtype=bool)
+        mask[list(flagged)] = True
+        assert f.ancestor_in(elems, mask).tolist() == loose
+        assert f.ancestor_in(elems, mask, strict=True).tolist() == strict
+    assert f.ancestor_in(np.empty(0, dtype=np.int64), mask).tolist() == []
+
+
+def test_ancestor_leaf_in_after_the_forest_grew():
+    coarse = refine(unit_square_partition(), [0])
+    # the coarse leaf flags are read before the forest grows
+    assert coarse.forest_mask().sum() == coarse.n_leaves
+    assert (coarse.locate(coarse.corner_xy.mean(axis=1)) == coarse.leaves).all()
+    fine = uniform_refine(coarse, 2)
+    anc = fine.ancestor_leaf_in(coarse)
+    np.testing.assert_array_equal(anc, coarse.locate(fine.corner_xy.mean(axis=1)))
+    np.testing.assert_array_equal(overlay(coarse, fine).leaves, fine.leaves)
+
+
+def assert_slots_name_their_edges(part):
+    interior = np.setdiff1d(np.arange(part.n_edges), part.boundary_edges)
+    elems, local = part.interior_edge_elems, part.interior_edge_local
+    assert len(elems) == len(interior)
+    assert (elems[:, 0] < elems[:, 1]).all()
+    for s in (0, 1):
+        np.testing.assert_array_equal(part.leaf_edges[elems[:, s], local[:, s]],
+                                      interior)
+
+
+@settings(max_examples=30, deadline=None)
+@given(root=st.sampled_from(["square", "lshape"]), rounds=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_edge_slots_name_each_interior_edge(root, rounds, seed):
+    rng = np.random.default_rng(seed)
+    part = {"square": unit_square_partition, "lshape": l_shape_partition}[root]()
+    assert_slots_name_their_edges(part)
+    for _ in range(rounds):
+        k = rng.integers(1, part.n_leaves + 1)
+        part = refine(part, rng.choice(part.leaves, size=k, replace=False))
+        assert_slots_name_their_edges(part)
+    # the same mesh from arrays, whose edge table partition_from_arrays
+    # injects: vertices permuted, triangles rotated
+    ids = part.active_vert_ids
+    perm = rng.permutation(len(ids))
+    renum = np.full(part.forest.n_vertices, -1, dtype=np.int64)
+    renum[ids] = perm
+    xy = np.empty((len(ids), 2))
+    xy[perm] = part.coords(ids)
+    tris = renum[part.leaf_tris]
+    turn = (rng.integers(0, 3, (len(tris), 1)) + np.arange(3)) % 3
+    assert_slots_name_their_edges(
+        partition_from_arrays(xy, np.take_along_axis(tris, turn, axis=1)))
+
+
 # -- file round trip -----------------------------------------------------
 
 

@@ -11,6 +11,10 @@ coordinates in label order with their generation, every forest element the
 same way, the forest's vertex coordinates and its boundary segments.  Marks
 are carried to the reference as the leaves of the same geometry, and
 exception messages are compared with their ids read as coordinates.
+
+``mesh.overlay`` is compared with the preorder walk it replaced
+(``_refine_reference.overlay``) on two branches of one package forest, so
+there the leaf ids are compared directly.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from stokesafem.mesh import (
     RefinementError,
     bisect,
     l_shape_partition,
+    overlay,
     refine,
     two_triangle_square,
     unit_square_partition,
@@ -174,3 +179,28 @@ def test_uniform_refinement_matches_reference(root):
         new, old = refine(new, new.leaves), ref.refine(old, old.leaves)
     assert_same(new, old)
 
+
+def grow(data, part):
+    """A branch from the conforming ``part``: up to three refinements with
+    random marks, then up to two raw bisections (possibly non-conforming)."""
+    for _ in range(data.draw(st.integers(0, 3))):
+        part = refine(part, draw_marks(data, part))
+    for _ in range(data.draw(st.integers(0, 2))):
+        part = bisect(part, data.draw(st.sampled_from(part.leaves.tolist())))
+    return part
+
+
+@settings(max_examples=80, deadline=None)
+@given(root=st.sampled_from(sorted(ROOTS)), trunk=st.integers(0, 2), data=st.data())
+def test_overlay_matches_preorder_walk(root, trunk, data):
+    base = ROOTS[root]()
+    for _ in range(trunk):
+        base = refine(base, draw_marks(data, base))
+    p, q = grow(data, base), grow(data, base)
+    for a, b in ((p, q), (q, p), (p, p), (p, base)):
+        got = outcome(overlay, a, b)
+        want = outcome(ref.overlay, a, b)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got.leaves, want.leaves)
