@@ -104,6 +104,9 @@ class AdaptiveConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must be in (0, 1], got {self.theta}")
+        # false for NaN, which would switch the tolerance off
+        if not 0.0 <= self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be finite and >= 0, got {self.rel_tol}")
         if self.estimator not in ESTIMATOR_KINDS:
             raise ValueError(f"estimator must be one of {ESTIMATOR_KINDS}")
         if self.max_iterations < 1:

@@ -436,7 +436,12 @@ def error_norms(sol: SolutionPair, exact, *,
     xq = quad_points(part).reshape(-1, 2)
     grad_ex = np.asarray(exact.grad_u(xq), dtype=float).reshape(T, -1, 4)
     diff = grad_ex - grad_h
-    err_u_sq = float((wdet * (diff * diff).sum(axis=2)).sum())
+    # the four entries squared and added left to right, as the reduction
+    # over that axis adds them, without a (T, nq, 4) temporary
+    diff_sq = diff[:, :, 0] * diff[:, :, 0]
+    for k in range(1, 4):
+        diff_sq = diff_sq + diff[:, :, k] * diff[:, :, k]
+    err_u_sq = float((wdet * diff_sq).sum())
 
     p_h = sol.p[dm.cell_pnodes] @ _P1_Q.T
     p_ex = np.asarray(exact.p(xq), dtype=float).reshape(T, -1)

@@ -61,14 +61,19 @@ class ElementIndicators:
 def element_oscillation(part: Partition, fq: np.ndarray) -> np.ndarray:
     """(T,) h^2 ||f - mean(f)||^2 per element from (T, nq, 2) quadrature values.
 
-    The quadrature points are added one by one rather than by a BLAS
-    matrix-vector product, whose summation order may depend on the batch,
-    so each value depends only on its own element, bit for bit.
+    The two load components are handled one at a time, and the squared
+    deviation is their sum ``dx * dx + dy * dy``, the same operations in the
+    same order as a reduction over the length-2 axis but without
+    broadcasting (T, nq, 2) temporaries.  The quadrature points are added
+    one by one rather than by a BLAS matrix-vector product, whose summation
+    order may depend on the batch, so each value depends only on its own
+    element, bit for bit.
     """
     w = tri_rule().tri_weights
     f_mean = part.det[:, None] * (w @ fq) / part.areas[:, None]
-    dev = fq - f_mean[:, None, :]
-    dev_sq = (dev * dev).sum(axis=2)
+    dx = fq[:, :, 0] - f_mean[:, :1]
+    dy = fq[:, :, 1] - f_mean[:, 1:]
+    dev_sq = dx * dx + dy * dy
     quad = dev_sq[:, 0] * w[0]
     for q in range(1, len(w)):
         quad = quad + dev_sq[:, q] * w[q]
@@ -102,8 +107,11 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
     # gradient of the linear pressure is constant per element
     grad_p = ((pcoeff @ P1_GRADS)[:, None, :] @ binv)[:, 0]       # (T, 2)
 
-    resid = fq + (lap_u - grad_p)[:, None, :]
-    vol = h_sq * part.det * ((resid * resid).sum(axis=2) @ tri_rule().tri_weights)
+    # the residual per component, squared and summed as over a length-2 axis
+    shift = lap_u - grad_p
+    rx = fq[:, :, 0] + shift[:, :1]
+    ry = fq[:, :, 1] + shift[:, 1:]
+    vol = h_sq * part.det * ((rx * rx + ry * ry) @ tri_rule().tri_weights)
     osc = element_oscillation(part, fq)
 
     grad_v = corner_gradients(sol) if corner_grads is None else corner_grads
@@ -117,7 +125,8 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
     # trace integral over the element boundary; edge i joins the corners
     # _NEXT[i] and _PREV[i]
     edge_vec = part.corner_xy[:, _PREV] - part.corner_xy[:, _NEXT]    # (T, 3, 2)
-    elen = np.linalg.norm(edge_vec, axis=2)
+    ex, ey = edge_vec[:, :, 0], edge_vec[:, :, 1]
+    elen = np.sqrt(ex * ex + ey * ey)
     dj, dk = div_v[:, _NEXT], div_v[:, _PREV]
     div_edge = np.sqrt(area) * (elen * (dj * dj + dj * dk + dk * dk)).sum(axis=1) / 3.0
 

@@ -36,7 +36,11 @@ Cost model of ``refine``: O(marked + closure) per sweep and round, a few
 C-speed passes over forest-length arrays (nesting masks, the midpoint map),
 and the output's edge table, which its conformity check builds and caches
 on it for the dofmap and the next ``refine``.  Each snapshot's table is
-built once, and no Python runs per bisection.
+built once, and no Python runs per bisection.  Every set of distinct ids
+(the marked leaves, each sweep's newly marked edges, a snapshot's
+vertices, an overlay's leaves) comes from one sort and a compare of
+neighbours, ``_unique``, rather than from a hash set that is sorted
+afterwards.
 
 Id rule.  Element and vertex ids are dense integers; an id names the same
 triangle or point in every snapshot of a forest.  An element bisected
@@ -95,6 +99,18 @@ def _edge_codes(tris: np.ndarray) -> np.ndarray:
     a = tris[:, [1, 2, 0]]
     b = tris[:, [2, 0, 1]]
     return (np.minimum(a, b).astype(np.int64) << 32 | np.maximum(a, b)).ravel()
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of ``a``, flattened, from one sort and a
+    compare of neighbours, with ``a``'s dtype.  NumPy's own distinct-values
+    routine hashes integers first and then sorts the result, which costs
+    several times as much on the id arrays here."""
+    s = np.sort(a, axis=None)
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def _split_codes(codes: np.ndarray) -> np.ndarray:
@@ -217,18 +233,23 @@ class Forest:
         """For each of ``elems``, its nearest ancestor flagged in the
         forest-length boolean ``mask``, or -1 if there is none.  The element
         itself counts unless ``strict``.  Every chain goes up one level per
-        step and is dropped at its first hit."""
+        step and is dropped at its first hit.  Raises ``ValueError`` unless
+        ``mask`` has one flag per element of the forest as it is now."""
+        if len(mask) != self.n_elements:
+            raise ValueError(f"mask has {len(mask)} flags for "
+                             f"{self.n_elements} forest elements")
         parent = self.parent
+        # a chain that runs past its root reads index -1: a hit, at -1
+        flags = np.append(mask, True)
         elems = np.asarray(elems, dtype=np.int64)
         hit = np.full(len(elems), -1, dtype=np.int64)
         live = np.arange(len(elems))
         anc = parent[elems] if strict else elems
         while len(live):
-            keep = anc >= 0
-            live, anc = live[keep], anc[keep]
-            found = mask[anc]
+            found = flags[anc]
             hit[live[found]] = anc[found]
-            live, anc = live[~found], parent[anc[~found]]
+            miss = ~found
+            live, anc = live[miss], parent[anc[miss]]
         return hit
 
     def midpoints(self, codes: np.ndarray, on_boundary: np.ndarray) -> np.ndarray:
@@ -339,7 +360,7 @@ class Partition:
 
     @cached_property
     def active_vert_ids(self) -> np.ndarray:
-        return np.unique(self.leaf_tris)
+        return _unique(self.leaf_tris)
 
     @cached_property
     def generations(self) -> np.ndarray:
@@ -490,7 +511,7 @@ class Partition:
         lo = np.searchsorted(verts, tri, side="left").tolist()
         hi = np.searchsorted(verts, tri, side="right").tolist()
         near = np.concatenate([owner[a:b] for a, b in zip(lo, hi)])
-        return self.leaves[np.unique(near)]
+        return self.leaves[_unique(near)]
 
     def stats(self) -> MeshStats:
         diam = self.diams
@@ -568,8 +589,8 @@ class Partition:
 
 def _leaf_ids(part: Partition, ids, message: str) -> np.ndarray:
     """Sorted distinct ids; ``message`` names the smallest one that is not a leaf."""
-    ids = np.unique(np.asarray(ids if isinstance(ids, np.ndarray) else list(ids),
-                               dtype=np.int64))
+    ids = _unique(np.asarray(ids if isinstance(ids, np.ndarray) else list(ids),
+                             dtype=np.int64))
     _, found = _find(ids, part.leaves)
     if not found.all():
         raise ValueError(message.format(ids[~found][0]))
@@ -599,7 +620,7 @@ def _close_marks(marked: np.ndarray, ref_edge: np.ndarray,
     while len(new):
         owners = edge_elems[new].ravel()
         ref = ref_edge[owners[owners >= 0]]
-        new = np.unique(ref[~mask[ref]])
+        new = _unique(ref[~mask[ref]])
         mask[new] = True
     return mask
 
@@ -624,7 +645,7 @@ def refine(part: Partition, marked: Iterable[int]) -> Partition:
     edge_index = t["edge_index"]
     ref_edge = edge_index[:, 2]
     # -1 // 3 == -1, so an edge's missing second leaf stays -1
-    emark = _close_marks(np.unique(ref_edge[np.searchsorted(leaves, marked)]),
+    emark = _close_marks(_unique(ref_edge[np.searchsorted(leaves, marked)]),
                          ref_edge, t["edge_slots"] // 3)
     # every marked edge is split, in one round or the other
     split = np.flatnonzero(emark)
@@ -675,7 +696,8 @@ def overlay(p: Partition, q: Partition) -> Partition:
     f = p.forest
     inside_q = f.ancestor_in(p.leaves, q.forest_mask()) >= 0
     inside_p = f.ancestor_in(q.leaves, p.forest_mask()) >= 0
-    result = Partition(f, np.union1d(p.leaves[inside_q], q.leaves[inside_p]))
+    both = np.concatenate([p.leaves[inside_q], q.leaves[inside_p]])
+    result = Partition(f, _unique(both))
     if result.n_leaves > p.n_leaves + q.n_leaves - f.n_roots:
         raise RefinementError("overlay cardinality bound violated")
     return result

@@ -33,7 +33,7 @@ import numpy as np
 from .assembly import load_at_quadrature
 from .estimators import element_oscillation
 from .femspace import VectorField
-from .mesh import Partition, refine
+from .mesh import Partition, _unique, refine
 
 __all__ = [
     "BudgetExceeded",
@@ -187,7 +187,7 @@ def _threshold(part: Partition, values: _ElementValues, eps: float,
         marked = part.leaves[positions]
         # the areas of the marked leaves only, by the same per-leaf formula
         js = _bucket_indices(Partition(part.forest, marked).areas)
-        for j in np.unique(js).tolist():
+        for j in _unique(js).tolist():
             bucket_members.setdefault(j, []).append(marked[js == j])
         rounds.append(len(positions))
         part = refine(part, marked)

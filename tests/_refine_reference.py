@@ -13,6 +13,9 @@ conformity checks are shared.
 
 ``overlay`` is the preorder stack walk over the ``child0``/``child1`` lists
 that ``mesh.overlay`` replaced, kept verbatim; it reads a ``mesh.Forest``.
+``ancestor_in`` is the walk that ``mesh.Forest.ancestor_in`` replaced, which
+drops the chains that ran past their root before it tests the flags, kept
+verbatim as a function of a ``mesh.Forest``.
 """
 
 from __future__ import annotations
@@ -250,3 +253,23 @@ def overlay(p: Partition, q: Partition) -> Partition:
     if result.n_leaves > p.n_leaves + q.n_leaves - f.n_roots:
         raise RefinementError("overlay cardinality bound violated")
     return result
+
+
+def ancestor_in(forest, elems: np.ndarray, mask: np.ndarray,
+                strict: bool = False) -> np.ndarray:
+    """For each of ``elems``, its nearest ancestor flagged in the
+    forest-length boolean ``mask``, or -1 if there is none.  The element
+    itself counts unless ``strict``.  Every chain goes up one level per
+    step and is dropped at its first hit."""
+    parent = forest.parent
+    elems = np.asarray(elems, dtype=np.int64)
+    hit = np.full(len(elems), -1, dtype=np.int64)
+    live = np.arange(len(elems))
+    anc = parent[elems] if strict else elems
+    while len(live):
+        keep = anc >= 0
+        live, anc = live[keep], anc[keep]
+        found = mask[anc]
+        hit[live[found]] = anc[found]
+        live, anc = live[~found], parent[anc[~found]]
+    return hit

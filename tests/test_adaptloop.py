@@ -249,6 +249,17 @@ def test_config_validation():
         AdaptiveConfig(max_iterations=0)
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, -0.5, math.inf])
+def test_config_rejects_rel_tol(rel_tol):
+    # NaN would switch the tolerance off, and a negative one acts squared
+    with pytest.raises(ValueError, match="rel_tol"):
+        AdaptiveConfig(rel_tol=rel_tol)
+
+
+def test_config_accepts_zero_rel_tol():
+    assert AdaptiveConfig(rel_tol=0.0).rel_tol == 0.0
+
+
 def test_adaptive_trace_structure(mms_trace):
     trace = mms_trace
     rows = trace.rows

@@ -8,6 +8,12 @@ operations.  The tolerance, fixed before the comparison was written, is
 1e-12 relative in the max norm for every array and scalar.  The sparse
 prolongation is checked against the same per-point evaluation, one lift at
 a time and through the adaptive loop's stacked reference errors.
+
+The per-component kernels (the residual and the edge lengths of
+``compute_indicators``, ``element_oscillation`` and the gradient error of
+``error_norms``) are also compared with the expressions they replaced,
+kept in ``_kernel_reference``, and there nothing may differ: every array
+and scalar must be the same bits (``np.array_equal``, ``==``).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _kernel_reference
 from stokesafem import adaptloop, estimators
 from stokesafem.assembly import (
     assemble,
@@ -26,7 +33,7 @@ from stokesafem.assembly import (
     solve,
     velocity_energy_sq,
 )
-from stokesafem.estimators import compute_indicators
+from stokesafem.estimators import compute_indicators, element_oscillation
 from stokesafem.femspace import (
     P1_GRADS,
     P2_HESSIANS,
@@ -39,7 +46,7 @@ from stokesafem.femspace import (
     prolong,
     tri_rule,
 )
-from stokesafem.mesh import refine
+from stokesafem.mesh import Partition, refine
 from stokesafem.problems import get_problem
 
 RTOL = 1e-12
@@ -343,3 +350,42 @@ def test_reference_errors_match_oracle_prolongation(monkeypatch):
     ref = np.asarray(ref + [0.0])
     assert trace.ref_err_sq[-1] == 0.0
     assert np.all(np.abs(trace.ref_err_sq - ref) <= 1e-12 * ref)
+
+
+def random_load(part, rng) -> np.ndarray:
+    """(T, nq, 2) load values over several orders of magnitude."""
+    shape = (part.n_leaves, len(tri_rule().tri_weights), 2)
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**meshes)
+def test_per_component_kernels_match_former_expressions_bitwise(root, rounds, seed):
+    rng = np.random.default_rng(seed)
+    part = random_partition(root, rounds, rng)
+    sol = random_pair(build_dofmap(part), rng)
+    fq = random_load(part, rng)
+    new, old = compute_indicators(sol, fq), _kernel_reference.compute_indicators(sol, fq)
+    for name in ("vol", "div_l2", "div_edge", "osc", "jump", "edge_elems"):
+        assert np.array_equal(getattr(new, name), getattr(old, name)), name
+    exact = get_problem("smooth-mms").exact
+    assert error_norms(sol, exact) == _kernel_reference.error_norms(sol, exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**meshes, n_cuts=st.integers(0, 6))
+def test_element_oscillation_matches_former_expression_in_any_batch(
+        root, rounds, seed, n_cuts):
+    # the threshold driver evaluates the leaves it has not seen yet, in
+    # batches that depend on the sweep; no value may depend on its batch
+    rng = np.random.default_rng(seed)
+    part = random_partition(root, rounds, rng)
+    fq = random_load(part, rng)
+    want = _kernel_reference.element_oscillation(part, fq)
+    assert np.array_equal(element_oscillation(part, fq), want)
+    cuts = np.sort(rng.integers(0, part.n_leaves + 1, size=n_cuts))
+    for batch in np.split(rng.permutation(part.n_leaves), cuts):
+        if len(batch):
+            pos = np.sort(batch)
+            sub = Partition(part.forest, part.leaves[pos])
+            assert np.array_equal(element_oscillation(sub, fq[pos]), want[pos])

@@ -3,7 +3,9 @@
 Expected values come from independent routes: hand enumeration of small
 refinements, the Euler formula V - E + T = 1 for disk-like triangulations,
 direct similarity-class enumeration for shape constants, and a brute-force
-angle bound for star sizes.
+angle bound for star sizes.  The one-sort ``_unique`` is compared with
+``np.unique``, and a spy checks that refinement, the dofmap, ``save_mesh``
+and a threshold sweep never call ``np.unique``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from stokesafem.femspace import build_dofmap
 from stokesafem.mesh import (
     MeshStats,
     Partition,
     RefinementError,
     _json_rows,
+    _unique,
     bisect,
     l_shape_partition,
     load_mesh,
@@ -38,6 +43,8 @@ from stokesafem.mesh import (
     two_triangle_square,
     unit_square_partition,
 )
+from stokesafem.problems import get_problem
+from stokesafem.threshold import eps_sweep, osc_indicator
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -608,6 +615,19 @@ def test_ancestor_in_strict_and_not():
     assert f.ancestor_in(np.empty(0, dtype=np.int64), mask).tolist() == []
 
 
+def test_ancestor_in_rejects_a_stale_mask():
+    part = unit_square_partition()
+    stale = part.forest_mask()
+    fine = refine(part, part.leaves[:1])
+    f = fine.forest
+    # a short mask would read the past-the-root sentinel at its end
+    with pytest.raises(ValueError, match="flags for"):
+        f.ancestor_in(fine.leaves, stale)
+    with pytest.raises(ValueError, match="flags for"):
+        f.ancestor_in(fine.leaves, np.append(fine.forest_mask(), True))
+    assert (f.ancestor_in(fine.leaves, part.forest_mask()) >= 0).all()
+
+
 def test_ancestor_leaf_in_after_the_forest_grew():
     coarse = refine(unit_square_partition(), [0])
     # the coarse leaf flags are read before the forest grows
@@ -916,3 +936,35 @@ def test_cached_affine_maps_match_per_call_formulas(root, rounds, data):
     assert part.binv.shape == binv.shape and part.binv.tobytes() == binv.tobytes()
     assert part.areas.tobytes() == areas.tobytes()
     assert part.areas.tobytes() == (0.5 * part.det).tobytes()
+
+
+ids = st.one_of(st.integers(-1, 8), st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                               max_side=24), elements=ids))
+def test_unique_matches_numpy(a):
+    got, want = _unique(a), np.unique(a)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_unique_of_empty_input():
+    for a in (np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)):
+        got = _unique(a)
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+
+def test_mesh_dofmap_and_threshold_never_call_numpy_unique(monkeypatch, tmp_path):
+    def spy(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    part = l_shape_partition()
+    monkeypatch.setattr(np, "unique", spy)
+    fine = refine(part, part.leaves[::3])
+    build_dofmap(fine)
+    save_mesh(fine, tmp_path / "mesh.json")
+    f = get_problem("smooth-mms").f
+    reports = eps_sweep(unit_square_partition(), osc_indicator(f), [1e-6, 1e-7])
+    assert 0 < reports[0].n_added < reports[1].n_added

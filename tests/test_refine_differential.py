@@ -14,7 +14,8 @@ exception messages are compared with their ids read as coordinates.
 
 ``mesh.overlay`` is compared with the preorder walk it replaced
 (``_refine_reference.overlay``) on two branches of one package forest, so
-there the leaf ids are compared directly.
+there the leaf ids are compared directly; so is ``Forest.ancestor_in`` with
+the walk it replaced (``_refine_reference.ancestor_in``), on random masks.
 """
 
 from __future__ import annotations
@@ -204,3 +205,17 @@ def test_overlay_matches_preorder_walk(root, trunk, data):
             assert got == want
         else:
             np.testing.assert_array_equal(got.leaves, want.leaves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(root=st.sampled_from(sorted(ROOTS)), strict=st.booleans(), data=st.data())
+def test_ancestor_in_matches_former_walk(root, strict, data):
+    part = grow(data, ROOTS[root]())
+    f = part.forest
+    n = f.n_elements
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    elems = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n)),
+                     dtype=np.int64)
+    for ids in (elems, part.leaves, np.arange(n)):
+        np.testing.assert_array_equal(f.ancestor_in(ids, mask, strict),
+                                      ref.ancestor_in(f, ids, mask, strict))
