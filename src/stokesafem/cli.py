@@ -10,8 +10,11 @@ Subcommands:
 * ``infsup``    - discrete stability constants over nested refinements.
 
 Configuration comes from defaults, then a flat ``key=value`` file given with
-``--config``, then explicit command-line flags (highest precedence).  Outputs
-are deterministic: identical configuration produces byte-identical files.
+``--config``, then explicit command-line flags (highest precedence).  Every
+setting is declared once, in ``_SETTINGS``; a config file takes exactly the
+running subcommand's flag names as keys and is parsed as its flags are when
+it is read.  Outputs are deterministic: identical configuration produces
+byte-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure or invalid
 indicator values, 4 budget or termination error.
@@ -36,7 +39,7 @@ from .adaptloop import (
     write_trace_csv,
 )
 from .assembly import SolverFailure, assemble, inf_sup_constant
-from .estimators import ESTIMATOR_KINDS
+from .estimators import ESTIMATOR_KINDS, marking_shares
 from .femspace import build_dofmap
 from .mesh import load_mesh, refine, save_mesh
 from .problems import get_problem
@@ -57,12 +60,6 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_BUDGET = 4
 
-_CONFIG_KEYS = {
-    "problem", "mode", "theta", "estimator", "max_dofs", "max_iterations",
-    "levels", "seed", "out", "eps", "eps_sweep", "indicator",
-    "max_generation", "mesh", "export_mesh", "dump_indicators",
-}
-
 
 class ConfigError(Exception):
     """Invalid configuration (bad value, unknown key, missing input)."""
@@ -71,8 +68,11 @@ class ConfigError(Exception):
 # -- configuration plumbing ---------------------------------------------
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+def _load_config_file(path: str, keys) -> dict:
+    """The file's settings, restricted to ``keys``; each value is parsed as
+    its flag parses it (see ``_SETTINGS``) and checked here, whether or not
+    the run reads it."""
+    cfg = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -81,44 +81,46 @@ def _load_config_file(path: str) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{where}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        cfg[key] = value.strip()
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        spec = _SETTINGS[key]
+        try:
+            cfg[key] = spec.get("file_type", spec.get("type", str))(value.strip())
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
+        choices = spec.get("choices")
+        if choices and cfg[key] not in choices:
+            raise ConfigError(f"{where}: {key} must be one of "
+                              f"{', '.join(choices)}, got {cfg[key]!r}")
     return cfg
 
 
 class _Settings:
     """Merged view: CLI flag beats config file beats default."""
 
-    def __init__(self, ns: argparse.Namespace):
+    def __init__(self, ns: argparse.Namespace, keys):
         self.ns = ns
-        self.file = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
+        self.file = _load_config_file(ns.config, keys) if ns.config else {}
 
-    def get(self, key: str, default, cast=str):
-        cli_val = getattr(self.ns, key, None)
-        if cli_val is not None:
-            return cli_val
-        if key in self.file:
-            try:
-                return cast(self.file[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-        return default
+    def get(self, key: str, default=None):
+        value = getattr(self.ns, key)
+        return self.file.get(key, default) if value is None else value
 
 
-def _get_problem_checked(name: str):
+def _problem(st: _Settings):
     try:
-        return get_problem(name)
+        return get_problem(st.get("problem", "smooth-mms"))
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from exc
 
 
 def _levels(st: _Settings, default: int) -> int:
-    levels = st.get("levels", default, int)
+    levels = st.get("levels", default)
     if levels < 0:
         raise ConfigError(f"levels must be >= 0, got {levels}")
     return levels
@@ -141,28 +143,35 @@ def _mesh_target_cast(text: str):
         return text.strip()
 
 
-def _out_dir(st: _Settings) -> Path:
-    """The output directory, created if missing."""
-    out = Path(st.get("out", ".", str))
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use output directory {str(out)!r}: {exc}") from exc
-    return out
+def _outputs(st: _Settings, artifacts: bool = True) -> tuple[Path, Path | None]:
+    """The output directory and the file ``--export-mesh`` names, or None.
 
-
-def _export_mesh_dest(value, out: Path) -> Path | None:
-    """The file ``--export-mesh`` names, or None; a directory, or a path
-    whose parent is not an existing directory, is a configuration error."""
-    if not value:
-        return None
-    dest = out / "mesh.json" if value is True else Path(value)
+    The directory is created if missing, when the command writes
+    ``artifacts`` into it or exports a mesh.  An output path that cannot be
+    a directory, or an export path that is a directory or whose parent is not
+    an existing directory, is a configuration error.
+    """
+    export = st.get("export_mesh", False)
+    out = Path(st.get("out", "."))
+    if artifacts or export:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use output directory {str(out)!r}: {exc}") from exc
+    if not export:
+        return out, None
+    dest = out / "mesh.json" if export is True else Path(export)
     if dest.is_dir():
         raise ConfigError(f"cannot export mesh to {str(dest)!r}: it is a directory")
     if not dest.parent.is_dir():
         raise ConfigError(f"cannot export mesh to {str(dest)!r}: "
                           f"{str(dest.parent)!r} is not a directory")
-    return dest
+    return out, dest
+
+
+def _provenance(st: _Settings, **extra: str) -> dict[str, str]:
+    """The configuration lines a CSV artifact carries besides its own."""
+    return {"seed": str(st.get("seed", 0)), "version": __version__, **extra}
 
 
 # -- run subcommand ------------------------------------------------------
@@ -191,8 +200,6 @@ def _print_convergence_table(trace) -> None:
 def _dump_indicators_csv(trace, path) -> None:
     ind = trace.final_indicators
     part = trace.final_partition
-    from .estimators import marking_shares
-
     shares = marking_shares(trace.estimator, ind)
     lines = [f"# estimator={trace.estimator}", f"# problem={trace.problem}",
              "elem,area,vol,div_l2,div_edge,osc,share"]
@@ -204,47 +211,39 @@ def _dump_indicators_csv(trace, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def cmd_run(ns: argparse.Namespace) -> int:
-    st = _Settings(ns)
+def cmd_run(st: _Settings) -> int:
     mode = st.get("mode", "adaptive")
-    if mode not in ("adaptive", "uniform", "threshold"):
-        raise ConfigError(f"mode must be adaptive, uniform, or threshold, "
-                          f"got {mode!r}")
     if mode == "threshold":
-        return _threshold_flow(st)
+        return cmd_threshold(st)
 
-    problem_name = st.get("problem", "smooth-mms")
-    prob = _get_problem_checked(problem_name)
+    prob = _problem(st)
     estimator = st.get("estimator", "eta1")
-    seed = st.get("seed", 0, int)
-    out = _out_dir(st)
-    dest = _export_mesh_dest(st.get("export_mesh", False, _mesh_target_cast), out)
+    out, dest = _outputs(st)
 
     try:
         if mode == "adaptive":
             cfg = AdaptiveConfig(
-                problem=problem_name,
+                problem=prob.name,
                 estimator=estimator,
-                theta=st.get("theta", 0.5, float),
-                max_iterations=st.get("max_iterations", 200, int),
-                max_dofs=st.get("max_dofs", 200_000, int),
+                theta=st.get("theta", 0.5),
+                max_iterations=st.get("max_iterations", 200),
+                max_dofs=st.get("max_dofs", 200_000),
             )
             trace = adaptive_run(cfg, problem=prob)
         else:
-            trace = uniform_run(prob, levels=st.get("levels", 5, int),
+            trace = uniform_run(prob, levels=st.get("levels", 5),
                                 estimator=estimator,
-                                max_dofs=st.get("max_dofs", 1_000_000, int))
+                                max_dofs=st.get("max_dofs", 1_000_000))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    extra = {"seed": str(seed), "version": __version__}
-    write_trace_csv(trace, out / "trace.csv", extra_provenance=extra)
+    write_trace_csv(trace, out / "trace.csv", extra_provenance=_provenance(st))
     report = monitor_report(trace)
     (out / "monitors.json").write_text(monitor_report_json(report) + "\n",
                                        encoding="utf-8")
     if dest is not None:
         save_mesh(trace.final_partition, dest)
-    if st.get("dump_indicators", False, _bool_cast):
+    if st.get("dump_indicators", False):
         _dump_indicators_csv(trace, out / "indicators.csv")
     _print_convergence_table(trace)
     return EXIT_OK
@@ -266,27 +265,23 @@ def _report_payload(rep) -> dict:
     }
 
 
-def _threshold_flow(st: _Settings) -> int:
-    problem_name = st.get("problem", "smooth-mms")
-    prob = _get_problem_checked(problem_name)
-    spec = st.get("indicator", "osc")
+def cmd_threshold(st: _Settings) -> int:
+    prob = _problem(st)
     try:
-        indicator = indicator_from_spec(spec, f=prob.f)
+        indicator = indicator_from_spec(st.get("indicator", "osc"), f=prob.f)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    max_gen = st.get("max_generation", 40, int)
-    out = _out_dir(st)
-    dest = _export_mesh_dest(st.get("export_mesh", False, _mesh_target_cast), out)
-    seed = st.get("seed", 0, int)
+    max_gen = st.get("max_generation", 40)
+    out, dest = _outputs(st)
 
-    sweep_text = st.get("eps_sweep", None, str)
+    sweep_text = st.get("eps_sweep")
     if sweep_text:
         try:
             eps_values = [float(tok) for tok in sweep_text.split(",") if tok]
         except ValueError as exc:
             raise ConfigError(f"bad eps list {sweep_text!r}") from exc
     else:
-        eps_values = [st.get("eps", None, float)]
+        eps_values = [st.get("eps")]
         if eps_values[0] is None:
             raise ConfigError("threshold mode needs --eps or --eps-sweep")
     try:
@@ -298,9 +293,7 @@ def _threshold_flow(st: _Settings) -> int:
     if sweep_text:
         reports = eps_sweep(part, indicator, eps_values, max_gen)
         write_sweep_csv(reports, out / "sweep.csv",
-                        extra_provenance={"problem": problem_name,
-                                          "seed": str(seed),
-                                          "version": __version__})
+                        extra_provenance=_provenance(st, problem=prob.name))
         for rep in reports:
             print(json.dumps(_report_payload(rep), sort_keys=True))
         final = reports[-1]
@@ -312,17 +305,12 @@ def _threshold_flow(st: _Settings) -> int:
     return EXIT_OK
 
 
-def cmd_threshold(ns: argparse.Namespace) -> int:
-    return _threshold_flow(_Settings(ns))
-
-
 # -- mesh-info subcommand ------------------------------------------------
 
 
-def cmd_mesh_info(ns: argparse.Namespace) -> int:
-    st = _Settings(ns)
+def cmd_mesh_info(st: _Settings) -> int:
     levels = _levels(st, 0)
-    mesh_path = st.get("mesh", None, str)
+    mesh_path = st.get("mesh")
     if mesh_path:
         try:
             part = load_mesh(mesh_path)
@@ -330,11 +318,10 @@ def cmd_mesh_info(ns: argparse.Namespace) -> int:
             raise ConfigError(f"cannot load mesh {mesh_path!r}: {exc}") from exc
         source = mesh_path
     else:
-        prob = _get_problem_checked(st.get("problem", "smooth-mms"))
+        prob = _problem(st)
         part = prob.make_partition()
         source = prob.name
-    export = st.get("export_mesh", None, _mesh_target_cast)
-    dest = _export_mesh_dest(export, _out_dir(st)) if export else None
+    _, dest = _outputs(st, artifacts=False)
     for _ in range(levels):
         part = refine(part, part.leaves)
     with warnings.catch_warnings(record=True):
@@ -361,9 +348,8 @@ def cmd_mesh_info(ns: argparse.Namespace) -> int:
 # -- infsup subcommand ---------------------------------------------------
 
 
-def cmd_infsup(ns: argparse.Namespace) -> int:
-    st = _Settings(ns)
-    prob = _get_problem_checked(st.get("problem", "smooth-mms"))
+def cmd_infsup(st: _Settings) -> int:
+    prob = _problem(st)
     levels = _levels(st, 3)
     part = prob.make_partition()
     print(f"{'level':>5} {'leaves':>8} {'dofs':>8} {'beta':>12}")
@@ -381,7 +367,54 @@ def cmd_infsup(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# -- parser --------------------------------------------------------------
+# -- settings table and parser ---------------------------------------------
+
+# Every setting once, as its flag's argparse keywords.  A config file value
+# is parsed with ``type`` (``file_type`` where the file spells a boolean) and
+# checked against ``choices``.
+_SETTINGS = {
+    "config": {"help": "flat key=value configuration file"},
+    "problem": {"help": "built-in problem id"},
+    "seed": {"type": int, "help": "seed echoed into provenance"},
+    "out": {"help": "output directory (default: current)"},
+    "mode": {"choices": ("adaptive", "uniform", "threshold"),
+             "help": "threshold reads --eps, --eps-sweep, --indicator and "
+                     "--max-generation"},
+    "theta": {"type": float, "help": "marking fraction in (0,1]"},
+    "estimator": {"choices": ESTIMATOR_KINDS},
+    "max_dofs": {"type": int},
+    "max_iterations": {"type": int},
+    "levels": {"type": int, "help": "uniform refinement sweeps"},
+    "eps": {"type": float, "help": "threshold tolerance"},
+    "eps_sweep": {"help": "comma-separated tolerances"},
+    "indicator": {"help": "osc or synthetic:area:<exponent> (default osc)"},
+    "max_generation": {"type": int},
+    "mesh": {"help": "mesh JSON file (overrides --problem)"},
+    "export_mesh": {"nargs": "?", "const": True, "metavar": "PATH",
+                    "file_type": _mesh_target_cast,
+                    "help": "write the final mesh as JSON "
+                            "(default <out>/mesh.json)"},
+    "dump_indicators": {"action": "store_const", "const": True,
+                        "file_type": _bool_cast,
+                        "help": "write per-element indicator values as CSV"},
+}
+
+_COMMON = ("problem", "seed", "out")
+_THRESHOLD = ("eps", "eps_sweep", "indicator", "max_generation")
+
+# subcommand: (help, handler, the settings its flags and config file take)
+_COMMANDS = {
+    "run": ("adaptive/uniform refinement study", cmd_run,
+            (*_COMMON, "mode", "theta", "estimator", "max_dofs",
+             "max_iterations", "levels", *_THRESHOLD, "export_mesh",
+             "dump_indicators")),
+    "threshold": ("greedy threshold refinement", cmd_threshold,
+                  (*_COMMON, *_THRESHOLD, "export_mesh")),
+    "mesh-info": ("mesh statistics", cmd_mesh_info,
+                  (*_COMMON, "mesh", "levels", "export_mesh")),
+    "infsup": ("discrete stability constants", cmd_infsup,
+               (*_COMMON, "levels")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,76 +426,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--problem", help="built-in problem id")
-        p.add_argument("--seed", type=int, help="seed echoed into provenance")
-        p.add_argument("--out", help="output directory (default: current)")
-
-    p_run = sub.add_parser("run", help="adaptive/uniform refinement study")
-    common(p_run)
-    p_run.add_argument("--mode", choices=["adaptive", "uniform", "threshold"])
-    p_run.add_argument("--theta", type=float, help="marking fraction in (0,1]")
-    p_run.add_argument("--estimator", choices=list(ESTIMATOR_KINDS))
-    p_run.add_argument("--max-dofs", dest="max_dofs", type=int)
-    p_run.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p_run.add_argument("--levels", type=int, help="uniform refinement sweeps")
-    p_run.add_argument("--eps", type=float, help="threshold tolerance "
-                                                 "(mode=threshold)")
-    p_run.add_argument("--indicator", help="threshold indicator "
-                                           "(mode=threshold)")
-    p_run.add_argument("--max-generation", dest="max_generation", type=int)
-    p_run.add_argument("--eps-sweep", dest="eps_sweep",
-                       help="comma-separated tolerances (mode=threshold)")
-    p_run.add_argument("--export-mesh", dest="export_mesh", nargs="?",
-                       const=True, metavar="PATH",
-                       help="write the final mesh as JSON "
-                            "(default <out>/mesh.json)")
-    p_run.add_argument("--dump-indicators", dest="dump_indicators",
-                       action="store_const", const=True,
-                       help="write per-element indicator values as CSV")
-    p_run.set_defaults(func=cmd_run)
-
-    p_thr = sub.add_parser("threshold", help="greedy threshold refinement")
-    common(p_thr)
-    p_thr.add_argument("--eps", type=float, help="threshold tolerance")
-    p_thr.add_argument("--eps-sweep", dest="eps_sweep",
-                       help="comma-separated tolerances")
-    p_thr.add_argument("--indicator",
-                       help="osc or synthetic:area:<exponent> (default osc)")
-    p_thr.add_argument("--max-generation", dest="max_generation", type=int)
-    p_thr.add_argument("--export-mesh", dest="export_mesh", nargs="?",
-                       const=True, metavar="PATH",
-                       help="write the final mesh as JSON "
-                            "(default <out>/mesh.json)")
-    p_thr.set_defaults(func=cmd_threshold)
-
-    p_info = sub.add_parser("mesh-info", help="mesh statistics")
-    common(p_info)
-    p_info.add_argument("--mesh", help="mesh JSON file (overrides --problem)")
-    p_info.add_argument("--levels", type=int,
-                        help="uniform refinements before reporting")
-    p_info.add_argument("--export-mesh", dest="export_mesh", nargs="?",
-                        const=True, metavar="PATH",
-                        help="write the (refined) mesh as JSON "
-                             "(default <out>/mesh.json)")
-    p_info.set_defaults(func=cmd_mesh_info)
-
-    p_inf = sub.add_parser("infsup", help="discrete stability constants")
-    common(p_inf)
-    p_inf.add_argument("--levels", type=int,
-                       help="uniform refinement levels (default 3)")
-    p_inf.set_defaults(func=cmd_infsup)
-
+    for name, (help_text, _, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in ("config", *keys):
+            kwargs = {k: v for k, v in _SETTINGS[key].items() if k != "file_type"}
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
+    _, handler, keys = _COMMANDS[ns.command]
     try:
-        return ns.func(ns)
+        return handler(_Settings(ns, keys))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -116,36 +117,85 @@ def test_config_file_errors(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("configuration error: cannot read config file")
 
 
-# lines the config loader accepts: comments, blanks and known keys
+COMMANDS = sorted(cli._COMMANDS)
+
+
+def _config_keys(command):
+    return cli._COMMANDS[command][2]
+
+
+def _foreign_keys(command):
+    """Keys that only other subcommands take."""
+    return sorted({key for other in COMMANDS for key in _config_keys(other)}
+                  - set(_config_keys(command)))
+
+
 _CFG_VALUE = st.text(alphabet=string.ascii_letters + string.digits + " .,:/_-", max_size=12)
-_ACCEPTED_LINE = st.one_of(
-    st.builds(lambda key, value: f"{key}={value}".encode(),
-              st.sampled_from(sorted(cli._CONFIG_KEYS)), _CFG_VALUE),
-    st.builds(lambda text: f"# {text}".encode(), _CFG_VALUE),
-    st.just(b""),
-)
+
+
+def _valid_value(key):
+    spec = cli._SETTINGS[key]
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if key == "dump_indicators":
+        return st.sampled_from(["1", "true", "Yes", "on", "0", "false", "NO", "off"])
+    if spec.get("type") is int:
+        return st.integers(-10**6, 10**6).map(str)
+    if spec.get("type") is float:
+        return st.floats().map(repr)
+    return _CFG_VALUE
+
+
+def _accepted_line(command):
+    """Lines the loader accepts for ``command``: comments, blanks, and its own
+    keys (spelt with '-' or '_') with values its flags parse."""
+    return st.one_of(
+        st.sampled_from(_config_keys(command)).flatmap(
+            lambda key: st.builds(lambda name, value: f"{name} = {value}".encode(),
+                                  st.sampled_from([key, key.replace("_", "-")]),
+                                  _valid_value(key))),
+        st.builds(lambda text: f"# {text}".encode(), _CFG_VALUE),
+        st.just(b""),
+    )
+
+
 _KEY_TEXT = st.text(alphabet=string.ascii_letters + string.digits + " _-", min_size=1,
                     max_size=12)
-# lines it rejects: no '=', an unknown key, or bytes that are not UTF-8
-_REJECTED_LINE = st.one_of(
-    _KEY_TEXT.filter(lambda t: t.strip()).map(str.encode),
-    st.builds(lambda key, value: f"{key}={value}".encode(),
-              _KEY_TEXT.filter(lambda k: k.strip().replace("-", "_")
-                               not in cli._CONFIG_KEYS),
-              _CFG_VALUE),
-    st.builds(lambda head, bad: head + bad,
-              st.sampled_from([b"", b"levels=", b"out=", b"# "]),
-              st.sampled_from([b"\xff\xfe=2", b"\xc3\x28", b"\x80", b"\xed\xa0\x80",
-                               b"\xf8\x88\x80\x80\x80"])),
-)
+
+
+def _rejected_line(command):
+    """Lines it rejects: no '=', a key unknown to every subcommand, a key that
+    only another subcommand takes, a number that does not parse, or bytes that
+    are not UTF-8."""
+    keys = set(_config_keys(command))
+    numeric = [key for key in keys if cli._SETTINGS[key].get("type") in (int, float)]
+    return st.one_of(
+        _KEY_TEXT.filter(lambda t: t.strip()).map(str.encode),
+        st.builds(lambda key, value: f"{key}={value}".encode(),
+                  _KEY_TEXT.filter(lambda k: k.strip().replace("-", "_") not in keys),
+                  _CFG_VALUE),
+        st.builds(lambda key, value: f"{key}={value}".encode(),
+                  st.sampled_from(_foreign_keys(command)), _CFG_VALUE),
+        st.builds(lambda key, value: f"{key}=x{value}".encode(),
+                  st.sampled_from(sorted(numeric)), _CFG_VALUE),
+        st.builds(lambda head, bad: head + bad,
+                  st.sampled_from([b"", b"levels=", b"out=", b"# "]),
+                  st.sampled_from([b"\xff\xfe=2", b"\xc3\x28", b"\x80", b"\xed\xa0\x80",
+                                   b"\xf8\x88\x80\x80\x80"])),
+    )
+
+
+def _fuzz_file(command):
+    return st.tuples(st.lists(_accepted_line(command), max_size=6),
+                     st.lists(_rejected_line(command), min_size=1, max_size=3)) \
+        .flatmap(lambda parts: st.permutations(parts[0] + parts[1]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(lines=st.tuples(st.lists(_ACCEPTED_LINE, max_size=6),
-                       st.lists(_REJECTED_LINE, min_size=1, max_size=3))
-       .flatmap(lambda parts: st.permutations(parts[0] + parts[1])),
-       command=st.sampled_from(["run", "threshold", "mesh-info", "infsup"]))
-def test_config_fuzz_rejected_lines_exit_2(tmp_path_factory, lines, command):
+@given(case=st.sampled_from(COMMANDS).flatmap(
+    lambda command: st.tuples(st.just(command), _fuzz_file(command))))
+def test_config_fuzz_rejected_lines_exit_2(tmp_path_factory, case):
+    command, lines = case
     cfg = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
     cfg.write_bytes(b"\n".join(lines) + b"\n")
     err = io.StringIO()
@@ -154,6 +204,108 @@ def test_config_fuzz_rejected_lines_exit_2(tmp_path_factory, lines, command):
     assert rc == 2
     assert err.getvalue().startswith("configuration error: ")
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(COMMANDS).flatmap(
+    lambda command: st.tuples(st.just(command),
+                              st.lists(_accepted_line(command), max_size=8))))
+def test_config_fuzz_accepted_lines_load(tmp_path_factory, case):
+    command, lines = case
+    cfg = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+    cfg.write_bytes(b"\n".join(lines) + b"\n")
+    ns = cli.build_parser().parse_args([command, "--config", str(cfg)])
+    loaded = cli._Settings(ns, _config_keys(command)).file
+    assert set(loaded) <= set(_config_keys(command))
+
+
+FLAGS = {
+    "run": {"--problem", "--seed", "--out", "--mode", "--theta", "--estimator",
+            "--max-dofs", "--max-iterations", "--levels", "--eps", "--eps-sweep",
+            "--indicator", "--max-generation", "--export-mesh", "--dump-indicators"},
+    "threshold": {"--problem", "--seed", "--out", "--eps", "--eps-sweep", "--indicator",
+                  "--max-generation", "--export-mesh"},
+    "mesh-info": {"--problem", "--seed", "--out", "--mesh", "--levels", "--export-mesh"},
+    "infsup": {"--problem", "--seed", "--out", "--levels"},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_config_keys_are_the_subcommand_flags(monkeypatch, tmp_path, capsys, command):
+    # with the handler stubbed out, a key is accepted iff the loader knows it
+    help_text, _, keys = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (help_text, lambda _: 0, keys))
+    accepted = set()
+    for key in cli._SETTINGS:
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}=1\n")
+        main([command, "--config", str(cfg)])
+        if "unknown config key" not in capsys.readouterr().err:
+            accepted.add(key)
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {opt for action in subparsers.choices[command]._actions
+               for opt in action.option_strings}
+    flags = {"--" + key.replace("_", "-") for key in accepted}
+    assert options == flags | {"--config", "-h", "--help"}
+    assert flags == FLAGS[command]
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["run"], "mesh=/nonexistent.json"),
+    (["threshold", "--eps", "0.1"], "levels=2"),
+    (["mesh-info"], "estimator=eta1"),
+    (["infsup"], "max-generation=3"),
+])
+def test_config_key_of_another_subcommand_exits_2(monkeypatch, tmp_path, capsys,
+                                                  argv, line):
+    def no_refine(*args, **kwargs):
+        raise AssertionError("refined before the config file was checked")
+
+    for module in (cli, threshold, adaptloop):
+        monkeypatch.setattr(module, "refine", no_refine)
+    cfg = tmp_path / "other.cfg"
+    cfg.write_text(f"# a key of another subcommand\n{line}\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    key = line.partition("=")[0].replace("-", "_")
+    assert capsys.readouterr().err == (f"configuration error: {cfg}:2: "
+                                       f"unknown config key {key!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["mesh-info"], "seed=abc"),                            # never read
+    (["run"], "mode=bogus"),
+    (["run", "--mode", "uniform"], "estimator=eta9"),
+    (["run", "--mode", "uniform", "--levels", "1"], "levels=abc"),   # overridden
+    (["run", "--mode", "threshold", "--eps", "0.1"], "dump_indicators=maybe"),
+    (["threshold", "--eps", "0.1"], "max-generation=2.5"),
+])
+def test_config_values_are_checked_when_read(monkeypatch, tmp_path, capsys, argv, line):
+    def no_refine(*args, **kwargs):
+        raise AssertionError("refined before the config file was checked")
+
+    for module in (cli, threshold, adaptloop):
+        monkeypatch.setattr(module, "refine", no_refine)
+    cfg = tmp_path / "values.cfg"
+    cfg.write_text(f"problem = smooth-mms\n{line}\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {cfg}:2: ")
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_empty_export_mesh_in_config_means_no_export(tmp_path, capsys):
+    cfg = tmp_path / "info.cfg"
+    cfg.write_text("export_mesh=\n")
+    out = tmp_path / "out"
+    assert main(["mesh-info", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "leaves: 4" in capsys.readouterr().out
+    assert not out.exists()
 
 
 def test_exit_code_on_config_errors(capsys):
