@@ -59,12 +59,40 @@ _RULE = tri_rule()
 _W = _RULE.tri_weights
 _P1_Q = p1_values(_RULE.tri_bary[:, 1:])                  # (nq, 3)
 _P2_GRADS_Q = p2_grads(_RULE.tri_bary[:, 1:])             # (nq, 6, 2)
-# R[(k, l), (b, c)] = sum_q w_q d_k phi_b d_l phi_c
-_STIFF_REF = np.einsum("q,qbk,qcl->klbc", _W, _P2_GRADS_Q, _P2_GRADS_Q).reshape(4, 36)
-# Q[k, (b, c)] = sum_q w_q psi_b d_k phi_c
-_DIV_REF = np.einsum("q,qb,qck->kbc", _W, _P1_Q, _P2_GRADS_Q).reshape(2, 18)
+# Q[k, (b, c)] = sum_q w_q psi_b d_k phi_c over the pairs (b, c) whose
+# integral is not zero on every triangle: the pressure at vertex b against
+# the velocity at vertex b or at a midpoint, since the velocity basis at
+# another vertex c has d_k phi_c = (4 lambda_c - 1) d_k lambda_c, and the
+# integral of lambda_b (4 lambda_c - 1) vanishes
+_DIV_PAIRS = np.array([(b, c) for b in range(3) for c in (b, 3, 4, 5)]).T
+_DIV_REF = np.einsum("q,qb,qck->kbc", _W, _P1_Q,
+                     _P2_GRADS_Q)[:, _DIV_PAIRS[0], _DIV_PAIRS[1]]   # (2, 12)
 _MASS_REF = np.einsum("q,qb,qc->bc", _W, _P1_Q, _P1_Q).reshape(1, 9)
 _LOAD_REF = (_W[:, None] * p2_values(_RULE.tri_bary[:, 1:])).T   # (6, nq)
+
+
+def _cotangent_stiffness() -> np.ndarray:
+    """(3, 36) scalar P2 stiffness per unit cotangent, in sixths.
+
+    The local stiffness of a triangle is ``sum_k cot_k S_k / 6``, ``cot_k``
+    the cotangent of its angle at corner k.  In ``S_k``, with ``i, j`` the
+    other two corners: 3 at ``(i, i)`` and ``(j, j)``, 8 at every midpoint's
+    diagonal, and the couplings ``(i, j)`` 1, ``(i, 3+k)`` and ``(j, 3+k)``
+    -4, ``(3+i, 3+j)`` -8.  A vertex and the midpoint opposite it never
+    couple.
+    """
+    s = np.zeros((3, 6, 6))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        s[k, [i, j], [i, j]] = 3.0
+        s[k, [3, 4, 5], [3, 4, 5]] = 8.0
+        for a, b, v in ((i, j, 1.0), (i, 3 + k, -4.0), (j, 3 + k, -4.0),
+                        (3 + i, 3 + j, -8.0)):
+            s[k, a, b] = s[k, b, a] = v
+    return s.reshape(3, 36)
+
+
+_STIFF_COT = _cotangent_stiffness()
 
 
 def quad_points(part: Partition) -> np.ndarray:
@@ -138,17 +166,29 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
                       minlength=nu)
 
     # each matrix's local blocks and index arrays are made in its ``_csr``
-    # call and die with it, before the next matrix is built
+    # call and die with it, before the next matrix is built.
+    # Scalar quadratic stiffness from the sixths of the corner cotangents,
+    # each the dot product of the two edges leaving its corner over det.
+    # Every off-diagonal entry is a multiple of one cotangent, so an element
+    # stores exactly the entries that are not zero for its own angles: a
+    # right angle drops eight of the 30.
+    xy = part.corner_xy
+    to_next = xy[:, [1, 2, 0]] - xy
+    to_prev = xy[:, [2, 0, 1]] - xy
+    cot6 = ((to_next[:, :, 0] * to_prev[:, :, 0] + to_next[:, :, 1] * to_prev[:, :, 1])
+            / (6.0 * det[:, None]))
+    k_loc = cot6 @ _STIFF_COT
+    keep = k_loc != 0.0
+    k_mat = _csr(k_loc[keep], np.repeat(nodes, 6, axis=1)[keep],
+                 np.tile(nodes, (1, 6))[keep], (nn, nn))
+    del k_loc, keep
+    # divergence pairing det * B^-T Q: for each velocity component l, the
+    # pairs of _DIV_PAIRS, in rows pnodes and columns udofs[:, :, l]
+    shape = (T, 2, _DIV_PAIRS.shape[1])
     binv_t = part.binv.transpose(0, 2, 1)
-    # scalar quadratic stiffness: det * sum_kl (B^-1 B^-T)_kl R_kl
-    k_mat = _csr(det[:, None] * ((part.binv @ binv_t).reshape(T, 4) @ _STIFF_REF),
-                 np.repeat(nodes, 6, axis=1), np.tile(nodes, (1, 6)), (nn, nn))
-    # divergence pairing det * B^-T Q, one (3, 6) block per velocity
-    # component l, in column udofs[:, :, l]
-    shape = (T, 2, 3, 6)
     b_mat = _csr(det[:, None, None] * (binv_t @ _DIV_REF),
-                 np.broadcast_to(pnodes[:, None, :, None], shape),
-                 np.broadcast_to(udofs.transpose(0, 2, 1)[:, :, None, :], shape),
+                 np.broadcast_to(pnodes[:, None, _DIV_PAIRS[0]], shape),
+                 udofs.transpose(0, 2, 1)[:, :, _DIV_PAIRS[1]],
                  (np_, nu))
     del udofs
     mass_p = _csr(det[:, None] * _MASS_REF, np.repeat(pnodes, 3, axis=1),

@@ -272,7 +272,6 @@ def cmd_threshold(st: _Settings) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     max_gen = st.get("max_generation", 40)
-    out, dest = _outputs(st)
 
     sweep_text = st.get("eps_sweep")
     if sweep_text:
@@ -288,6 +287,7 @@ def cmd_threshold(st: _Settings) -> int:
         check_threshold_args(eps_values, max_gen)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out, dest = _outputs(st)
 
     part = prob.make_partition()
     if sweep_text:

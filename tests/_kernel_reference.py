@@ -1,27 +1,60 @@
-"""Reference element kernels: the expressions that the per-component
-kernels of ``estimators`` and ``assembly`` replaced, kept verbatim as the
-oracle of the bitwise tests.
+"""Reference element kernels: the expressions that the kernels of
+``estimators`` and ``assembly`` replaced, kept verbatim as test oracles.
 
-They broadcast (T, nq, 2) and (T, nq, 4) arrays and reduce over the
-trailing component axis (``.sum(axis=2)``, ``np.linalg.norm(..., axis=2)``);
-the package now works on one component at a time, in the same operation
-order, and must give the same bits.
+The indicator and error-norm kernels broadcast (T, nq, 2) and (T, nq, 4)
+arrays and reduce over the trailing component axis (``.sum(axis=2)``,
+``np.linalg.norm(..., axis=2)``); the package now works on one component at
+a time, in the same operation order, and must give the same bits.
+
+``stiffness_and_divergence`` builds ``K`` and ``B`` from the quadrature
+tables that the cotangent stiffness and the restricted divergence table
+replaced.  Those tables leave round-off in the slots of couplings that
+vanish on every triangle or at a right angle, and every slot is stored, so
+this oracle agrees with ``assemble`` to round-off on a larger pattern.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from stokesafem.assembly import _P1_Q, _W, quad_points
+from stokesafem.assembly import _P1_Q, _P2_GRADS_Q, _W, _csr, quad_points
 from stokesafem.estimators import _NEXT, _PREV, ElementIndicators, _edge_end_corners
 from stokesafem.femspace import (
     P1_GRADS,
     P2_HESSIANS,
+    DofMap,
     SolutionPair,
     corner_gradients,
     tri_rule,
 )
 from stokesafem.mesh import Partition
+
+# R[(k, l), (b, c)] = sum_q w_q d_k phi_b d_l phi_c
+_STIFF_REF = np.einsum("q,qbk,qcl->klbc", _W, _P2_GRADS_Q, _P2_GRADS_Q).reshape(4, 36)
+# Q[k, (b, c)] = sum_q w_q psi_b d_k phi_c
+_DIV_REF = np.einsum("q,qb,qck->kbc", _W, _P1_Q, _P2_GRADS_Q).reshape(2, 18)
+
+
+def stiffness_and_divergence(part: Partition, dm: DofMap):
+    """``(K, B)`` from the quadrature tables, all 36 entries of each element
+    stored in both."""
+    T = part.n_leaves
+    det = part.det
+    nodes, pnodes = dm.cell_nodes, dm.cell_pnodes
+    udofs = 2 * nodes[:, :, None] + np.arange(2)
+    binv_t = part.binv.transpose(0, 2, 1)
+    # scalar quadratic stiffness: det * sum_kl (B^-1 B^-T)_kl R_kl
+    k_mat = _csr(det[:, None] * ((part.binv @ binv_t).reshape(T, 4) @ _STIFF_REF),
+                 np.repeat(nodes, 6, axis=1), np.tile(nodes, (1, 6)),
+                 (dm.n_nodes, dm.n_nodes))
+    # divergence pairing det * B^-T Q, one (3, 6) block per velocity
+    # component l, in column udofs[:, :, l]
+    shape = (T, 2, 3, 6)
+    b_mat = _csr(det[:, None, None] * (binv_t @ _DIV_REF),
+                 np.broadcast_to(pnodes[:, None, :, None], shape),
+                 np.broadcast_to(udofs.transpose(0, 2, 1)[:, :, None, :], shape),
+                 (dm.n_p, dm.n_u))
+    return k_mat, b_mat
 
 
 def element_oscillation(part: Partition, fq: np.ndarray) -> np.ndarray:

@@ -365,7 +365,8 @@ def test_exit_code_on_budget_error(tmp_path, capsys):
 
 
 BAD_THRESHOLD_OPTIONS = [["--eps", "-1"], ["--eps", "nan"], ["--eps-sweep", "0.1,-0.5"],
-                         ["--eps-sweep", "0.1,0"], ["--eps", "0.1", "--max-generation", "0"]]
+                         ["--eps-sweep", "0.1,0"], ["--eps-sweep", "0.1,abc"],
+                         ["--eps", "0.1", "--max-generation", "0"]]
 
 
 @pytest.mark.parametrize("argv", [
@@ -380,8 +381,10 @@ def test_bad_numeric_options_exit_2_before_refining(monkeypatch, capsys, tmp_pat
 
     monkeypatch.setattr(cli, "refine", no_refine)
     monkeypatch.setattr(threshold, "refine", no_refine)
-    assert main([*argv, "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
