@@ -53,7 +53,7 @@ from .estimators import (
     marking_shares,
     oscillation,
 )
-from .femspace import DofMap, SolutionPair, build_dofmap, corner_gradients, prolong
+from .femspace import DofMap, SolutionPair, build_dofmap, prolong
 from .mesh import Partition, refine
 from .problems import ProblemDef, get_problem
 
@@ -229,13 +229,12 @@ def _solve_and_estimate(part: Partition, dm: DofMap, prob: ProblemDef, k: int,
         sol = solve(system)
     except SolverFailure as exc:
         raise SolverFailure(f"iteration {k}: {exc}") from exc
-    grads = corner_gradients(sol)
-    ind = compute_indicators(sol, system.load_q, corner_grads=grads)
+    ind = compute_indicators(sol, system.load_q)
     e0, e1, e2 = (eta(kind, ind) for kind in ESTIMATOR_KINDS)
     osc_sq = oscillation(ind)
     _check_indicator_inequalities(osc_sq, e0, e1, e2, k)
     if prob.exact is not None:
-        err_u, err_p = error_norms(sol, prob.exact, corner_grads=grads)
+        err_u, err_p = error_norms(sol, prob.exact)
         total = math.sqrt(err_u ** 2 + err_p ** 2 + osc_sq)
     else:
         err_u = err_p = total = _NAN

@@ -20,13 +20,12 @@ from .femspace import (
     DofMap,
     SolutionPair,
     VectorField,
-    corner_gradients,
     p1_values,
     p2_grads,
     p2_values,
     tri_rule,
 )
-from .mesh import Partition
+from .mesh import _NEXT, _PREV, Partition
 
 __all__ = [
     "SolverFailure",
@@ -46,6 +45,8 @@ RESIDUAL_RTOL = 1e-9
 # right-hand side at round-off level is not chased) and iteration cap
 CG_RTOL = 1e-12
 CG_MAXITER = 2000
+# the dense inf-sup diagnostic refuses systems with more dofs than this
+INF_SUP_MAX_DOFS = 4000
 
 
 class SolverFailure(RuntimeError):
@@ -82,8 +83,7 @@ def _cotangent_stiffness() -> np.ndarray:
     couple.
     """
     s = np.zeros((3, 6, 6))
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
+    for k, i, j in zip(range(3), _NEXT, _PREV):
         s[k, [i, j], [i, j]] = 3.0
         s[k, [3, 4, 5], [3, 4, 5]] = 8.0
         for a, b, v in ((i, j, 1.0), (i, 3 + k, -4.0), (j, 3 + k, -4.0),
@@ -168,14 +168,13 @@ def assemble(part: Partition, dm: DofMap, f: VectorField,
     # each matrix's local blocks and index arrays are made in its ``_csr``
     # call and die with it, before the next matrix is built.
     # Scalar quadratic stiffness from the sixths of the corner cotangents,
-    # each the dot product of the two edges leaving its corner over det.
+    # each the dot product of the two edges leaving its corner over det;
+    # those edges are e[k+2] and -e[k+1] in ``Partition.edge_vectors``.
     # Every off-diagonal entry is a multiple of one cotangent, so an element
     # stores exactly the entries that are not zero for its own angles: a
     # right angle drops eight of the 30.
-    xy = part.corner_xy
-    to_next = xy[:, [1, 2, 0]] - xy
-    to_prev = xy[:, [2, 0, 1]] - xy
-    cot6 = ((to_next[:, :, 0] * to_prev[:, :, 0] + to_next[:, :, 1] * to_prev[:, :, 1])
+    e_out, e_in = part.edge_vectors[:, _PREV], part.edge_vectors[:, _NEXT]
+    cot6 = (-(e_out[:, :, 0] * e_in[:, :, 0] + e_out[:, :, 1] * e_in[:, :, 1])
             / (6.0 * det[:, None]))
     k_loc = cot6 @ _STIFF_COT
     keep = k_loc != 0.0
@@ -457,22 +456,18 @@ def pressure_l2_sq(system: StokesSystem, p: np.ndarray) -> float:
     return float(p @ (system.mass_p @ p))
 
 
-def error_norms(sol: SolutionPair, exact, *,
-                corner_grads: np.ndarray | None = None) -> tuple[float, float]:
+def error_norms(sol: SolutionPair, exact) -> tuple[float, float]:
     """Quadrature gradient-seminorm and zero-mean-aligned pressure errors.
 
     ``exact`` provides vectorized callables ``grad_u`` ((n,2,2) with entry
-    [k,l] = d u_k / d x_l) and ``p``.  ``corner_grads`` is
-    ``corner_gradients(sol)``, computed when not given.
+    [k,l] = d u_k / d x_l) and ``p``.
     """
     part, dm = sol.partition, sol.dofmap
     T = part.n_leaves
     wdet = part.det[:, None] * _W
-    if corner_grads is None:
-        corner_grads = corner_gradients(sol)
 
     # the discrete gradient is affine: interpolate its corner values
-    grad_h = _P1_Q @ corner_grads.reshape(T, 3, 4)                # (T, nq, 4)
+    grad_h = _P1_Q @ sol.corner_grads.reshape(T, 3, 4)            # (T, nq, 4)
     xq = quad_points(part).reshape(-1, 2)
     grad_ex = np.asarray(exact.grad_u(xq), dtype=float).reshape(T, -1, 4)
     diff = grad_ex - grad_h
@@ -497,13 +492,12 @@ def inf_sup_constant(system: StokesSystem) -> float:
 
     Smallest generalized eigenvalue of (B A^-1 B^T) q = lambda M_p q over
     zero-mean pressures, returned as its square root.  Dense diagnostic:
-    refuses systems with more than 4000 total dofs.
+    refuses systems with more than ``INF_SUP_MAX_DOFS`` total dofs.
     """
     dm = system.dofmap
-    if dm.n_dofs > 4000:
-        raise ValueError(
-            f"inf-sup diagnostic is dense; {dm.n_dofs} dofs exceed the 4000 limit"
-        )
+    if dm.n_dofs > INF_SUP_MAX_DOFS:
+        raise ValueError(f"inf-sup diagnostic is dense; {dm.n_dofs} dofs exceed "
+                         f"the {INF_SUP_MAX_DOFS} limit")
     nf = 2 * dm.n_free
     a_ff = system.a_mat[:nf, :nf].toarray()
     b_f = system.b_mat[:, :nf].toarray()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -32,13 +33,12 @@ from . import __version__
 from .adaptloop import (
     AdaptiveConfig,
     adaptive_run,
-    fit_rate,
     monitor_report,
     monitor_report_json,
     uniform_run,
     write_trace_csv,
 )
-from .assembly import SolverFailure, assemble, inf_sup_constant
+from .assembly import INF_SUP_MAX_DOFS, SolverFailure, assemble, inf_sup_constant
 from .estimators import ESTIMATOR_KINDS, marking_shares
 from .femspace import build_dofmap
 from .mesh import load_mesh, refine, save_mesh
@@ -177,7 +177,7 @@ def _provenance(st: _Settings, **extra: str) -> dict[str, str]:
 # -- run subcommand ------------------------------------------------------
 
 
-def _print_convergence_table(trace) -> None:
+def _print_convergence_table(trace, report) -> None:
     kind = trace.estimator
     print(f"problem={trace.problem} mode={trace.mode} estimator={kind} "
           f"theta={trace.theta:g}")
@@ -187,14 +187,13 @@ def _print_convergence_table(trace) -> None:
         print(f"{row.k:>4} {row.N:>8} {row.leaves:>8} "
               f"{row.n_u + row.n_p:>8} {getattr(row, kind):>12.5e} "
               f"{row.total_err:>12.5e} {row.n_marked:>7}")
-    ns = trace.column("N")
-    for label, col in ((kind, trace.column(kind)),
-                       ("total_err", trace.column("total_err"))):
-        try:
-            s, r2 = fit_rate(ns, col)
-            print(f"rate[{label}] s={s:.4f} r2={r2:.4f}")
-        except ValueError:
+    for label, s, r2 in ((kind, report.rate_eta, report.rate_eta_r2),
+                         ("total_err", report.rate_total_err,
+                          report.rate_total_err_r2)):
+        if math.isnan(s):
             print(f"rate[{label}] unavailable")
+        else:
+            print(f"rate[{label}] s={s:.4f} r2={r2:.4f}")
 
 
 def _dump_indicators_csv(trace, path) -> None:
@@ -245,7 +244,7 @@ def cmd_run(st: _Settings) -> int:
         save_mesh(trace.final_partition, dest)
     if st.get("dump_indicators", False):
         _dump_indicators_csv(trace, out / "indicators.csv")
-    _print_convergence_table(trace)
+    _print_convergence_table(trace, report)
     return EXIT_OK
 
 
@@ -321,6 +320,13 @@ def cmd_mesh_info(st: _Settings) -> int:
         prob = _problem(st)
         part = prob.make_partition()
         source = prob.name
+    # each level doubles the leaves; a mesh with more leaves than the
+    # default dof budget also has more dofs
+    budget = AdaptiveConfig.max_dofs
+    if part.n_leaves * 2 ** levels > budget:
+        raise ConfigError(f"levels={levels} refines {part.n_leaves} leaves to "
+                          f"{part.n_leaves} * 2^{levels}, more than the "
+                          f"default dof budget max_dofs={budget}")
     _, dest = _outputs(st, artifacts=False)
     for _ in range(levels):
         part = refine(part, part.leaves)
@@ -355,9 +361,9 @@ def cmd_infsup(st: _Settings) -> int:
     print(f"{'level':>5} {'leaves':>8} {'dofs':>8} {'beta':>12}")
     for level in range(levels + 1):
         dm = build_dofmap(part)
-        if dm.n_dofs > 4000:
-            print(f"{level:>5} {part.n_leaves:>8} {dm.n_dofs:>8} "
-                  f"{'skipped':>12}  (dense diagnostic refuses > 4000 dofs)")
+        if dm.n_dofs > INF_SUP_MAX_DOFS:
+            print(f"{level:>5} {part.n_leaves:>8} {dm.n_dofs:>8} {'skipped':>12}  "
+                  f"(dense diagnostic refuses > {INF_SUP_MAX_DOFS} dofs)")
             break
         system = assemble(part, dm, prob.f, prob.g)
         beta = inf_sup_constant(system)

@@ -23,8 +23,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .femspace import P1_GRADS, P2_HESSIANS, SolutionPair, corner_gradients, tri_rule
-from .mesh import Partition
+from .femspace import P1_GRADS, P2_HESSIANS, SolutionPair, tri_rule
+from .mesh import _NEXT, _PREV, Partition
 
 __all__ = [
     "ESTIMATOR_KINDS",
@@ -37,8 +37,6 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS = ("eta0", "eta1", "eta2")
-# the other two corners of a triangle, after and before corner i
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 @dataclass
@@ -80,12 +78,11 @@ def element_oscillation(part: Partition, fq: np.ndarray) -> np.ndarray:
     return part.areas * part.det * quad
 
 
-def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
-                       corner_grads: np.ndarray | None = None) -> ElementIndicators:
+def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
     """Evaluate all indicator ingredients for one discrete solution from the
-    load at its quadrature points (``StokesSystem.load_q``) and the velocity
-    gradient at the leaf corners (``corner_gradients(sol)``, computed when
-    not given)."""
+    load at its quadrature points (``StokesSystem.load_q``), the velocity
+    gradient at the leaf corners (``sol.corner_grads``) and the leaf edges
+    (``Partition.edge_vectors``)."""
     part, dm = sol.partition, sol.dofmap
     T = part.n_leaves
     expected = (T, len(tri_rule().tri_weights), 2)
@@ -114,7 +111,7 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
     vol = h_sq * part.det * ((rx * rx + ry * ry) @ tri_rule().tri_weights)
     osc = element_oscillation(part, fq)
 
-    grad_v = corner_gradients(sol) if corner_grads is None else corner_grads
+    grad_v = sol.corner_grads
     div_v = grad_v[:, :, 0, 0] + grad_v[:, :, 1, 1]               # (T, 3)
 
     # exact integral of the squared affine divergence over the element
@@ -124,7 +121,7 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
 
     # trace integral over the element boundary; edge i joins the corners
     # _NEXT[i] and _PREV[i]
-    edge_vec = part.corner_xy[:, _PREV] - part.corner_xy[:, _NEXT]    # (T, 3, 2)
+    edge_vec = part.edge_vectors                                  # (T, 3, 2)
     ex, ey = edge_vec[:, :, 0], edge_vec[:, :, 1]
     elen = np.sqrt(ex * ex + ey * ey)
     dj, dk = div_v[:, _NEXT], div_v[:, _PREV]
@@ -156,7 +153,7 @@ def _edge_end_corners(part: Partition) -> np.ndarray:
     """(m, side, end) local corner of each interior edge's endpoints in its
     two elements, the endpoint with the lower vertex id first.  The edge
     table's ``interior_edge_local`` gives the edge's local index in each
-    element; the edge opposite corner i joins _NEXT[i] and _PREV[i].
+    element; edge i joins the corners _NEXT[i] and _PREV[i].
     """
     e_elems, opp = part.interior_edge_elems, part.interior_edge_local
     c1, c2 = _NEXT[opp], _PREV[opp]

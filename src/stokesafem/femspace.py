@@ -17,19 +17,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Partition
+from .mesh import _NEXT, _PREV, Partition
 
 __all__ = [
     "DofMap",
     "QuadratureRule",
     "SolutionPair",
     "build_dofmap",
-    "corner_gradients",
     "eval_pressure",
     "eval_velocity",
     "eval_velocity_gradient",
@@ -109,9 +109,8 @@ def p2_values(points: np.ndarray) -> np.ndarray:
     """(n, 6) quadratic basis values at reference points (x, y)."""
     lam = _bary(points)
     out = np.empty((len(lam), 6))
-    for i in range(3):
+    for i, j, k in zip(range(3), _NEXT, _PREV):
         out[:, i] = lam[:, i] * (2.0 * lam[:, i] - 1.0)
-        j, k = (i + 1) % 3, (i + 2) % 3
         out[:, 3 + i] = 4.0 * lam[:, j] * lam[:, k]
     return out
 
@@ -120,9 +119,8 @@ def p2_grads(points: np.ndarray) -> np.ndarray:
     """(n, 6, 2) quadratic basis gradients at reference points."""
     lam = _bary(points)
     out = np.empty((len(lam), 6, 2))
-    for i in range(3):
+    for i, j, k in zip(range(3), _NEXT, _PREV):
         out[:, i] = (4.0 * lam[:, i] - 1.0)[:, None] * _L_GRADS[i]
-        j, k = (i + 1) % 3, (i + 2) % 3
         out[:, 3 + i] = 4.0 * (lam[:, j][:, None] * _L_GRADS[k]
                                + lam[:, k][:, None] * _L_GRADS[j])
     return out
@@ -130,9 +128,8 @@ def p2_grads(points: np.ndarray) -> np.ndarray:
 
 # constant reference Hessians of the 6 quadratic basis functions, (6, 2, 2)
 P2_HESSIANS = np.empty((6, 2, 2))
-for _i in range(3):
+for _i, _j, _k in zip(range(3), _NEXT, _PREV):
     P2_HESSIANS[_i] = 4.0 * np.outer(_L_GRADS[_i], _L_GRADS[_i])
-    _j, _k = (_i + 1) % 3, (_i + 2) % 3
     P2_HESSIANS[3 + _i] = 4.0 * (np.outer(_L_GRADS[_j], _L_GRADS[_k])
                                  + np.outer(_L_GRADS[_k], _L_GRADS[_j]))
 del _i, _j, _k
@@ -263,8 +260,9 @@ def build_dofmap(part: Partition) -> DofMap:
 class SolutionPair:
     """Coefficient vectors of one discrete velocity/pressure pair.
 
-    ``prolong`` also takes ``u``/``p`` with a trailing column axis: a stack
-    of pairs on one dofmap.
+    ``u`` and ``p`` are not changed after construction, so what is derived
+    from them is cached.  ``prolong`` also takes ``u``/``p`` with a trailing
+    column axis: a stack of pairs on one dofmap.
     """
 
     u: np.ndarray
@@ -282,15 +280,16 @@ class SolutionPair:
         """(n_nodes, 2) velocity values by scalar node."""
         return self.u.reshape(-1, 2)
 
+    @cached_property
+    def corner_grads(self) -> np.ndarray:
+        """(T, 3, 2, 2) velocity gradient at each leaf's corners.
 
-def corner_gradients(sol: SolutionPair) -> np.ndarray:
-    """(T, 3, 2, 2) velocity gradient at each leaf's corners.
-
-    Entry [t, v, k, l] is d u_k / d x_l at corner v; the gradient is affine.
-    """
-    coeff = sol.u_nodes()[sol.dofmap.cell_nodes]                 # (T, 6, 2)
-    ref = (coeff.transpose(0, 2, 1) @ _CORNER_GRADS).reshape(-1, 2, 3, 2)
-    return ref.transpose(0, 2, 1, 3) @ sol.partition.binv[:, None]
+        Entry [t, v, k, l] is d u_k / d x_l at corner v; the gradient is
+        affine.
+        """
+        coeff = self.u_nodes()[self.dofmap.cell_nodes]               # (T, 6, 2)
+        ref = (coeff.transpose(0, 2, 1) @ _CORNER_GRADS).reshape(-1, 2, 3, 2)
+        return ref.transpose(0, 2, 1, 3) @ self.partition.binv[:, None]
 
 
 def _pressure_weights(dm: DofMap) -> np.ndarray:

@@ -93,11 +93,16 @@ def _edge_code(a: int, b: int) -> int:
     return a << 32 | b if a < b else b << 32 | a
 
 
+# the local edge convention: edge i of a triangle lies opposite its corner
+# i and runs from corner _NEXT[i] to corner _PREV[i]
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _edge_codes(tris: np.ndarray) -> np.ndarray:
     """(3n,) edge codes of n triangles; entry 3k + i is the edge of triangle
     k opposite its local vertex i."""
-    a = tris[:, [1, 2, 0]]
-    b = tris[:, [2, 0, 1]]
+    a = tris[:, _NEXT]
+    b = tris[:, _PREV]
     return (np.minimum(a, b).astype(np.int64) << 32 | np.maximum(a, b)).ravel()
 
 
@@ -167,10 +172,10 @@ def _room(buf: np.ndarray, n: int) -> np.ndarray:
 class Forest:
     """Append-only bisection forest shared by all snapshots of one mesh.
 
-    The element arrays ``tri``, ``parent``, ``child0``, ``gen`` and ``root``
-    and the vertex array ``verts`` live in NumPy buffers that double when
-    full; the properties hand out read-only views of the rows in use.  A row
-    never changes once written, except that ``child0`` of an element is set
+    The element arrays ``tri``, ``parent``, ``child0`` and ``gen`` and the
+    vertex array ``verts`` live in NumPy buffers that double when full; the
+    properties hand out read-only views of the rows in use.  A row never
+    changes once written, except that ``child0`` of an element is set
     when it is first bisected.  The two children of an element are always
     consecutive, so ``child1`` is computed as ``child0 + 1``.
     """
@@ -183,7 +188,6 @@ class Forest:
         self._parent = np.full(n, -1, dtype=np.int64)
         self._child0 = np.full(n, -1, dtype=np.int64)
         self._gen = np.zeros(n, dtype=np.int64)
-        self._root = np.arange(n, dtype=np.int64)
         self.n_elements = self.n_roots = n
         self.n_vertices = len(self._verts)
         # sorted codes of the split edges and their midpoint vertices, for
@@ -223,10 +227,6 @@ class Forest:
     @property
     def gen(self) -> np.ndarray:
         return _rows(self._gen, self.n_elements)
-
-    @property
-    def root(self) -> np.ndarray:
-        return _rows(self._root, self.n_elements)
 
     def ancestor_in(self, elems: np.ndarray, mask: np.ndarray,
                     strict: bool = False) -> np.ndarray:
@@ -301,7 +301,7 @@ class Forest:
         parents = elems[new]
         n, k = self.n_elements, len(parents)
         end = n + 2 * k
-        for name in ("_tri", "_parent", "_child0", "_gen", "_root"):
+        for name in ("_tri", "_parent", "_child0", "_gen"):
             setattr(self, name, _room(getattr(self, name), end))
         v0, v1, v2 = self._tri[parents].T
         m = mids[new]
@@ -310,7 +310,6 @@ class Forest:
         self._parent[n:end] = np.repeat(parents, 2)
         self._child0[n:end] = -1
         self._gen[n:end] = np.repeat(self._gen[parents] + 1, 2)
-        self._root[n:end] = np.repeat(self._root[parents], 2)
         first = np.arange(n, end, 2)
         self._child0[parents] = first
         self.n_elements = end
@@ -397,12 +396,15 @@ class Partition:
         return 0.5 * self.det
 
     @cached_property
-    def diams(self) -> np.ndarray:
+    def edge_vectors(self) -> np.ndarray:
+        """(n, 3, 2) edge i of each leaf, from corner ``_NEXT[i]`` to corner
+        ``_PREV[i]``: the edge opposite corner i."""
         xy = self.corner_xy
-        out = np.zeros(self.n_leaves)
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            out = np.maximum(out, np.linalg.norm(xy[:, i] - xy[:, j], axis=1))
-        return out
+        return xy[:, _PREV] - xy[:, _NEXT]
+
+    @cached_property
+    def diams(self) -> np.ndarray:
+        return np.linalg.norm(self.edge_vectors, axis=2).max(axis=1)
 
     @property
     def total_area(self) -> float:

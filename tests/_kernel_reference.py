@@ -4,30 +4,36 @@
 The indicator and error-norm kernels broadcast (T, nq, 2) and (T, nq, 4)
 arrays and reduce over the trailing component axis (``.sum(axis=2)``,
 ``np.linalg.norm(..., axis=2)``); the package now works on one component at
-a time, in the same operation order, and must give the same bits.
+a time, in the same operation order, and must give the same bits.  The
+reference kernels form the corner gradients with ``corner_gradients``, the
+function that ``SolutionPair.corner_grads`` replaced, and the edge vectors
+from ``corner_xy``, as ``Partition.edge_vectors`` does.
 
-``stiffness_and_divergence`` builds ``K`` and ``B`` from the quadrature
-tables that the cotangent stiffness and the restricted divergence table
-replaced.  Those tables leave round-off in the slots of couplings that
-vanish on every triangle or at a right angle, and every slot is stored, so
-this oracle agrees with ``assemble`` to round-off on a larger pattern.
+``cotangent_stiffness`` forms the cotangents of ``assemble``'s stiffness
+from the corner coordinates, as it did before ``Partition.edge_vectors``,
+and must give the same bits.  ``stiffness_and_divergence`` builds ``K``
+and ``B`` from the quadrature tables that the cotangent stiffness and the
+restricted divergence table replaced.  Those tables leave round-off in the
+slots of couplings that vanish on every triangle or at a right angle, and
+every slot is stored, so this oracle agrees with ``assemble`` to round-off
+on a larger pattern.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from stokesafem.assembly import _P1_Q, _P2_GRADS_Q, _W, _csr, quad_points
-from stokesafem.estimators import _NEXT, _PREV, ElementIndicators, _edge_end_corners
+from stokesafem.assembly import _P1_Q, _P2_GRADS_Q, _STIFF_COT, _W, _csr, quad_points
+from stokesafem.estimators import ElementIndicators, _edge_end_corners
 from stokesafem.femspace import (
+    _CORNER_GRADS,
     P1_GRADS,
     P2_HESSIANS,
     DofMap,
     SolutionPair,
-    corner_gradients,
     tri_rule,
 )
-from stokesafem.mesh import Partition
+from stokesafem.mesh import _NEXT, _PREV, Partition
 
 # R[(k, l), (b, c)] = sum_q w_q d_k phi_b d_l phi_c
 _STIFF_REF = np.einsum("q,qbk,qcl->klbc", _W, _P2_GRADS_Q, _P2_GRADS_Q).reshape(4, 36)
@@ -57,6 +63,31 @@ def stiffness_and_divergence(part: Partition, dm: DofMap):
     return k_mat, b_mat
 
 
+def cotangent_stiffness(part: Partition, dm: DofMap):
+    """``K`` from the corner cotangents, each formed from the differences
+    of the corner coordinates, with the storage rule of ``assemble``."""
+    xy = part.corner_xy
+    to_next = xy[:, [1, 2, 0]] - xy
+    to_prev = xy[:, [2, 0, 1]] - xy
+    cot6 = ((to_next[:, :, 0] * to_prev[:, :, 0] + to_next[:, :, 1] * to_prev[:, :, 1])
+            / (6.0 * part.det[:, None]))
+    k_loc = cot6 @ _STIFF_COT
+    keep = k_loc != 0.0
+    nodes = dm.cell_nodes
+    return _csr(k_loc[keep], np.repeat(nodes, 6, axis=1)[keep],
+                np.tile(nodes, (1, 6))[keep], (dm.n_nodes, dm.n_nodes))
+
+
+def corner_gradients(sol: SolutionPair) -> np.ndarray:
+    """(T, 3, 2, 2) velocity gradient at each leaf's corners.
+
+    Entry [t, v, k, l] is d u_k / d x_l at corner v; the gradient is affine.
+    """
+    coeff = sol.u_nodes()[sol.dofmap.cell_nodes]                 # (T, 6, 2)
+    ref = (coeff.transpose(0, 2, 1) @ _CORNER_GRADS).reshape(-1, 2, 3, 2)
+    return ref.transpose(0, 2, 1, 3) @ sol.partition.binv[:, None]
+
+
 def element_oscillation(part: Partition, fq: np.ndarray) -> np.ndarray:
     """(T,) h^2 ||f - mean(f)||^2 per element from (T, nq, 2) quadrature values.
 
@@ -74,12 +105,10 @@ def element_oscillation(part: Partition, fq: np.ndarray) -> np.ndarray:
     return part.areas * part.det * quad
 
 
-def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
-                       corner_grads: np.ndarray | None = None) -> ElementIndicators:
+def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
     """Evaluate all indicator ingredients for one discrete solution from the
     load at its quadrature points (``StokesSystem.load_q``) and the velocity
-    gradient at the leaf corners (``corner_gradients(sol)``, computed when
-    not given)."""
+    gradient at the leaf corners (``corner_gradients(sol)``)."""
     part, dm = sol.partition, sol.dofmap
     T = part.n_leaves
     expected = (T, len(tri_rule().tri_weights), 2)
@@ -105,7 +134,7 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
     vol = h_sq * part.det * ((resid * resid).sum(axis=2) @ tri_rule().tri_weights)
     osc = element_oscillation(part, fq)
 
-    grad_v = corner_gradients(sol) if corner_grads is None else corner_grads
+    grad_v = corner_gradients(sol)
     div_v = grad_v[:, :, 0, 0] + grad_v[:, :, 1, 1]               # (T, 3)
 
     # exact integral of the squared affine divergence over the element
@@ -142,23 +171,18 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray, *,
     )
 
 
-
-def error_norms(sol: SolutionPair, exact, *,
-                corner_grads: np.ndarray | None = None) -> tuple[float, float]:
+def error_norms(sol: SolutionPair, exact) -> tuple[float, float]:
     """Quadrature gradient-seminorm and zero-mean-aligned pressure errors.
 
     ``exact`` provides vectorized callables ``grad_u`` ((n,2,2) with entry
-    [k,l] = d u_k / d x_l) and ``p``.  ``corner_grads`` is
-    ``corner_gradients(sol)``, computed when not given.
+    [k,l] = d u_k / d x_l) and ``p``.
     """
     part, dm = sol.partition, sol.dofmap
     T = part.n_leaves
     wdet = part.det[:, None] * _W
-    if corner_grads is None:
-        corner_grads = corner_gradients(sol)
 
     # the discrete gradient is affine: interpolate its corner values
-    grad_h = _P1_Q @ corner_grads.reshape(T, 3, 4)                # (T, nq, 4)
+    grad_h = _P1_Q @ corner_gradients(sol).reshape(T, 3, 4)       # (T, nq, 4)
     xq = quad_points(part).reshape(-1, 2)
     grad_ex = np.asarray(exact.grad_u(xq), dtype=float).reshape(T, -1, 4)
     diff = grad_ex - grad_h

@@ -537,6 +537,23 @@ def test_export_mesh_accepts_explicit_path(tmp_path, capsys):
     assert (tmp_path / "bare" / "mesh.json").exists()
 
 
+def test_mesh_info_levels_beyond_the_dof_budget_exit_2_before_refining(
+        monkeypatch, capsys, tmp_path):
+    # 200 doublings would refine until memory runs out; the run must stop
+    # before the first one and write nothing
+    def no_refine(*args, **kwargs):
+        raise AssertionError("refined past the dof budget")
+
+    monkeypatch.setattr(cli, "refine", no_refine)
+    monkeypatch.chdir(tmp_path)
+    assert main(["mesh-info", "--levels", "200", "--out", "out",
+                 "--export-mesh"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: levels=200 ")
+    assert "max_dofs=200000" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mesh_info_rejects_missing_file(capsys):
     assert main(["mesh-info", "--mesh", "/nonexistent/mesh.json"]) == 2
     assert "cannot load mesh" in capsys.readouterr().err

@@ -39,7 +39,6 @@ from stokesafem.femspace import (
     P2_HESSIANS,
     SolutionPair,
     build_dofmap,
-    corner_gradients,
     p1_values,
     p2_grads,
     p2_values,
@@ -281,22 +280,6 @@ def test_edge_end_corners_match_former_search(root, rounds, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(**meshes)
-def test_passed_corner_gradients_change_nothing(root, rounds, seed):
-    # the adaptive loop computes the corner gradients once and hands them to both
-    rng = np.random.default_rng(seed)
-    part = random_partition(root, rounds, rng)
-    sol = random_pair(build_dofmap(part), rng)
-    prob = get_problem("smooth-mms")
-    grads = corner_gradients(sol)
-    assert error_norms(sol, prob.exact, corner_grads=grads) == error_norms(sol, prob.exact)
-    fq = load_at_quadrature(part, prob.f)
-    own, passed = compute_indicators(sol, fq), compute_indicators(sol, fq, corner_grads=grads)
-    for name in ("vol", "div_l2", "div_edge", "osc", "jump", "edge_elems"):
-        assert np.array_equal(getattr(passed, name), getattr(own, name)), name
-
-
-@settings(max_examples=30, deadline=None)
 @given(**meshes, more=st.integers(1, 3))
 def test_prolong_matches_quadrature_oracle(root, rounds, seed, more):
     rng = np.random.default_rng(seed)
@@ -370,6 +353,24 @@ def test_per_component_kernels_match_former_expressions_bitwise(root, rounds, se
         assert np.array_equal(getattr(new, name), getattr(old, name)), name
     exact = get_problem("smooth-mms").exact
     assert error_norms(sol, exact) == _kernel_reference.error_norms(sol, exact)
+    # the indicators and the error norms read one cached corner-gradient array
+    assert sol.corner_grads is sol.corner_grads
+    assert np.array_equal(sol.corner_grads, _kernel_reference.corner_gradients(sol))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**meshes)
+def test_stiffness_from_edge_vectors_matches_corner_differences_bitwise(
+        root, rounds, seed):
+    # the cotangents were formed from the differences of the corner
+    # coordinates; they now come from Partition.edge_vectors
+    part = random_partition(root, rounds, np.random.default_rng(seed))
+    dm = build_dofmap(part)
+    k_mat = assemble(part, dm, lambda x: np.zeros_like(x)).k_mat
+    want = _kernel_reference.cotangent_stiffness(part, dm)
+    assert np.array_equal(k_mat.indptr, want.indptr)
+    assert np.array_equal(k_mat.indices, want.indices)
+    assert np.array_equal(k_mat.data, want.data)
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,6 +26,8 @@ from hypothesis.extra import numpy as hnp
 
 from stokesafem.femspace import build_dofmap
 from stokesafem.mesh import (
+    _NEXT,
+    _PREV,
     MeshStats,
     Partition,
     RefinementError,
@@ -585,8 +587,12 @@ def test_ancestor_leaf_lookup():
     p = unit_square_partition()
     q = uniform_refine(p, 3)
     anc = q.ancestor_leaf_in(p)
-    root = np.asarray(q.forest.root)
-    assert np.array_equal(anc, root[q.leaves])
+    # the roots are p's leaves: walk each leaf up the parent links to -1
+    parent = q.forest.parent
+    root = q.leaves.copy()
+    while (parent[root] >= 0).any():
+        root = np.where(parent[root] >= 0, parent[root], root)
+    assert np.array_equal(anc, root)
     with pytest.raises(ValueError):
         p.ancestor_leaf_in(q)   # p is coarser, not a refinement of q
 
@@ -672,6 +678,30 @@ def test_edge_slots_name_each_interior_edge(root, rounds, seed):
     turn = (rng.integers(0, 3, (len(tris), 1)) + np.arange(3)) % 3
     assert_slots_name_their_edges(
         partition_from_arrays(xy, np.take_along_axis(tris, turn, axis=1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(root=st.sampled_from(["square", "lshape"]), rounds=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_edge_vectors_run_along_the_coded_edges(root, rounds, seed):
+    # edge i of a leaf runs from corner _NEXT[i] to corner _PREV[i], and is
+    # the edge that leaf_edges[:, i] names
+    rng = np.random.default_rng(seed)
+    part = {"square": unit_square_partition, "lshape": l_shape_partition}[root]()
+    for _ in range(rounds):
+        k = rng.integers(1, part.n_leaves + 1)
+        part = refine(part, rng.choice(part.leaves, size=k, replace=False))
+    start, stop = part.leaf_tris[:, _NEXT], part.leaf_tris[:, _PREV]
+    np.testing.assert_array_equal(np.sort(np.stack([start, stop], axis=2), axis=2),
+                                  part.edge_verts[part.leaf_edges])
+    xy = part.forest.verts
+    assert part.edge_vectors.tobytes() == (xy[stop] - xy[start]).tobytes()
+    # the diameter is the longest edge, bit for bit as the former pairwise loop
+    former = np.zeros(part.n_leaves)
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        former = np.maximum(former, np.linalg.norm(part.corner_xy[:, i]
+                                                   - part.corner_xy[:, j], axis=1))
+    assert part.diams.tobytes() == former.tobytes()
 
 
 # -- file round trip -----------------------------------------------------
@@ -882,7 +912,7 @@ def test_forest_mirrors_follow_growth():
     p = l_shape_partition()
     f = p.forest
     early = f.tri
-    rows = {"tri": [], "verts": [], "gen": [], "parent": [], "root": []}
+    rows = {"tri": [], "verts": [], "gen": [], "parent": []}
     for _ in range(6):
         p = refine(p, p.leaves[::3])
         for name, kept in rows.items():
