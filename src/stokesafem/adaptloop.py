@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -77,11 +77,6 @@ __all__ = [
     "monitor_report_json",
 ]
 
-TRACE_COLUMNS = (
-    "k", "N", "leaves", "n_u", "n_p", "eta0", "eta1", "eta2", "osc",
-    "err_u", "err_p", "total_err", "n_marked", "step_diff_sq",
-)
-
 _NAN = float("nan")
 # marking shares closer than this, relative to the largest, count as tied
 DORFLER_TIE_RTOL = 1e-9
@@ -91,7 +86,7 @@ ABS_FLOOR = 1e-14
 
 @dataclass
 class AdaptiveConfig:
-    """Inputs of one adaptive run."""
+    """Inputs of one run; a uniform run is one with ``theta`` 1."""
 
     problem: str = "smooth-mms"
     estimator: str = "eta1"
@@ -117,7 +112,8 @@ class AdaptiveConfig:
 
 @dataclass
 class TraceRow:
-    """One iteration of a run; attribute order matches ``TRACE_COLUMNS``."""
+    """One iteration of a run; its fields but ``marked_fraction`` are the
+    CSV columns, in order (``TRACE_COLUMNS``)."""
 
     k: int
     N: int
@@ -134,6 +130,9 @@ class TraceRow:
     n_marked: int
     step_diff_sq: float
     marked_fraction: float = _NAN   # share fraction actually captured (not in CSV)
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow) if f.name != "marked_fraction")
 
 
 @dataclass
@@ -273,28 +272,24 @@ def adaptive_run(cfg: AdaptiveConfig, problem: ProblemDef | None = None) -> Adap
                 f"< theta * total = {cfg.theta * total_shares}")
         return marked_pos, captured / total_shares
 
-    return _run(prob, "adaptive", cfg.estimator, cfg.theta, mark_bulk,
-                cfg.max_iterations, cfg.max_dofs, cfg.monitors)
+    return _run(prob, "adaptive", cfg, mark_bulk)
 
 
 def uniform_run(problem: ProblemDef | str, levels: int,
-                estimator: str = "eta1", max_dofs: int = 1_000_000,
+                estimator: str = "eta1", max_dofs: int = AdaptiveConfig.max_dofs,
                 monitors: bool = True) -> AdaptiveTrace:
     """Refine every element each round; same trace format as the adaptive run."""
     prob = get_problem(problem) if isinstance(problem, str) else problem
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    if estimator not in ESTIMATOR_KINDS:
-        raise ValueError(f"estimator must be one of {ESTIMATOR_KINDS}")
-    if max_dofs < 1:
-        raise ValueError("max_dofs must be >= 1")
-    return _run(prob, "uniform", estimator, 1.0,
-                lambda k, part, ind, eta_sq: (np.arange(part.n_leaves), 1.0),
-                levels + 1, max_dofs, monitors)
+    cfg = AdaptiveConfig(problem=prob.name, estimator=estimator, theta=1.0,
+                         max_iterations=levels + 1, max_dofs=max_dofs,
+                         monitors=monitors)
+    return _run(prob, "uniform", cfg,
+                lambda k, part, ind, eta_sq: (np.arange(part.n_leaves), 1.0))
 
 
-def _run(prob: ProblemDef, mode: str, estimator: str, theta: float, mark,
-         max_iterations: int, max_dofs: int, monitors: bool) -> AdaptiveTrace:
+def _run(prob: ProblemDef, mode: str, cfg: AdaptiveConfig, mark) -> AdaptiveTrace:
     """The solve-estimate-mark-refine loop shared by both drivers.
 
     ``mark(k, part, ind, eta_sq)`` returns the leaf positions to refine and
@@ -306,14 +301,14 @@ def _run(prob: ProblemDef, mode: str, estimator: str, theta: float, mark,
     of the one before; the coarse stack is dropped as soon as it is lifted.
     """
     part = prob.make_partition()
-    trace = AdaptiveTrace(mode=mode, problem=prob.name, estimator=estimator,
-                          theta=theta, exact_available=prob.exact is not None)
+    trace = AdaptiveTrace(mode=mode, problem=prob.name, estimator=cfg.estimator,
+                          theta=cfg.theta, exact_available=prob.exact is not None)
     # the iterates serve only as reference errors when no exact solution exists
-    keep = monitors and prob.exact is None
+    keep = cfg.monitors and prob.exact is None
     stack = None
     leaves0 = part.n_leaves
 
-    for k in range(max_iterations):
+    for k in range(cfg.max_iterations):
         dm = build_dofmap(part)
         lifted = None if stack is None else prolong(stack, dm)
         stack = None
@@ -332,9 +327,9 @@ def _run(prob: ProblemDef, mode: str, estimator: str, theta: float, mark,
             n_marked=0, step_diff_sq=_NAN,
         )
         trace.rows.append(row)
-        if sol.dofmap.n_dofs >= max_dofs or k == max_iterations - 1:
+        if sol.dofmap.n_dofs >= cfg.max_dofs or k == cfg.max_iterations - 1:
             break
-        marked = mark(k, part, ind, scalars[ESTIMATOR_KINDS.index(estimator)])
+        marked = mark(k, part, ind, scalars[ESTIMATOR_KINDS.index(cfg.estimator)])
         if marked is None:
             break
         marked_pos, row.marked_fraction = marked

@@ -44,6 +44,7 @@ from .femspace import build_dofmap
 from .mesh import load_mesh, refine, save_mesh
 from .problems import get_problem
 from .threshold import (
+    MAX_GENERATION,
     BudgetExceeded,
     IndicatorFailure,
     check_threshold_args,
@@ -114,7 +115,7 @@ class _Settings:
 
 def _problem(st: _Settings):
     try:
-        return get_problem(st.get("problem", "smooth-mms"))
+        return get_problem(st.get("problem", AdaptiveConfig.problem))
     except KeyError as exc:
         raise ConfigError(str(exc.args[0])) from exc
 
@@ -211,30 +212,26 @@ def _dump_indicators_csv(trace, path) -> None:
 
 
 def cmd_run(st: _Settings) -> int:
+    """Every setting given is checked, whatever the mode, before any output."""
     mode = st.get("mode", "adaptive")
+    levels = _levels(st, 5)
+    keys = ("problem", "estimator", "theta", "max_iterations", "max_dofs")
+    given = {key: st.get(key) for key in keys if st.get(key) is not None}
+    try:
+        cfg = AdaptiveConfig(**given)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if mode == "threshold":
         return cmd_threshold(st)
 
     prob = _problem(st)
-    estimator = st.get("estimator", "eta1")
+    _threshold_settings(st, prob, required=False)
     out, dest = _outputs(st)
-
-    try:
-        if mode == "adaptive":
-            cfg = AdaptiveConfig(
-                problem=prob.name,
-                estimator=estimator,
-                theta=st.get("theta", 0.5),
-                max_iterations=st.get("max_iterations", 200),
-                max_dofs=st.get("max_dofs", 200_000),
-            )
-            trace = adaptive_run(cfg, problem=prob)
-        else:
-            trace = uniform_run(prob, levels=st.get("levels", 5),
-                                estimator=estimator,
-                                max_dofs=st.get("max_dofs", 1_000_000))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if mode == "adaptive":
+        trace = adaptive_run(cfg, problem=prob)
+    else:
+        trace = uniform_run(prob, levels, estimator=cfg.estimator,
+                            max_dofs=cfg.max_dofs)
 
     write_trace_csv(trace, out / "trace.csv", extra_provenance=_provenance(st))
     report = monitor_report(trace)
@@ -264,32 +261,37 @@ def _report_payload(rep) -> dict:
     }
 
 
-def cmd_threshold(st: _Settings) -> int:
-    prob = _problem(st)
-    try:
-        indicator = indicator_from_spec(st.get("indicator", "osc"), f=prob.f)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    max_gen = st.get("max_generation", 40)
-
-    sweep_text = st.get("eps_sweep")
-    if sweep_text:
+def _threshold_settings(st: _Settings, prob, required: bool = True):
+    """The indicator, tolerances, sweep flag and generation cap of a threshold
+    run, each checked when given.  The tolerances are the ``--eps-sweep``
+    list when one is given, else ``[--eps]``; a ``required`` run needs one."""
+    max_gen = st.get("max_generation", MAX_GENERATION)
+    eps, sweep_text = st.get("eps"), st.get("eps_sweep")
+    eps_values = [eps]
+    if sweep_text is not None:
         try:
             eps_values = [float(tok) for tok in sweep_text.split(",") if tok]
-        except ValueError as exc:
-            raise ConfigError(f"bad eps list {sweep_text!r}") from exc
-    else:
-        eps_values = [st.get("eps")]
-        if eps_values[0] is None:
-            raise ConfigError("threshold mode needs --eps or --eps-sweep")
+        except ValueError:
+            eps_values = []
+        if not eps_values:
+            raise ConfigError(f"bad eps list {sweep_text!r}")
+    elif required and eps is None:
+        raise ConfigError("threshold mode needs --eps or --eps-sweep")
     try:
-        check_threshold_args(eps_values, max_gen)
+        indicator = indicator_from_spec(st.get("indicator", "osc"), f=prob.f)
+        # an eps beside a sweep is not read, but checked all the same
+        check_threshold_args([e for e in (eps, *eps_values) if e is not None], max_gen)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out, dest = _outputs(st)
+    return indicator, eps_values, sweep_text is not None, max_gen
 
+
+def cmd_threshold(st: _Settings) -> int:
+    prob = _problem(st)
+    indicator, eps_values, sweep, max_gen = _threshold_settings(st, prob)
+    out, dest = _outputs(st)
     part = prob.make_partition()
-    if sweep_text:
+    if sweep:
         reports = eps_sweep(part, indicator, eps_values, max_gen)
         write_sweep_csv(reports, out / "sweep.csv",
                         extra_provenance=_provenance(st, problem=prob.name))

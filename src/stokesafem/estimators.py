@@ -182,6 +182,14 @@ def _subset_mask(ind: ElementIndicators, subset) -> np.ndarray:
     return mask
 
 
+def _element_terms(kind: str, ind: ElementIndicators) -> tuple[np.ndarray, ...]:
+    """The per-element arrays that estimator ``kind`` adds to the jumps."""
+    if kind not in ESTIMATOR_KINDS:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    return (ind.vol, *{"eta0": (), "eta1": (ind.div_l2,),
+                       "eta2": (ind.div_edge,)}[kind])
+
+
 def eta(kind: str, ind: ElementIndicators, subset=None) -> float:
     """Squared estimator over a subset of elements (ids or boolean mask).
 
@@ -189,14 +197,9 @@ def eta(kind: str, ind: ElementIndicators, subset=None) -> float:
     subset, so the value over the full partition includes every interior edge
     exactly once.
     """
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}")
+    terms = _element_terms(kind, ind)
     mask = _subset_mask(ind, subset)
-    total = float(ind.vol[mask].sum())
-    if kind == "eta1":
-        total += float(ind.div_l2[mask].sum())
-    elif kind == "eta2":
-        total += float(ind.div_edge[mask].sum())
+    total = sum(float(term[mask].sum()) for term in terms)
     if len(ind.jump):
         both = mask[ind.edge_elems[:, 0]] & mask[ind.edge_elems[:, 1]]
         total += float(ind.jump[both].sum())
@@ -210,13 +213,7 @@ def marking_shares(kind: str, ind: ElementIndicators) -> np.ndarray:
     which is the documented bookkeeping for subset queries:
     sum(shares) = eta(kind, all) + sum of all jump terms.
     """
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    shares = ind.vol.copy()
-    if kind == "eta1":
-        shares += ind.div_l2
-    elif kind == "eta2":
-        shares += ind.div_edge
+    shares = sum(_element_terms(kind, ind))   # a new array; jumps go in below
     if len(ind.jump):
         np.add.at(shares, ind.edge_elems[:, 0], ind.jump)
         np.add.at(shares, ind.edge_elems[:, 1], ind.jump)

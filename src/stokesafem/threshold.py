@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 
+from .adaptloop import AdaptiveConfig
 from .assembly import load_at_quadrature
 from .estimators import element_oscillation
 from .femspace import VectorField
@@ -52,8 +53,13 @@ __all__ = [
 ]
 
 
+MAX_GENERATION = 40   # default generation cap of a threshold run
+
+
 class BudgetExceeded(RuntimeError):
-    """Raised when thresholding hits the generation cap before finishing."""
+    """Raised when thresholding hits the generation cap, or would refine past
+    the default dof budget ``AdaptiveConfig.max_dofs`` in leaves, before
+    finishing."""
 
 
 class IndicatorFailure(ValueError):
@@ -184,6 +190,12 @@ def _threshold(part: Partition, values: _ElementValues, eps: float,
                 f"element {part.leaves[worst]} (indicator "
                 f"{leaf_values[worst]:.6g} > eps {eps:.6g}) reached the "
                 f"generation cap {max_generation}")
+        # refining adds at least one leaf per marked leaf
+        budget = AdaptiveConfig.max_dofs
+        if part.n_leaves + len(positions) > budget:
+            raise BudgetExceeded(
+                f"refining {len(positions)} of {part.n_leaves} leaves (eps "
+                f"{eps:.6g}) passes the default budget max_dofs={budget}")
         marked = part.leaves[positions]
         # the areas of the marked leaves only, by the same per-leaf formula
         js = _bucket_indices(Partition(part.forest, marked).areas)
@@ -213,10 +225,8 @@ def _threshold(part: Partition, values: _ElementValues, eps: float,
 
 
 def check_threshold_args(eps_values, max_generation: int) -> None:
-    """Raise ``ValueError`` unless there are tolerances, all positive, and the
+    """Raise ``ValueError`` unless every tolerance is positive and the
     generation cap is at least 1."""
-    if not eps_values:
-        raise ValueError("eps sweep needs at least one value")
     for eps in eps_values:
         if not eps > 0.0:
             raise ValueError(f"eps must be positive, got {eps}")
@@ -226,19 +236,21 @@ def check_threshold_args(eps_values, max_generation: int) -> None:
 
 def _sweep(part: Partition, indicator: LocalIndicator, eps_values: list,
            max_generation: int) -> list[ThresholdReport]:
+    if not eps_values:
+        raise ValueError("eps sweep needs at least one value")
     check_threshold_args(eps_values, max_generation)
     values = _ElementValues(indicator, part.forest)
     return [_threshold(part, values, eps, max_generation) for eps in eps_values]
 
 
 def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
-                     max_generation: int = 40) -> ThresholdReport:
+                     max_generation: int = MAX_GENERATION) -> ThresholdReport:
     """Refine all leaves whose indicator exceeds ``eps`` until none does."""
     return _sweep(part, indicator, [eps], max_generation)[0]
 
 
 def eps_sweep(part: Partition, indicator: LocalIndicator, eps_values,
-              max_generation: int = 40) -> list[ThresholdReport]:
+              max_generation: int = MAX_GENERATION) -> list[ThresholdReport]:
     """Independent threshold runs from the same initial partition.
 
     The runs share one forest, so each forest element is evaluated once

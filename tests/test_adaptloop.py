@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -503,6 +504,9 @@ def test_uniform_run_respects_dof_cap():
     trace = uniform_run("smooth-mms", levels=10, max_dofs=500)
     assert trace.rows[-1].n_u + trace.rows[-1].n_p >= 500
     assert len(trace.rows) < 11
+    # the default budget is the adaptive run's
+    assert inspect.signature(uniform_run).parameters["max_dofs"].default \
+        == AdaptiveConfig.max_dofs == 200_000
 
 
 @pytest.mark.parametrize("max_dofs", [0, -5])

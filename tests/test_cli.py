@@ -7,6 +7,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import shutil
 import string
 import subprocess
@@ -67,6 +68,10 @@ def test_run_uniform_short_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rate[eta1] unavailable" in out   # 3 points are too few to fit
     assert len(read_data_lines(tmp_path / "trace.csv")) == 4
+    # a valid threshold setting is checked in every mode, and passes
+    assert main(["run", "--mode", "uniform", "--levels", "1", "--indicator", "osc",
+                 "--out", str(tmp_path / "osc")]) == 0
+    assert len(read_data_lines(tmp_path / "osc" / "trace.csv")) == 3
 
 
 def test_run_deterministic_outputs(tmp_path):
@@ -115,6 +120,15 @@ def test_config_file_errors(tmp_path, capsys):
     not_utf8.write_bytes(b"levels=1\n\xff\xfe=2\n")
     assert main(["run", "--config", str(not_utf8)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: cannot read config file")
+
+    # a mode that does not threshold still checks the threshold settings
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("eps_sweep=abc\n")
+    out = tmp_path / "out"
+    assert main(["run", "--mode", "uniform", "--config", str(sweep),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "configuration error: bad eps list 'abc'\n"
+    assert not out.exists()
 
 
 COMMANDS = sorted(cli._COMMANDS)
@@ -356,12 +370,21 @@ def test_exit_code_on_non_finite_data(monkeypatch, capsys, tmp_path, mode):
     assert "Traceback" not in err
 
 
-def test_exit_code_on_budget_error(tmp_path, capsys):
+def test_exit_code_on_budget_error(monkeypatch, tmp_path, capsys):
     rc = main(["threshold", "--indicator", "synthetic:area:1",
                "--eps", "1e-12", "--max-generation", "3",
                "--out", str(tmp_path)])
     assert rc == 4
     assert "budget exceeded" in capsys.readouterr().err
+    # the leaf budget stops the same run before a higher cap; the cap keeps
+    # the run small should the budget check go missing
+    monkeypatch.setattr(adaptloop.AdaptiveConfig, "max_dofs", 64)
+    rc = main(["threshold", "--indicator", "synthetic:area:1", "--eps", "1e-12",
+               "--max-generation", "12", "--out", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "budget exceeded: refining 64 of 64 leaves (eps 1e-12) passes the "
+        "default budget max_dofs=64\n")
 
 
 BAD_THRESHOLD_OPTIONS = [["--eps", "-1"], ["--eps", "nan"], ["--eps-sweep", "0.1,-0.5"],
@@ -374,13 +397,26 @@ BAD_THRESHOLD_OPTIONS = [["--eps", "-1"], ["--eps", "nan"], ["--eps-sweep", "0.1
     *(["run", "--mode", "threshold", *opts] for opts in BAD_THRESHOLD_OPTIONS),
     ["mesh-info", "--levels", "-2"],
     ["infsup", "--levels", "-1"],
+    # run checks every setting it is given, whatever the mode reads
+    ["run", "--theta", "7"],
+    ["run", "--mode", "uniform", "--max-dofs", "0"],
+    ["run", "--mode", "threshold", "--eps", "0.1", "--indicator", "synthetic:area:1",
+     "--theta", "7", "--max-dofs", "-3"],
+    ["run", "--mode", "uniform", "--levels", "1", "--eps", "-1"],
+    ["run", "--mode", "adaptive", "--levels", "-3"],
+    ["run", "--mode", "uniform", "--theta", "7", "--max-iterations", "0"],
+    ["run", "--mode", "uniform", "--estimator", "eta1", "--max-generation", "0"],
+    ["run", "--indicator", "wat"],
+    ["run", "--eps-sweep", ","],
+    ["threshold", "--eps-sweep", ""],
+    ["threshold", "--eps-sweep", "0.1", "--eps", "-1"],
 ])
 def test_bad_numeric_options_exit_2_before_refining(monkeypatch, capsys, tmp_path, argv):
     def no_refine(*args, **kwargs):
         raise AssertionError("refined before the options were checked")
 
-    monkeypatch.setattr(cli, "refine", no_refine)
-    monkeypatch.setattr(threshold, "refine", no_refine)
+    for module in (cli, threshold, adaptloop):
+        monkeypatch.setattr(module, "refine", no_refine)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
@@ -606,6 +642,37 @@ def test_infsup_skips_large_systems(monkeypatch, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "skipped" in out and "4000" in out
+
+
+# -- README --------------------------------------------------------------
+
+
+def _quick_start_examples():
+    """(argv, shown output lines) of each console block in README's Quick start."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```console\n")[1:]:
+        lines = block.split("```", 1)[0].splitlines()
+        command = ""
+        while lines[0].endswith("\\"):
+            command += lines.pop(0)[:-1]
+        command += lines.pop(0)
+        assert command.startswith("$ stokesafem ")
+        examples.append((shlex.split(command)[2:], lines))
+    return examples
+
+
+def test_readme_quick_start_output(monkeypatch, tmp_path, capsys):
+    examples = _quick_start_examples()
+    assert len(examples) == 2
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in examples:
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        for line in shown:
+            if line.strip() != "...":
+                assert line in printed, (argv, line)
 
 
 # -- installed entry points ----------------------------------------------
