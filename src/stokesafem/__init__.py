@@ -57,12 +57,10 @@ from .mesh import (
     bisect,
     l_shape_partition,
     load_mesh,
-    mesh_stats,
     overlay,
     partition_from_arrays,
     refine,
     save_mesh,
-    star,
     two_triangle_square,
     unit_square_partition,
 )
@@ -93,8 +91,8 @@ __all__ = [
     "DofMap", "SolutionPair", "build_dofmap", "eval_pressure",
     "eval_velocity", "eval_velocity_gradient", "interpolate", "prolong",
     "Forest", "MeshStats", "Partition", "RefinementError", "bisect",
-    "l_shape_partition", "load_mesh", "mesh_stats", "overlay",
-    "partition_from_arrays", "refine", "save_mesh", "star",
+    "l_shape_partition", "load_mesh", "overlay", "partition_from_arrays",
+    "refine", "save_mesh",
     "two_triangle_square", "unit_square_partition",
     "ExactSolution", "ProblemDef", "builtin_problems", "get_problem",
     "BudgetExceeded", "IndicatorFailure", "LocalIndicator", "ThresholdReport",

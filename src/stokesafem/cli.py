@@ -2,9 +2,8 @@
 
 Subcommands:
 
-* ``run``       - adaptive or uniform refinement study (or a threshold run via
-  ``--mode threshold``); writes a trace CSV and a monitor JSON, prints a
-  convergence table;
+* ``run``       - adaptive or uniform refinement study; writes a trace CSV
+  and a monitor JSON, prints a convergence table;
 * ``threshold`` - greedy threshold refinement for one tolerance or a sweep;
 * ``mesh-info`` - mesh statistics for a built-in problem or a mesh file;
 * ``infsup``    - discrete stability constants over nested refinements.
@@ -213,7 +212,6 @@ def _dump_indicators_csv(trace, path) -> None:
 
 def cmd_run(st: _Settings) -> int:
     """Every setting given is checked, whatever the mode, before any output."""
-    mode = st.get("mode", "adaptive")
     levels = _levels(st, 5)
     keys = ("problem", "estimator", "theta", "max_iterations", "max_dofs")
     given = {key: st.get(key) for key in keys if st.get(key) is not None}
@@ -221,13 +219,9 @@ def cmd_run(st: _Settings) -> int:
         cfg = AdaptiveConfig(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if mode == "threshold":
-        return cmd_threshold(st)
-
     prob = _problem(st)
-    _threshold_settings(st, prob, required=False)
     out, dest = _outputs(st)
-    if mode == "adaptive":
+    if st.get("mode", "adaptive") == "adaptive":
         trace = adaptive_run(cfg, problem=prob)
     else:
         trace = uniform_run(prob, levels, estimator=cfg.estimator,
@@ -261,10 +255,10 @@ def _report_payload(rep) -> dict:
     }
 
 
-def _threshold_settings(st: _Settings, prob, required: bool = True):
+def _threshold_settings(st: _Settings, prob):
     """The indicator, tolerances, sweep flag and generation cap of a threshold
-    run, each checked when given.  The tolerances are the ``--eps-sweep``
-    list when one is given, else ``[--eps]``; a ``required`` run needs one."""
+    run, each checked.  The tolerances are the ``--eps-sweep`` list when one
+    is given, else ``[--eps]``."""
     max_gen = st.get("max_generation", MAX_GENERATION)
     eps, sweep_text = st.get("eps"), st.get("eps_sweep")
     eps_values = [eps]
@@ -275,8 +269,8 @@ def _threshold_settings(st: _Settings, prob, required: bool = True):
             eps_values = []
         if not eps_values:
             raise ConfigError(f"bad eps list {sweep_text!r}")
-    elif required and eps is None:
-        raise ConfigError("threshold mode needs --eps or --eps-sweep")
+    elif eps is None:
+        raise ConfigError("threshold needs --eps or --eps-sweep")
     try:
         indicator = indicator_from_spec(st.get("indicator", "osc"), f=prob.f)
         # an eps beside a sweep is not read, but checked all the same
@@ -385,9 +379,9 @@ _SETTINGS = {
     "problem": {"help": "built-in problem id"},
     "seed": {"type": int, "help": "seed echoed into provenance"},
     "out": {"help": "output directory (default: current)"},
-    "mode": {"choices": ("adaptive", "uniform", "threshold"),
-             "help": "threshold reads --eps, --eps-sweep, --indicator and "
-                     "--max-generation"},
+    "mode": {"choices": ("adaptive", "uniform"),
+             "help": "adaptive (default) or uniform refinement; threshold "
+                     "runs are the threshold subcommand"},
     "theta": {"type": float, "help": "marking fraction in (0,1]"},
     "estimator": {"choices": ESTIMATOR_KINDS},
     "max_dofs": {"type": int},
@@ -408,16 +402,15 @@ _SETTINGS = {
 }
 
 _COMMON = ("problem", "seed", "out")
-_THRESHOLD = ("eps", "eps_sweep", "indicator", "max_generation")
 
 # subcommand: (help, handler, the settings its flags and config file take)
 _COMMANDS = {
     "run": ("adaptive/uniform refinement study", cmd_run,
             (*_COMMON, "mode", "theta", "estimator", "max_dofs",
-             "max_iterations", "levels", *_THRESHOLD, "export_mesh",
-             "dump_indicators")),
+             "max_iterations", "levels", "export_mesh", "dump_indicators")),
     "threshold": ("greedy threshold refinement", cmd_threshold,
-                  (*_COMMON, *_THRESHOLD, "export_mesh")),
+                  (*_COMMON, "eps", "eps_sweep", "indicator", "max_generation",
+                   "export_mesh")),
     "mesh-info": ("mesh statistics", cmd_mesh_info,
                   (*_COMMON, "mesh", "levels", "export_mesh")),
     "infsup": ("discrete stability constants", cmd_infsup,

@@ -71,11 +71,9 @@ __all__ = [
     "bisect",
     "l_shape_partition",
     "load_mesh",
-    "mesh_stats",
     "overlay",
     "refine",
     "save_mesh",
-    "star",
     "two_triangle_square",
     "unit_square_partition",
 ]
@@ -703,14 +701,6 @@ def overlay(p: Partition, q: Partition) -> Partition:
     if result.n_leaves > p.n_leaves + q.n_leaves - f.n_roots:
         raise RefinementError("overlay cardinality bound violated")
     return result
-
-
-def mesh_stats(part: Partition) -> MeshStats:
-    return part.stats()
-
-
-def star(part: Partition, elem: int) -> np.ndarray:
-    return part.star(elem)
 
 
 # -- construction and file formats --------------------------------------

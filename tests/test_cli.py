@@ -68,10 +68,6 @@ def test_run_uniform_short_trace(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "rate[eta1] unavailable" in out   # 3 points are too few to fit
     assert len(read_data_lines(tmp_path / "trace.csv")) == 4
-    # a valid threshold setting is checked in every mode, and passes
-    assert main(["run", "--mode", "uniform", "--levels", "1", "--indicator", "osc",
-                 "--out", str(tmp_path / "osc")]) == 0
-    assert len(read_data_lines(tmp_path / "osc" / "trace.csv")) == 3
 
 
 def test_run_deterministic_outputs(tmp_path):
@@ -120,15 +116,6 @@ def test_config_file_errors(tmp_path, capsys):
     not_utf8.write_bytes(b"levels=1\n\xff\xfe=2\n")
     assert main(["run", "--config", str(not_utf8)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: cannot read config file")
-
-    # a mode that does not threshold still checks the threshold settings
-    sweep = tmp_path / "sweep.cfg"
-    sweep.write_text("eps_sweep=abc\n")
-    out = tmp_path / "out"
-    assert main(["run", "--mode", "uniform", "--config", str(sweep),
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "configuration error: bad eps list 'abc'\n"
-    assert not out.exists()
 
 
 COMMANDS = sorted(cli._COMMANDS)
@@ -235,8 +222,8 @@ def test_config_fuzz_accepted_lines_load(tmp_path_factory, case):
 
 FLAGS = {
     "run": {"--problem", "--seed", "--out", "--mode", "--theta", "--estimator",
-            "--max-dofs", "--max-iterations", "--levels", "--eps", "--eps-sweep",
-            "--indicator", "--max-generation", "--export-mesh", "--dump-indicators"},
+            "--max-dofs", "--max-iterations", "--levels", "--export-mesh",
+            "--dump-indicators"},
     "threshold": {"--problem", "--seed", "--out", "--eps", "--eps-sweep", "--indicator",
                   "--max-generation", "--export-mesh"},
     "mesh-info": {"--problem", "--seed", "--out", "--mesh", "--levels", "--export-mesh"},
@@ -294,7 +281,7 @@ def test_config_key_of_another_subcommand_exits_2(monkeypatch, tmp_path, capsys,
     (["run"], "mode=bogus"),
     (["run", "--mode", "uniform"], "estimator=eta9"),
     (["run", "--mode", "uniform", "--levels", "1"], "levels=abc"),   # overridden
-    (["run", "--mode", "threshold", "--eps", "0.1"], "dump_indicators=maybe"),
+    (["run", "--mode", "uniform"], "dump_indicators=maybe"),
     (["threshold", "--eps", "0.1"], "max-generation=2.5"),
 ])
 def test_config_values_are_checked_when_read(monkeypatch, tmp_path, capsys, argv, line):
@@ -326,7 +313,6 @@ def test_exit_code_on_config_errors(capsys):
     assert main(["run", "--problem", "no-such"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert main(["run", "--theta", "1.5"]) == 2
-    assert main(["run", "--mode", "threshold"]) == 2   # missing eps
     with pytest.raises(SystemExit) as exc:
         main(["run", "--mode", "bogus"])
     assert exc.value.code == 2
@@ -394,22 +380,24 @@ BAD_THRESHOLD_OPTIONS = [["--eps", "-1"], ["--eps", "nan"], ["--eps-sweep", "0.1
 
 @pytest.mark.parametrize("argv", [
     *(["threshold", *opts] for opts in BAD_THRESHOLD_OPTIONS),
-    *(["run", "--mode", "threshold", *opts] for opts in BAD_THRESHOLD_OPTIONS),
     ["mesh-info", "--levels", "-2"],
     ["infsup", "--levels", "-1"],
     # run checks every setting it is given, whatever the mode reads
     ["run", "--theta", "7"],
     ["run", "--mode", "uniform", "--max-dofs", "0"],
-    ["run", "--mode", "threshold", "--eps", "0.1", "--indicator", "synthetic:area:1",
-     "--theta", "7", "--max-dofs", "-3"],
-    ["run", "--mode", "uniform", "--levels", "1", "--eps", "-1"],
     ["run", "--mode", "adaptive", "--levels", "-3"],
     ["run", "--mode", "uniform", "--theta", "7", "--max-iterations", "0"],
-    ["run", "--mode", "uniform", "--estimator", "eta1", "--max-generation", "0"],
-    ["run", "--indicator", "wat"],
-    ["run", "--eps-sweep", ","],
     ["threshold", "--eps-sweep", ""],
     ["threshold", "--eps-sweep", "0.1", "--eps", "-1"],
+    ["threshold", "--eps", "0.1", "--indicator", "wat"],
+    ["threshold", "--eps", "0.1", "--indicator", "synthetic:area:abc"],
+    ["threshold", "--indicator", "synthetic:area:1"],          # no tolerance
+    ["run", "--mode", "uniform", "--levels", "-1"],
+    ["run", "--max-iterations", "0"],
+    ["run", "--problem", "no-such"],
+    ["threshold", "--problem", "no-such", "--eps", "0.1"],
+    ["mesh-info", "--problem", "no-such", "--export-mesh"],
+    ["mesh-info", "--mesh", "/nonexistent/mesh.json", "--export-mesh"],
 ])
 def test_bad_numeric_options_exit_2_before_refining(monkeypatch, capsys, tmp_path, argv):
     def no_refine(*args, **kwargs):
@@ -423,10 +411,43 @@ def test_bad_numeric_options_exit_2_before_refining(monkeypatch, capsys, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, line, message", [
+    (["--mode", "threshold", "--eps", "0.1"], None, "invalid choice: 'threshold'"),
+    (["--eps", "0.1"], None, "unrecognized arguments: --eps 0.1"),
+    (["--eps-sweep", "0.1"], None, "unrecognized arguments: --eps-sweep 0.1"),
+    (["--indicator", "osc"], None, "unrecognized arguments: --indicator osc"),
+    (["--max-generation", "3"], None, "unrecognized arguments: --max-generation 3"),
+    ([], "mode=threshold", "mode must be one of adaptive, uniform, got 'threshold'"),
+    ([], "eps=0.1", "unknown config key 'eps'"),
+], ids=["mode", "eps", "eps-sweep", "indicator", "max-generation", "config-mode",
+        "config-eps"])
+def test_run_takes_no_threshold_settings(monkeypatch, capsys, tmp_path, argv, line,
+                                         message):
+    # threshold runs have one entry, the threshold subcommand
+    def no_refine(*args, **kwargs):
+        raise AssertionError("refined a run given a threshold setting")
+
+    for module in (cli, threshold, adaptloop):
+        monkeypatch.setattr(module, "refine", no_refine)
+    out = tmp_path / "out"
+    argv = ["run", *argv, "--out", str(out)]
+    if line is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"problem = smooth-mms\n{line}\n")
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {cfg}:2: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run"],
     ["run", "--mode", "uniform"],
-    ["run", "--mode", "threshold", "--eps", "0.1"],
+    ["mesh-info", "--export-mesh"],
     ["threshold", "--eps", "0.1"],
 ])
 @pytest.mark.parametrize("below", [False, True])
@@ -453,7 +474,7 @@ def test_output_path_that_is_a_file_exits_2_before_refining(monkeypatch, capsys,
 
 @pytest.mark.parametrize("argv", [
     ["run", "--mode", "uniform", "--levels", "2"],
-    ["run", "--mode", "threshold", "--eps", "0.1"],
+    ["threshold", "--eps-sweep", "0.1"],
     ["threshold", "--eps", "0.1"],
     ["mesh-info", "--levels", "1"],
 ])
@@ -521,14 +542,6 @@ def test_threshold_requires_tolerance(capsys):
     assert main(["threshold", "--indicator", "synthetic:area:1"]) == 2
     assert "needs --eps" in capsys.readouterr().err
     assert main(["threshold", "--indicator", "wat", "--eps", "0.1"]) == 2
-
-
-def test_run_mode_threshold(tmp_path, capsys):
-    rc = main(["run", "--mode", "threshold", "--eps", "0.0625",
-               "--indicator", "synthetic:area:1", "--out", str(tmp_path)])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["n_leaves"] == 16
 
 
 # -- mesh-info -----------------------------------------------------------
@@ -647,12 +660,11 @@ def test_infsup_skips_large_systems(monkeypatch, capsys):
 # -- README --------------------------------------------------------------
 
 
-def _quick_start_examples():
-    """(argv, shown output lines) of each console block in README's Quick start."""
+def _readme_examples():
+    """(argv, shown output lines) of each console block in README."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
     examples = []
-    for block in section.split("```console\n")[1:]:
+    for block in text.split("```console\n")[1:]:
         lines = block.split("```", 1)[0].splitlines()
         command = ""
         while lines[0].endswith("\\"):
@@ -664,14 +676,21 @@ def _quick_start_examples():
 
 
 def test_readme_quick_start_output(monkeypatch, tmp_path, capsys):
-    examples = _quick_start_examples()
-    assert len(examples) == 2
+    # every line shown is printed verbatim, but for "..." rows and the
+    # ", ..., " that elides the middle of a line
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["run", "run", "threshold",
+                                                 "mesh-info", "infsup"]
     monkeypatch.chdir(tmp_path)
     for argv, shown in examples:
         assert main(argv) == 0
         printed = capsys.readouterr().out.splitlines()
         for line in shown:
-            if line.strip() != "...":
+            head, elided, tail = line.partition(", ..., ")
+            if elided:
+                assert any(p.startswith(head + ", ") and p.endswith(", " + tail)
+                           for p in printed), (argv, line)
+            elif line.strip() != "...":
                 assert line in printed, (argv, line)
 
 

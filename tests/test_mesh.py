@@ -36,12 +36,10 @@ from stokesafem.mesh import (
     bisect,
     l_shape_partition,
     load_mesh,
-    mesh_stats,
     overlay,
     partition_from_arrays,
     refine,
     save_mesh,
-    star,
     two_triangle_square,
     unit_square_partition,
 )
@@ -409,7 +407,7 @@ def test_overlay_randomized_cardinality_bound():
 def test_stats_right_isoceles_shape_constant():
     # unit right isoceles triangle: diam^2 / area = 2 / 0.5 = 4
     p = two_triangle_square()
-    s = mesh_stats(p)
+    s = p.stats()
     assert s.sigma_shape == pytest.approx(4.0)
     assert s.sigma_grading == pytest.approx(1.0)
     assert s.min_generation == 0 and s.max_generation == 0
@@ -453,9 +451,9 @@ def test_similarity_classes_bounded():
 
 def test_uniform_refinement_preserves_shape_constant():
     p = unit_square_partition()
-    base = mesh_stats(p).sigma_shape
+    base = p.stats().sigma_shape
     q = uniform_refine(p, 4)
-    assert mesh_stats(q).sigma_shape == pytest.approx(base)
+    assert q.stats().sigma_shape == pytest.approx(base)
     assert base == pytest.approx(4.0)
 
 
@@ -463,7 +461,7 @@ def test_grading_constant_uniform_single_root():
     p = partition_from_arrays([(1, 0), (0, 1), (0, 0)], [(0, 1, 2)],
                               relabel_longest_edge=False)
     q = uniform_refine(p, 4)
-    assert mesh_stats(q).sigma_grading == pytest.approx(1.0)
+    assert q.stats().sigma_grading == pytest.approx(1.0)
 
 
 def test_grading_constant_graded_mesh():
@@ -472,7 +470,7 @@ def test_grading_constant_graded_mesh():
     for _ in range(5):
         pos = int(np.argmin([np.linalg.norm(c.mean(axis=0)) for c in p.corner_xy]))
         p = refine(p, [int(p.leaves[pos])])
-    s = mesh_stats(p)
+    s = p.stats()
     assert s.sigma_grading > 1.0
     assert s.max_generation > s.min_generation
 
@@ -483,7 +481,7 @@ def test_grading_constant_graded_mesh():
 def test_star_corner_element_two_triangle_square():
     p = two_triangle_square()
     for e in p.leaves:
-        assert set(star(p, int(e)).tolist()) == set(p.leaves.tolist())
+        assert set(p.star(int(e)).tolist()) == set(p.leaves.tolist())
 
 
 def test_star_contains_self_and_respects_angle_bound():
@@ -492,7 +490,7 @@ def test_star_contains_self_and_respects_angle_bound():
     for _ in range(5):
         k = rng.integers(1, p.n_leaves + 1)
         p = refine(p, rng.choice(p.leaves, size=k, replace=False))
-    s = mesh_stats(p)
+    s = p.stats()
     # a triangle with diam^2/area <= sigma has every angle >= asin(2/sigma),
     # so at most 2*pi/asin(2/sigma) leaves meet at any vertex and a star
     # collects leaves around 3 vertices
@@ -500,7 +498,7 @@ def test_star_contains_self_and_respects_angle_bound():
     bound = 3 * math.ceil(2 * math.pi / angle_min)
     worst = 0
     for e in p.leaves[:: max(1, p.n_leaves // 50)]:
-        st = star(p, int(e))
+        st = p.star(int(e))
         assert int(e) in st.tolist()
         worst = max(worst, len(st))
     assert worst <= bound
@@ -510,7 +508,7 @@ def test_star_rejects_non_leaf():
     p = two_triangle_square()
     q = refine(p, [int(p.leaves[0])])
     with pytest.raises(ValueError):
-        star(q, int(p.leaves[0]))
+        q.star(int(p.leaves[0]))
 
 
 def per_leaf_grading_and_star(part: Partition):
@@ -551,7 +549,7 @@ def test_stats_and_star_match_per_leaf_loops(root, rounds, data):
         sigma_grading=ratio, min_generation=int(gens.min()),
         max_generation=int(gens.max()))
     for elem in part.leaves.tolist():
-        got = star(part, elem)
+        got = part.star(elem)
         assert got.dtype == np.int64 and np.array_equal(got, star_of(elem))
 
 
