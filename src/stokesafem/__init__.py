@@ -43,9 +43,6 @@ from .femspace import (
     DofMap,
     SolutionPair,
     build_dofmap,
-    eval_pressure,
-    eval_velocity,
-    eval_velocity_gradient,
     interpolate,
     prolong,
 )
@@ -88,8 +85,7 @@ __all__ = [
     "inf_sup_constant", "solve",
     "ESTIMATOR_KINDS", "ElementIndicators", "compute_indicators", "eta",
     "marking_shares", "oscillation",
-    "DofMap", "SolutionPair", "build_dofmap", "eval_pressure",
-    "eval_velocity", "eval_velocity_gradient", "interpolate", "prolong",
+    "DofMap", "SolutionPair", "build_dofmap", "interpolate", "prolong",
     "Forest", "MeshStats", "Partition", "RefinementError", "bisect",
     "l_shape_partition", "load_mesh", "overlay", "partition_from_arrays",
     "refine", "save_mesh",

@@ -416,10 +416,9 @@ def fit_decay(values, drop: int = 2) -> tuple[float, float, float, bool]:
     return rho_fit, rho_max, r2, not rho_fit < 1.0 - 1e-9
 
 
-def decay_monitor(trace: AdaptiveTrace, kind: str | None = None):
+def decay_monitor(trace: AdaptiveTrace):
     """Geometric-decay fit of the run's estimator sequence."""
-    kind = kind or trace.estimator
-    return fit_decay(trace.column(kind))
+    return fit_decay(trace.column(trace.estimator))
 
 
 def qo_from_sequences(step_diff_sq, err_sq, exclude_tail: int = 0):

@@ -30,9 +30,6 @@ __all__ = [
     "QuadratureRule",
     "SolutionPair",
     "build_dofmap",
-    "eval_pressure",
-    "eval_velocity",
-    "eval_velocity_gradient",
     "interpolate",
     "p1_values",
     "p2_grads",
@@ -355,40 +352,3 @@ def prolong(coarse: SolutionPair, fine_dm: DofMap) -> SolutionPair:
     u = p2 @ coarse.u.reshape(coarse.dofmap.n_nodes, -1)
     return SolutionPair(u=u.reshape((fine_dm.n_u,) + coarse.u.shape[1:]),
                         p=p1 @ coarse.p, dofmap=fine_dm)
-
-
-# -- point evaluation (tree descent; intended for diagnostics/tests) ------
-
-
-def _locate_ref(sol: SolutionPair, points: np.ndarray):
-    part = sol.partition
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    elems = part.locate(pts)
-    if (elems < 0).any():
-        raise ValueError("points outside the meshed domain")
-    pos = np.searchsorted(part.leaves, elems)
-    binv = part.binv[pos]
-    ref = ((pts - part.corner_xy[pos, 0])[:, None, :] @ binv.transpose(0, 2, 1))[:, 0]
-    return pos, ref, binv
-
-
-def eval_velocity(sol: SolutionPair, points: np.ndarray) -> np.ndarray:
-    pos, ref, _ = _locate_ref(sol, points)
-    coeff = sol.u_nodes()[sol.dofmap.cell_nodes[pos]]
-    vals = p2_values(ref)
-    return np.einsum("nb,nbc->nc", vals, coeff)
-
-
-def eval_velocity_gradient(sol: SolutionPair, points: np.ndarray) -> np.ndarray:
-    """(n, 2, 2) arrays with entry [k, l] = d u_k / d x_l."""
-    pos, ref, binv = _locate_ref(sol, points)
-    coeff = sol.u_nodes()[sol.dofmap.cell_nodes[pos]]
-    grads = np.einsum("nbk,nkl->nbl", p2_grads(ref), binv)
-    return np.einsum("nbc,nbl->ncl", coeff, grads)
-
-
-def eval_pressure(sol: SolutionPair, points: np.ndarray) -> np.ndarray:
-    pos, ref, _ = _locate_ref(sol, points)
-    coeff = sol.p[sol.dofmap.cell_pnodes[pos]]
-    vals = p1_values(ref)
-    return np.einsum("nb,nb->n", vals, coeff)

@@ -535,39 +535,6 @@ class Partition:
             max_generation=int(gens.max()),
         )
 
-    def locate(self, points: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """Leaf element id containing each point (tree descent), -1 if outside."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        f = self.forest
-        verts, tri = f.verts, f.tri
-        child0, child1 = f.child0, f.child1
-        leaf_mask = self.forest_mask()
-        out = np.full(len(pts), -1, dtype=np.int64)
-
-        def inside(t: int, x: float, y: float) -> bool:
-            a, b, c = tri[t]
-            (xa, ya), (xb, yb), (xc, yc) = verts[a], verts[b], verts[c]
-            det = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
-            l1 = ((x - xa) * (yc - ya) - (y - ya) * (xc - xa)) / det
-            l2 = ((xb - xa) * (y - ya) - (yb - ya) * (x - xa)) / det
-            return l1 >= -tol and l2 >= -tol and l1 + l2 <= 1 + tol
-
-        for i, (x, y) in enumerate(pts):
-            t = next((r for r in range(f.n_roots) if inside(r, x, y)), -1)
-            if t < 0:
-                continue
-            while not leaf_mask[t]:
-                c0, c1 = child0[t], child1[t]
-                if c0 >= 0 and inside(c0, x, y):
-                    t = c0
-                elif c1 >= 0 and inside(c1, x, y):
-                    t = c1
-                else:
-                    t = -1
-                    break
-            out[i] = t
-        return out
-
     def ancestor_leaf_in(self, coarse: "Partition") -> np.ndarray:
         """For each leaf, the id of the ``coarse`` leaf containing it: its
         nearest ancestor (itself included) among ``coarse``'s leaves, found

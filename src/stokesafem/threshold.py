@@ -76,14 +76,11 @@ class LocalIndicator:
     data, never on the other leaves: ``fn`` may receive any batch of forest
     elements wrapped as a ``Partition``, which need not cover the domain or
     be conforming, and the threshold driver evaluates each element once and
-    reuses the value.  ``subadditive`` declares whether summing the
-    indicator over disjoint elements is bounded by a global quantity; it is
-    informational and not enforced.
+    reuses the value.
     """
 
     name: str
     fn: Callable[[Partition], np.ndarray]
-    subadditive: bool = False
 
     def __call__(self, part: Partition) -> np.ndarray:
         values = np.asarray(self.fn(part), dtype=float)
@@ -263,12 +260,17 @@ def eps_sweep(part: Partition, indicator: LocalIndicator, eps_values,
 
 
 def osc_indicator(f: VectorField) -> LocalIndicator:
-    """Element-size-weighted squared distance of the load to element means."""
+    """Element-size-weighted squared distance of the load to element means.
+
+    The indicator is subadditive, since each value is at most
+    ``|T| ||f||_T^2`` and so its sum over disjoint elements is at most
+    ``|Omega| ||f||^2``.
+    """
 
     def compute(part: Partition) -> np.ndarray:
         return element_oscillation(part, load_at_quadrature(part, f))
 
-    return LocalIndicator(name="osc", fn=compute, subadditive=True)
+    return LocalIndicator(name="osc", fn=compute)
 
 
 def synthetic_area_indicator(exponent: float) -> LocalIndicator:
@@ -279,8 +281,7 @@ def synthetic_area_indicator(exponent: float) -> LocalIndicator:
     def compute(part: Partition) -> np.ndarray:
         return part.areas ** exponent
 
-    return LocalIndicator(name=f"synthetic:area:{exponent:g}", fn=compute,
-                          subadditive=False)
+    return LocalIndicator(name=f"synthetic:area:{exponent:g}", fn=compute)
 
 
 def indicator_from_spec(spec: str, f: VectorField | None = None) -> LocalIndicator:

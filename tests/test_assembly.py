@@ -13,6 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _point_eval as pe
 from stokesafem import assembly
 from stokesafem.adaptloop import uniform_run
 from stokesafem.assembly import (
@@ -384,16 +385,9 @@ def test_error_norms_zero_for_self(mms):
     dm = build_dofmap(part)
     sol = solve(assemble(part, dm, mms.f, mms.g))
 
-    def grad_from_sol(xy):
-        from stokesafem.femspace import eval_velocity_gradient
-        return eval_velocity_gradient(sol, xy)
-
-    def p_from_sol(xy):
-        from stokesafem.femspace import eval_pressure
-        return eval_pressure(sol, xy)
-
     self_exact = ExactSolution(u=lambda xy: np.zeros_like(xy),
-                               grad_u=grad_from_sol, p=p_from_sol)
+                               grad_u=lambda xy: pe.velocity_gradient(sol, xy),
+                               p=lambda xy: pe.pressure(sol, xy))
     eu, ep = error_norms(sol, self_exact)
     assert eu <= 1e-10
     assert ep <= 1e-10

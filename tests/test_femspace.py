@@ -15,14 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _point_eval as pe
 from stokesafem.assembly import assemble
 from stokesafem.femspace import (
     P1_GRADS,
     P2_HESSIANS,
     build_dofmap,
-    eval_pressure,
-    eval_velocity,
-    eval_velocity_gradient,
     interpolate,
     p1_values,
     p2_grads,
@@ -264,7 +262,7 @@ def test_interpolate_reproduces_quadratic_velocity():
     sol = interpolate(u_fn, lambda xy: np.zeros(len(xy)), dm)
     rng = np.random.default_rng(3)
     pts = rng.random((50, 2))
-    got = eval_velocity(sol, pts)
+    got = pe.velocity(sol, pts)
     assert np.allclose(got, u_fn(pts), atol=1e-13)
 
 
@@ -276,7 +274,7 @@ def test_interpolate_shifts_pressure_to_zero_mean():
     assert np.allclose(sol.p, dm.node_xy[dm.vertex_nodes, 0] - 0.5, atol=1e-13)
     rng = np.random.default_rng(4)
     pts = rng.random((20, 2))
-    assert np.allclose(eval_pressure(sol, pts), pts[:, 0] - 0.5, atol=1e-13)
+    assert np.allclose(pe.pressure(sol, pts), pts[:, 0] - 0.5, atol=1e-13)
 
 
 # -- prolongation --------------------------------------------------------
@@ -300,10 +298,10 @@ def test_prolong_exact_at_random_points():
 
     rng = np.random.default_rng(5)
     pts = rng.random((50, 2))
-    assert np.allclose(eval_velocity(fsol, pts), eval_velocity(csol, pts), atol=1e-13)
-    assert np.allclose(eval_pressure(fsol, pts), eval_pressure(csol, pts), atol=1e-13)
-    g_f = eval_velocity_gradient(fsol, pts)
-    g_c = eval_velocity_gradient(csol, pts)
+    assert np.allclose(pe.velocity(fsol, pts), pe.velocity(csol, pts), atol=1e-13)
+    assert np.allclose(pe.pressure(fsol, pts), pe.pressure(csol, pts), atol=1e-13)
+    g_f = pe.velocity_gradient(fsol, pts)
+    g_c = pe.velocity_gradient(csol, pts)
     assert np.allclose(g_f, g_c, atol=1e-12)
 
 

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from _point_eval import locate
 from stokesafem.femspace import build_dofmap
 from stokesafem.mesh import (
     _NEXT,
@@ -553,32 +554,13 @@ def test_stats_and_star_match_per_leaf_loops(root, rounds, data):
         assert got.dtype == np.int64 and np.array_equal(got, star_of(elem))
 
 
-# -- generation bookkeeping and locate -----------------------------------
+# -- generation bookkeeping and ancestry ---------------------------------
 
 
 def test_generation_increments():
     p = unit_square_partition()
     q = uniform_refine(p, 3)
     assert set(q.generations.tolist()) == {3}
-
-
-def test_locate_points():
-    p = uniform_refine(unit_square_partition(), 2)
-    rng = np.random.default_rng(2)
-    pts = rng.random((40, 2))
-    elems = p.locate(pts)
-    assert (elems >= 0).all()
-    def cross2(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
-    xy = p.forest.verts
-    for (x, y), t in zip(pts, elems):
-        a, b, c = xy[p.forest.tri[t]]
-        det = cross2(b - a, c - a)
-        l1 = cross2(np.array([x, y]) - a, c - a) / det
-        l2 = cross2(b - a, np.array([x, y]) - a) / det
-        assert l1 >= -1e-10 and l2 >= -1e-10 and l1 + l2 <= 1 + 1e-10
-    assert p.locate(np.array([[5.0, 5.0]]))[0] == -1
 
 
 def test_ancestor_leaf_lookup():
@@ -636,10 +618,12 @@ def test_ancestor_leaf_in_after_the_forest_grew():
     coarse = refine(unit_square_partition(), [0])
     # the coarse leaf flags are read before the forest grows
     assert coarse.forest_mask().sum() == coarse.n_leaves
-    assert (coarse.locate(coarse.corner_xy.mean(axis=1)) == coarse.leaves).all()
+    centroids = coarse.corner_xy.mean(axis=1)
+    assert (locate(coarse, centroids) == np.arange(coarse.n_leaves)).all()
     fine = uniform_refine(coarse, 2)
     anc = fine.ancestor_leaf_in(coarse)
-    np.testing.assert_array_equal(anc, coarse.locate(fine.corner_xy.mean(axis=1)))
+    np.testing.assert_array_equal(
+        anc, coarse.leaves[locate(coarse, fine.corner_xy.mean(axis=1))])
     np.testing.assert_array_equal(overlay(coarse, fine).leaves, fine.leaves)
 
 

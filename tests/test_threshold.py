@@ -305,7 +305,7 @@ def test_indicator_from_spec():
     part = unit_square_partition()
     np.testing.assert_allclose(ind(part), part.areas ** 1.5)
     osc = indicator_from_spec("osc", f=singular_load)
-    assert osc.name == "osc" and osc.subadditive
+    assert osc.name == "osc"
     with pytest.raises(ValueError, match="requires problem data"):
         indicator_from_spec("osc")
     with pytest.raises(ValueError, match="bad synthetic exponent"):
