@@ -69,7 +69,6 @@ from .threshold import (
     ThresholdReport,
     class_seminorm,
     eps_sweep,
-    greedy_threshold,
     indicator_from_spec,
     osc_indicator,
     predicted_rate,
@@ -92,6 +91,6 @@ __all__ = [
     "two_triangle_square", "unit_square_partition",
     "ExactSolution", "ProblemDef", "builtin_problems", "get_problem",
     "BudgetExceeded", "IndicatorFailure", "LocalIndicator", "ThresholdReport",
-    "class_seminorm", "eps_sweep", "greedy_threshold", "indicator_from_spec",
-    "osc_indicator", "predicted_rate", "synthetic_area_indicator",
+    "class_seminorm", "eps_sweep", "indicator_from_spec", "osc_indicator",
+    "predicted_rate", "synthetic_area_indicator",
 ]

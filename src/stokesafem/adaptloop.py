@@ -73,6 +73,7 @@ __all__ = [
     "qo_monitor",
     "completion_constant",
     "monitor_report",
+    "write_csv",
     "write_trace_csv",
     "monitor_report_json",
 ]
@@ -534,18 +535,23 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def write_trace_csv(trace: AdaptiveTrace, path,
-                    extra_provenance: dict[str, str] | None = None) -> None:
-    """Deterministic CSV: provenance comment lines, header, one row per step."""
-    prov = trace.provenance()
-    if extra_provenance:
-        prov.update(extra_provenance)
-    lines = [f"# {key}={prov[key]}" for key in sorted(prov)]
-    lines.append(",".join(TRACE_COLUMNS))
-    for row in trace.rows:
-        lines.append(",".join(_fmt(getattr(row, c)) for c in TRACE_COLUMNS))
+def write_csv(path, provenance: dict[str, str], header, rows) -> None:
+    """Deterministic CSV: sorted ``# key=value`` provenance lines, the
+    header, then one line per row (integers as such, other values
+    ``%.17g``)."""
+    lines = [f"# {key}={provenance[key]}" for key in sorted(provenance)]
+    lines.append(",".join(header))
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_trace_csv(trace: AdaptiveTrace, path,
+                    extra_provenance: dict[str, str] | None = None) -> None:
+    """Trace CSV: the run's provenance, one row per step."""
+    write_csv(path, {**trace.provenance(), **(extra_provenance or {})},
+              TRACE_COLUMNS,
+              ([getattr(row, c) for c in TRACE_COLUMNS] for row in trace.rows))
 
 
 def monitor_report_json(report: MonitorReport) -> str:

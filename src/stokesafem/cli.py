@@ -4,7 +4,8 @@ Subcommands:
 
 * ``run``       - adaptive or uniform refinement study; writes a trace CSV
   and a monitor JSON, prints a convergence table;
-* ``threshold`` - greedy threshold refinement for one tolerance or a sweep;
+* ``threshold`` - greedy threshold refinement over one or more tolerances;
+  writes a sweep CSV, prints one JSON line per tolerance;
 * ``mesh-info`` - mesh statistics for a built-in problem or a mesh file;
 * ``infsup``    - discrete stability constants over nested refinements.
 
@@ -35,6 +36,7 @@ from .adaptloop import (
     monitor_report,
     monitor_report_json,
     uniform_run,
+    write_csv,
     write_trace_csv,
 )
 from .assembly import INF_SUP_MAX_DOFS, SolverFailure, assemble, inf_sup_constant
@@ -48,7 +50,6 @@ from .threshold import (
     IndicatorFailure,
     check_threshold_args,
     eps_sweep,
-    greedy_threshold,
     indicator_from_spec,
     write_sweep_csv,
 )
@@ -199,15 +200,10 @@ def _print_convergence_table(trace, report) -> None:
 def _dump_indicators_csv(trace, path) -> None:
     ind = trace.final_indicators
     part = trace.final_partition
-    shares = marking_shares(trace.estimator, ind)
-    lines = [f"# estimator={trace.estimator}", f"# problem={trace.problem}",
-             "elem,area,vol,div_l2,div_edge,osc,share"]
-    for i, elem in enumerate(part.leaves):
-        vals = (part.areas[i], ind.vol[i], ind.div_l2[i], ind.div_edge[i],
-                ind.osc[i], shares[i])
-        lines.append(f"{int(elem)}," + ",".join(f"{v:.17g}" for v in vals))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, {"estimator": trace.estimator, "problem": trace.problem},
+              ("elem", "area", "vol", "div_l2", "div_edge", "osc", "share"),
+              zip(part.leaves, part.areas, ind.vol, ind.div_l2, ind.div_edge,
+                  ind.osc, marking_shares(trace.estimator, ind)))
 
 
 def cmd_run(st: _Settings) -> int:
@@ -256,47 +252,37 @@ def _report_payload(rep) -> dict:
 
 
 def _threshold_settings(st: _Settings, prob):
-    """The indicator, tolerances, sweep flag and generation cap of a threshold
-    run, each checked.  The tolerances are the ``--eps-sweep`` list when one
-    is given, else ``[--eps]``."""
+    """The indicator, tolerances and generation cap of a threshold run, each
+    checked.  ``--eps`` is one tolerance or a comma-separated list."""
     max_gen = st.get("max_generation", MAX_GENERATION)
-    eps, sweep_text = st.get("eps"), st.get("eps_sweep")
-    eps_values = [eps]
-    if sweep_text is not None:
-        try:
-            eps_values = [float(tok) for tok in sweep_text.split(",") if tok]
-        except ValueError:
-            eps_values = []
-        if not eps_values:
-            raise ConfigError(f"bad eps list {sweep_text!r}")
-    elif eps is None:
-        raise ConfigError("threshold needs --eps or --eps-sweep")
+    eps_text = st.get("eps")
+    if eps_text is None:
+        raise ConfigError("threshold needs --eps")
+    try:
+        eps_values = [float(tok) for tok in eps_text.split(",") if tok]
+    except ValueError:
+        eps_values = []
+    if not eps_values:
+        raise ConfigError(f"bad eps list {eps_text!r}")
     try:
         indicator = indicator_from_spec(st.get("indicator", "osc"), f=prob.f)
-        # an eps beside a sweep is not read, but checked all the same
-        check_threshold_args([e for e in (eps, *eps_values) if e is not None], max_gen)
+        check_threshold_args(eps_values, max_gen)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return indicator, eps_values, sweep_text is not None, max_gen
+    return indicator, eps_values, max_gen
 
 
 def cmd_threshold(st: _Settings) -> int:
     prob = _problem(st)
-    indicator, eps_values, sweep, max_gen = _threshold_settings(st, prob)
+    indicator, eps_values, max_gen = _threshold_settings(st, prob)
     out, dest = _outputs(st)
-    part = prob.make_partition()
-    if sweep:
-        reports = eps_sweep(part, indicator, eps_values, max_gen)
-        write_sweep_csv(reports, out / "sweep.csv",
-                        extra_provenance=_provenance(st, problem=prob.name))
-        for rep in reports:
-            print(json.dumps(_report_payload(rep), sort_keys=True))
-        final = reports[-1]
-    else:
-        final = greedy_threshold(part, indicator, eps_values[0], max_gen)
-        print(json.dumps(_report_payload(final), indent=2, sort_keys=True))
+    reports = eps_sweep(prob.make_partition(), indicator, eps_values, max_gen)
+    write_sweep_csv(reports, out / "sweep.csv",
+                    extra_provenance=_provenance(st, problem=prob.name))
+    for rep in reports:
+        print(json.dumps(_report_payload(rep), sort_keys=True))
     if dest is not None:
-        save_mesh(final.partition, dest)
+        save_mesh(reports[-1].partition, dest)
     return EXIT_OK
 
 
@@ -387,8 +373,7 @@ _SETTINGS = {
     "max_dofs": {"type": int},
     "max_iterations": {"type": int},
     "levels": {"type": int, "help": "uniform refinement sweeps"},
-    "eps": {"type": float, "help": "threshold tolerance"},
-    "eps_sweep": {"help": "comma-separated tolerances"},
+    "eps": {"help": "threshold tolerance, or comma-separated tolerances"},
     "indicator": {"help": "osc or synthetic:area:<exponent> (default osc)"},
     "max_generation": {"type": int},
     "mesh": {"help": "mesh JSON file (overrides --problem)"},
@@ -401,18 +386,18 @@ _SETTINGS = {
                         "help": "write per-element indicator values as CSV"},
 }
 
-_COMMON = ("problem", "seed", "out")
+_COMMON = ("problem",)
 
 # subcommand: (help, handler, the settings its flags and config file take)
 _COMMANDS = {
     "run": ("adaptive/uniform refinement study", cmd_run,
-            (*_COMMON, "mode", "theta", "estimator", "max_dofs",
+            (*_COMMON, "seed", "out", "mode", "theta", "estimator", "max_dofs",
              "max_iterations", "levels", "export_mesh", "dump_indicators")),
     "threshold": ("greedy threshold refinement", cmd_threshold,
-                  (*_COMMON, "eps", "eps_sweep", "indicator", "max_generation",
-                   "export_mesh")),
+                  (*_COMMON, "seed", "out", "eps", "indicator",
+                   "max_generation", "export_mesh")),
     "mesh-info": ("mesh statistics", cmd_mesh_info,
-                  (*_COMMON, "mesh", "levels", "export_mesh")),
+                  (*_COMMON, "out", "mesh", "levels", "export_mesh")),
     "infsup": ("discrete stability constants", cmd_infsup,
                (*_COMMON, "levels")),
 }

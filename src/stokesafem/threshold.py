@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .adaptloop import AdaptiveConfig
+from .adaptloop import AdaptiveConfig, write_csv
 from .assembly import load_at_quadrature
 from .estimators import element_oscillation
 from .femspace import VectorField
@@ -42,7 +42,6 @@ __all__ = [
     "LocalIndicator",
     "ThresholdReport",
     "check_threshold_args",
-    "greedy_threshold",
     "eps_sweep",
     "osc_indicator",
     "synthetic_area_indicator",
@@ -231,29 +230,21 @@ def check_threshold_args(eps_values, max_generation: int) -> None:
         raise ValueError("max_generation must be >= 1")
 
 
-def _sweep(part: Partition, indicator: LocalIndicator, eps_values: list,
-           max_generation: int) -> list[ThresholdReport]:
+def eps_sweep(part: Partition, indicator: LocalIndicator, eps_values,
+              max_generation: int = MAX_GENERATION) -> list[ThresholdReport]:
+    """Independent threshold runs from the same initial partition, one per
+    tolerance: each refines all leaves whose indicator exceeds its ``eps``
+    until none does.
+
+    The runs share one forest, so each forest element is evaluated once
+    for the whole sweep.
+    """
+    eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise ValueError("eps sweep needs at least one value")
     check_threshold_args(eps_values, max_generation)
     values = _ElementValues(indicator, part.forest)
     return [_threshold(part, values, eps, max_generation) for eps in eps_values]
-
-
-def greedy_threshold(part: Partition, indicator: LocalIndicator, eps: float,
-                     max_generation: int = MAX_GENERATION) -> ThresholdReport:
-    """Refine all leaves whose indicator exceeds ``eps`` until none does."""
-    return _sweep(part, indicator, [eps], max_generation)[0]
-
-
-def eps_sweep(part: Partition, indicator: LocalIndicator, eps_values,
-              max_generation: int = MAX_GENERATION) -> list[ThresholdReport]:
-    """Independent threshold runs from the same initial partition.
-
-    The runs share one forest, so each forest element is evaluated once
-    for the whole sweep.
-    """
-    return _sweep(part, indicator, [float(e) for e in eps_values], max_generation)
 
 
 # -- built-in indicators -------------------------------------------------
@@ -343,12 +334,6 @@ def write_sweep_csv(reports: list[ThresholdReport], path,
                     extra_provenance: dict[str, str] | None = None) -> None:
     """Deterministic CSV of (eps, final leaf count, indicator total)."""
     prov = {"indicator": reports[0].indicator if reports else "",
-            "runs": str(len(reports))}
-    if extra_provenance:
-        prov.update(extra_provenance)
-    lines = [f"# {key}={prov[key]}" for key in sorted(prov)]
-    lines.append("eps,n_leaves,sum_e")
-    for rep in reports:
-        lines.append(f"{rep.eps:.17g},{rep.n_leaves},{rep.sum_e:.17g}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+            "runs": str(len(reports)), **(extra_provenance or {})}
+    write_csv(path, prov, ("eps", "n_leaves", "sum_e"),
+              ((rep.eps, rep.n_leaves, rep.sum_e) for rep in reports))

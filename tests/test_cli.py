@@ -26,7 +26,7 @@ import stokesafem.cli as cli
 import stokesafem.threshold as threshold
 from stokesafem.assembly import SolverFailure
 from stokesafem.cli import main
-from stokesafem.mesh import load_mesh, unit_square_partition
+from stokesafem.mesh import load_mesh, save_mesh, unit_square_partition
 from stokesafem.problems import ProblemDef
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -123,6 +123,11 @@ COMMANDS = sorted(cli._COMMANDS)
 
 def _config_keys(command):
     return cli._COMMANDS[command][2]
+
+
+def _out_args(command, out):
+    """``--out out`` for a subcommand that takes it, else nothing."""
+    return ["--out", str(out)] if "out" in _config_keys(command) else []
 
 
 def _foreign_keys(command):
@@ -224,10 +229,10 @@ FLAGS = {
     "run": {"--problem", "--seed", "--out", "--mode", "--theta", "--estimator",
             "--max-dofs", "--max-iterations", "--levels", "--export-mesh",
             "--dump-indicators"},
-    "threshold": {"--problem", "--seed", "--out", "--eps", "--eps-sweep", "--indicator",
+    "threshold": {"--problem", "--seed", "--out", "--eps", "--indicator",
                   "--max-generation", "--export-mesh"},
-    "mesh-info": {"--problem", "--seed", "--out", "--mesh", "--levels", "--export-mesh"},
-    "infsup": {"--problem", "--seed", "--out", "--levels"},
+    "mesh-info": {"--problem", "--out", "--mesh", "--levels", "--export-mesh"},
+    "infsup": {"--problem", "--levels"},
 }
 
 
@@ -253,6 +258,44 @@ def test_config_keys_are_the_subcommand_flags(monkeypatch, tmp_path, capsys, com
     assert flags == FLAGS[command]
 
 
+# a cheap run of each subcommand, and a value for each setting's flag
+CHEAP_RUNS = {
+    "run": ["run", "--problem", "linear-patch", "--max-iterations", "1", "--levels", "0"],
+    "threshold": ["threshold", "--indicator", "synthetic:area:1", "--eps", "0.5"],
+    "mesh-info": ["mesh-info", "--problem", "linear-patch"],
+    "infsup": ["infsup", "--problem", "linear-patch", "--levels", "0"],
+}
+FLAG_VALUES = {"problem": ["linear-patch"], "seed": ["3"], "out": ["out"],
+               "mode": ["uniform"], "theta": ["0.5"], "estimator": ["eta2"],
+               "max_dofs": ["10000"], "max_iterations": ["1"], "levels": ["0"],
+               "eps": ["0.5"], "indicator": ["synthetic:area:1"],
+               "max_generation": ["5"], "mesh": ["given.json"], "export_mesh": [],
+               "dump_indicators": []}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_setting_a_subcommand_takes_is_read(monkeypatch, tmp_path, command):
+    # a flag a subcommand accepts but never reads is an option with no effect
+    monkeypatch.chdir(tmp_path)
+    save_mesh(unit_square_partition(), tmp_path / "given.json")
+    read = set()
+    get = cli._Settings.get
+
+    def spy(self, key, default=None):
+        read.add(key)
+        return get(self, key, default)
+
+    monkeypatch.setattr(cli._Settings, "get", spy)
+    unread = []
+    for key in _config_keys(command):
+        read.clear()
+        flag = "--" + key.replace("_", "-")
+        assert main([*CHEAP_RUNS[command], flag, *FLAG_VALUES[key]]) == 0, key
+        if key not in read:
+            unread.append(key)
+    assert unread == []
+
+
 @pytest.mark.parametrize("argv, line", [
     (["run"], "mesh=/nonexistent.json"),
     (["threshold", "--eps", "0.1"], "levels=2"),
@@ -269,7 +312,7 @@ def test_config_key_of_another_subcommand_exits_2(monkeypatch, tmp_path, capsys,
     cfg = tmp_path / "other.cfg"
     cfg.write_text(f"# a key of another subcommand\n{line}\n")
     out = tmp_path / "out"
-    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([*argv, "--config", str(cfg), *_out_args(argv[0], out)]) == 2
     key = line.partition("=")[0].replace("-", "_")
     assert capsys.readouterr().err == (f"configuration error: {cfg}:2: "
                                        f"unknown config key {key!r}\n")
@@ -277,7 +320,7 @@ def test_config_key_of_another_subcommand_exits_2(monkeypatch, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("argv, line", [
-    (["mesh-info"], "seed=abc"),                            # never read
+    (["threshold", "--eps", "0.1"], "seed=abc"),
     (["run"], "mode=bogus"),
     (["run", "--mode", "uniform"], "estimator=eta9"),
     (["run", "--mode", "uniform", "--levels", "1"], "levels=abc"),   # overridden
@@ -373,8 +416,8 @@ def test_exit_code_on_budget_error(monkeypatch, tmp_path, capsys):
         "default budget max_dofs=64\n")
 
 
-BAD_THRESHOLD_OPTIONS = [["--eps", "-1"], ["--eps", "nan"], ["--eps-sweep", "0.1,-0.5"],
-                         ["--eps-sweep", "0.1,0"], ["--eps-sweep", "0.1,abc"],
+BAD_THRESHOLD_OPTIONS = [["--eps", "-1"], ["--eps", "nan"], ["--eps", "0.1,-0.5"],
+                         ["--eps", "0.1,0"], ["--eps", "0.1,abc"],
                          ["--eps", "0.1", "--max-generation", "0"]]
 
 
@@ -387,8 +430,8 @@ BAD_THRESHOLD_OPTIONS = [["--eps", "-1"], ["--eps", "nan"], ["--eps-sweep", "0.1
     ["run", "--mode", "uniform", "--max-dofs", "0"],
     ["run", "--mode", "adaptive", "--levels", "-3"],
     ["run", "--mode", "uniform", "--theta", "7", "--max-iterations", "0"],
-    ["threshold", "--eps-sweep", ""],
-    ["threshold", "--eps-sweep", "0.1", "--eps", "-1"],
+    ["threshold", "--eps", ""],
+    ["threshold", "--eps", "0.1,nan"],
     ["threshold", "--eps", "0.1", "--indicator", "wat"],
     ["threshold", "--eps", "0.1", "--indicator", "synthetic:area:abc"],
     ["threshold", "--indicator", "synthetic:area:1"],          # no tolerance
@@ -406,7 +449,7 @@ def test_bad_numeric_options_exit_2_before_refining(monkeypatch, capsys, tmp_pat
     for module in (cli, threshold, adaptloop):
         monkeypatch.setattr(module, "refine", no_refine)
     out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 2
+    assert main([*argv, *_out_args(argv[0], out)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not out.exists()
 
@@ -474,7 +517,7 @@ def test_output_path_that_is_a_file_exits_2_before_refining(monkeypatch, capsys,
 
 @pytest.mark.parametrize("argv", [
     ["run", "--mode", "uniform", "--levels", "2"],
-    ["threshold", "--eps-sweep", "0.1"],
+    ["threshold", "--eps", "0.1,0.05"],
     ["threshold", "--eps", "0.1"],
     ["mesh-info", "--levels", "1"],
 ])
@@ -518,24 +561,37 @@ def test_indicator_error_mid_run_is_not_a_configuration_error(monkeypatch, tmp_p
 
 
 def test_threshold_single_eps(tmp_path, capsys):
+    # one tolerance is a sweep of one: one JSON line and a one-row sweep.csv
     rc = main(["threshold", "--indicator", "synthetic:area:1",
                "--eps", "0.03125", "--out", str(tmp_path), "--export-mesh"])
     assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    payload = json.loads(out)
     assert payload["eps"] == 0.03125
     assert payload["n_leaves"] == 32
+    assert read_data_lines(tmp_path / "sweep.csv") == ["eps,n_leaves,sum_e",
+                                                       "0.03125,32,1"]
     assert load_mesh(tmp_path / "mesh.json").n_leaves == 32
 
 
 def test_threshold_sweep_csv(tmp_path, capsys):
     rc = main(["threshold", "--indicator", "synthetic:area:1",
-               "--eps-sweep", "0.125,0.0625", "--out", str(tmp_path)])
+               "--eps", "0.125,0.0625", "--out", str(tmp_path), "--export-mesh"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2 and all(json.loads(ln) for ln in lines)
     data = read_data_lines(tmp_path / "sweep.csv")
     assert data[0] == "eps,n_leaves,sum_e"
     assert [int(row.split(",")[1]) for row in data[1:]] == [8, 16]
+    # the exported mesh is the last tolerance's partition
+    assert load_mesh(tmp_path / "mesh.json").n_leaves == 16
+    # the same list from a config file gives the same bytes
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("indicator=synthetic:area:1\neps=0.125,0.0625\n")
+    assert main(["threshold", "--config", str(cfg), "--out", str(tmp_path / "cfg")]) == 0
+    assert (tmp_path / "cfg" / "sweep.csv").read_bytes() == \
+        (tmp_path / "sweep.csv").read_bytes()
 
 
 def test_threshold_requires_tolerance(capsys):

@@ -251,6 +251,22 @@ def test_dofmap_requires_conforming():
 # -- interpolation -------------------------------------------------------
 
 
+def _cross(a, b, q):
+    """Twice the signed area of each triangle (a, b, q)."""
+    return ((b[:, 0] - a[:, 0]) * (q[:, 1] - a[:, 1])
+            - (b[:, 1] - a[:, 1]) * (q[:, 0] - a[:, 0]))
+
+
+def assert_located(part, pts):
+    """Each point lies in the leaf ``pe.locate`` gives it: on the inner side
+    of all three edges of that leaf's corners.  A polynomial in the space
+    extrapolates exactly from any leaf, so the values alone cannot tell."""
+    c = part.corner_xy[pe.locate(part, pts)]
+    orient = np.sign(_cross(c[:, 0], c[:, 1], c[:, 2]))
+    for i in range(3):
+        assert (orient * _cross(c[:, i], c[:, (i + 1) % 3], pts) >= -1e-12).all()
+
+
 def test_interpolate_reproduces_quadratic_velocity():
     p = uniform_refine(unit_square_partition(), 2)
     dm = build_dofmap(p)
@@ -262,6 +278,7 @@ def test_interpolate_reproduces_quadratic_velocity():
     sol = interpolate(u_fn, lambda xy: np.zeros(len(xy)), dm)
     rng = np.random.default_rng(3)
     pts = rng.random((50, 2))
+    assert_located(p, pts)
     got = pe.velocity(sol, pts)
     assert np.allclose(got, u_fn(pts), atol=1e-13)
 
@@ -274,6 +291,7 @@ def test_interpolate_shifts_pressure_to_zero_mean():
     assert np.allclose(sol.p, dm.node_xy[dm.vertex_nodes, 0] - 0.5, atol=1e-13)
     rng = np.random.default_rng(4)
     pts = rng.random((20, 2))
+    assert_located(p, pts)
     assert np.allclose(pe.pressure(sol, pts), pts[:, 0] - 0.5, atol=1e-13)
 
 
@@ -298,6 +316,8 @@ def test_prolong_exact_at_random_points():
 
     rng = np.random.default_rng(5)
     pts = rng.random((50, 2))
+    assert_located(coarse, pts)
+    assert_located(fine, pts)
     assert np.allclose(pe.velocity(fsol, pts), pe.velocity(csol, pts), atol=1e-13)
     assert np.allclose(pe.pressure(fsol, pts), pe.pressure(csol, pts), atol=1e-13)
     g_f = pe.velocity_gradient(fsol, pts)

@@ -328,8 +328,8 @@ def test_refine_outputs_hold_a_verified_edge_table(monkeypatch):
 
     monkeypatch.setattr(mesh, "_edge_table", counting)
     seen = record_refine_calls(monkeypatch, threshold)
-    rep = threshold.greedy_threshold(unit_square_partition(),
-                                     threshold.osc_indicator(corner_load), 1e-4)
+    rep, = threshold.eps_sweep(unit_square_partition(),
+                               threshold.osc_indicator(corner_load), [1e-4])
     assert len(seen) == len(rep.rounds) > 3
     assert all(seen)
     assert len(built) == len(rep.rounds) + 1

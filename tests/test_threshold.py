@@ -19,7 +19,6 @@ from stokesafem.threshold import (
     _bucket_indices,
     class_seminorm,
     eps_sweep,
-    greedy_threshold,
     indicator_from_spec,
     osc_indicator,
     predicted_rate,
@@ -45,7 +44,7 @@ def test_synthetic_area_exact_counts():
     part = unit_square_partition()
     ind = synthetic_area_indicator(1.0)
     for k in (3, 5, 7):
-        rep = greedy_threshold(part, ind, 2.0 ** -k)
+        rep = eps_sweep(part, ind, [2.0 ** -k])[0]
         assert rep.n_leaves == 2 ** k
         assert rep.n_added == 2 ** k - 4
         assert rep.partition.areas.max() == pytest.approx(2.0 ** -k)
@@ -55,7 +54,7 @@ def test_synthetic_area_exact_counts():
 
 def test_synthetic_bucket_histogram():
     part = unit_square_partition()
-    rep = greedy_threshold(part, synthetic_area_indicator(1.0), 2.0 ** -6)
+    rep = eps_sweep(part, synthetic_area_indicator(1.0), [2.0 ** -6])[0]
     # round r marks all 2^(r+2) leaves of area 2^(-r-2), landing in bucket r+1
     assert rep.rounds == [4, 8, 16, 32]
     assert rep.buckets == {1: 4, 2: 8, 3: 16, 4: 32}
@@ -76,7 +75,7 @@ def test_synthetic_power_law_exponent():
 
 def test_threshold_noop_when_already_below():
     part = unit_square_partition()
-    rep = greedy_threshold(part, synthetic_area_indicator(1.0), eps=0.5)
+    rep = eps_sweep(part, synthetic_area_indicator(1.0), [0.5])[0]
     assert rep.partition is part
     assert rep.n_added == 0 and rep.rounds == [] and rep.buckets == {}
 
@@ -84,17 +83,17 @@ def test_threshold_noop_when_already_below():
 def test_generation_cap_raises():
     part = unit_square_partition()
     with pytest.raises(BudgetExceeded, match="generation cap 5"):
-        greedy_threshold(part, synthetic_area_indicator(1.0), 2.0 ** -30,
-                         max_generation=5)
+        eps_sweep(part, synthetic_area_indicator(1.0), [2.0 ** -30],
+                  max_generation=5)
 
 
 def test_eps_validation():
     part = unit_square_partition()
     ind = synthetic_area_indicator(1.0)
     with pytest.raises(ValueError, match="eps"):
-        greedy_threshold(part, ind, 0.0)
+        eps_sweep(part, ind, [0.0])
     with pytest.raises(ValueError, match="max_generation"):
-        greedy_threshold(part, ind, 0.1, max_generation=0)
+        eps_sweep(part, ind, [0.1], max_generation=0)
     with pytest.raises(ValueError, match="at least one"):
         eps_sweep(part, ind, [])
 
@@ -110,7 +109,7 @@ def test_osc_constant_load_never_refines():
         return out
 
     part = l_shape_partition()
-    rep = greedy_threshold(part, osc_indicator(const_f), eps=1e-30)
+    rep = eps_sweep(part, osc_indicator(const_f), [1e-30])[0]
     assert rep.n_added == 0
     assert rep.sum_e <= 1e-25
 
@@ -173,9 +172,9 @@ def test_batches_of_new_elements_are_still_validated():
 
     ind = LocalIndicator(name="late-negative", fn=late_negative)
     with pytest.raises(ValueError, match="nonnegative"):
-        greedy_threshold(unit_square_partition(), ind, 2.0 ** -8)
+        eps_sweep(unit_square_partition(), ind, [2.0 ** -8])
     # a run that never creates generation 2 passes
-    rep = greedy_threshold(unit_square_partition(), ind, 2.0 ** -3)
+    rep = eps_sweep(unit_square_partition(), ind, [2.0 ** -3])[0]
     assert rep.rounds == [4] and rep.n_leaves == 8
 
 

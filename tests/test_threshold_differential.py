@@ -25,7 +25,6 @@ from stokesafem.threshold import (
     _assert_bucket_disjoint,
     _bucket_indices,
     eps_sweep,
-    greedy_threshold,
     osc_indicator,
     synthetic_area_indicator,
 )
@@ -142,7 +141,8 @@ def test_stored_values_match_full_recomputation(root, spec, exponents, max_gener
             assert_same_report(g, w)
 
     eps = eps_values[-1]
-    got = outcome(greedy_threshold, ROOTS[root](), indicator, eps, max_generation)
+    got = outcome(lambda *args: eps_sweep(*args)[0], ROOTS[root](), indicator,
+                  [eps], max_generation)
     want = outcome(reference_threshold, ROOTS[root](), indicator, eps, max_generation)
     if isinstance(want, tuple):
         assert got == want
