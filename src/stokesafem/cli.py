@@ -291,6 +291,7 @@ def cmd_threshold(st: _Settings) -> int:
 
 def cmd_mesh_info(st: _Settings) -> int:
     levels = _levels(st, 0)
+    prob = _problem(st)          # checked even when a mesh file overrides it
     mesh_path = st.get("mesh")
     if mesh_path:
         try:
@@ -299,7 +300,6 @@ def cmd_mesh_info(st: _Settings) -> int:
             raise ConfigError(f"cannot load mesh {mesh_path!r}: {exc}") from exc
         source = mesh_path
     else:
-        prob = _problem(st)
         part = prob.make_partition()
         source = prob.name
     # each level doubles the leaves; a mesh with more leaves than the

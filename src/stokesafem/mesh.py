@@ -681,9 +681,15 @@ def _normalize_tris(verts: np.ndarray, tarr: np.ndarray, tris,
     offending row of ``tris`` as given."""
     tarr = tarr.copy()
     p = verts[tarr]                                   # (n, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    # finite coordinates past ~1e154 overflow here; such a triangle is
+    # rejected below by name instead of by its sign
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    huge = np.flatnonzero(~np.isfinite(area2))
+    if len(huge):
+        raise ValueError(f"the area of triangle {tris[huge[0]]} overflows")
     bad = np.flatnonzero((area2 == 0) | ((area2 < 0) & (not relabel)))
     if len(bad):
         tri = tris[bad[0]]
@@ -816,15 +822,20 @@ def l_shape_partition() -> Partition:
     return partition_from_arrays(verts, tris)
 
 
-def _json_rows(rows: np.ndarray, item: str) -> str:
-    """``json.dumps(rows.tolist(), indent=1)`` for a list nested one level
-    deep in an object; ``item`` is ``%r`` (float repr, as json writes a
-    finite float) or ``%d``."""
-    if not len(rows):
+def _json_rows(cells: np.ndarray) -> str:
+    """``json.dumps(rows, indent=1)`` for a list of rows nested one level
+    deep in an object, from the (n, k) object array of the entries' JSON
+    texts, by one join."""
+    n, k = cells.shape
+    if not n:
         return "[]"
-    row = "  [\n" + ",\n".join(["   " + item] * rows.shape[1]) + "\n  ]"
-    body = ",\n".join([row] * len(rows)) % tuple(rows.ravel().tolist())
-    return "[\n" + body + "\n ]"
+    grid = np.empty((n, 2 * k + 1), dtype=object)
+    grid[:, 0] = "  [\n   "
+    grid[:, 1:-1:2] = cells
+    grid[:, 2:-1:2] = ",\n   "
+    grid[:, -1] = "\n  ],\n"
+    grid[-1, -1] = "\n  ]"
+    return "[\n" + "".join(grid.ravel().tolist()) + "\n ]"
 
 
 def save_mesh(part: Partition, path) -> None:
@@ -832,8 +843,11 @@ def save_mesh(part: Partition, path) -> None:
 
     The file is byte for byte ``json.dumps(payload, indent=1) + "\\n"`` for
     ``payload = {"vertices": ..., "triangles": ..., "boundary_markers": ...}``
-    (vertex coordinates as float reprs, ids as ints), written from row
-    templates instead of the pure-Python JSON encoder.
+    (vertex coordinates as float reprs, ids as ints), written from the
+    entries' texts instead of by the pure-Python JSON encoder.  Each
+    distinct entry is formatted once and placed by lookup: far fewer
+    coordinates are distinct than there are entries, and every vertex id
+    appears in several triangles.
     """
     vids = part.active_vert_ids
     renum = np.full(part.forest.n_vertices, -1, dtype=np.int64)
@@ -841,9 +855,15 @@ def save_mesh(part: Partition, path) -> None:
     xy = part.coords(vids)
     if not np.isfinite(xy).all():
         raise ValueError("vertex coordinates must be finite")
-    text = (f'{{\n "vertices": {_json_rows(xy, "%r")},\n'
-            f' "triangles": {_json_rows(renum[part.leaf_tris], "%d")},\n'
-            f' "boundary_markers": {_json_rows(renum[part.boundary_edge_verts], "%d")}'
+    # one text per bit pattern, so 0.0 and -0.0 stay apart
+    bits = np.ascontiguousarray(xy).view(np.int64)
+    distinct = _unique(bits)
+    reprs = np.array([repr(x) for x in distinct.view(np.float64).tolist()],
+                     dtype=object)
+    ids = np.array([str(i) for i in range(len(vids))], dtype=object)
+    text = (f'{{\n "vertices": {_json_rows(reprs[np.searchsorted(distinct, bits)])},\n'
+            f' "triangles": {_json_rows(ids[renum[part.leaf_tris]])},\n'
+            f' "boundary_markers": {_json_rows(ids[renum[part.boundary_edge_verts]])}'
             "\n}\n")
     with open(path, "w") as fh:
         fh.write(text)

@@ -16,7 +16,9 @@ values are stored by forest element id, every round evaluates only the
 leaves created since the previous one, and the runs of ``eps_sweep`` share
 one store because their snapshots share one append-only forest.  A pass
 thus costs O(#created elements) indicator evaluations, as in the
-thresholding theory of Binev, Dahmen and DeVore (2004).
+thresholding theory of Binev, Dahmen and DeVore (2004).  Tolerances that
+mark the same leaves of the same partition share that round: it is refined
+once, and every run that marks it moves to the result.
 
 Built-in indicators: the data-oscillation indicator (element-size-weighted
 distance of the load to its elementwise mean) and synthetic power-of-area
@@ -165,14 +167,24 @@ class _ElementValues:
         return out
 
 
-def _threshold(part: Partition, values: _ElementValues, eps: float,
-               max_generation: int) -> ThresholdReport:
-    n_initial = part.n_leaves
-    total_area = part.total_area
-    rounds: list[int] = []
-    bucket_members: dict[int, list[np.ndarray]] = {}
+@dataclass
+class _Run:
+    """One tolerance of a sweep: the partition it stands at, and the marked
+    count of each round and the marked elements of each bucket so far."""
 
+    eps: float
+    part: Partition
+    rounds: list[int] = field(default_factory=list)
+    bucket_members: dict[int, list[np.ndarray]] = field(default_factory=dict)
+
+
+def _threshold(run: _Run, later: list[_Run], values: _ElementValues,
+               max_generation: int, start: Partition) -> ThresholdReport:
+    """Finish ``run``; each of its rounds is taken by every run of ``later``
+    that stands at the same partition and marks the same leaves."""
+    eps = run.eps
     while True:
+        part = run.part
         leaf_values = values(part)
         above = leaf_values > eps
         if not above.any():
@@ -195,16 +207,25 @@ def _threshold(part: Partition, values: _ElementValues, eps: float,
         marked = part.leaves[positions]
         # the areas of the marked leaves only, by the same per-leaf formula
         js = _bucket_indices(Partition(part.forest, marked).areas)
-        for j in _unique(js).tolist():
-            bucket_members.setdefault(j, []).append(marked[js == j])
-        rounds.append(len(positions))
-        part = refine(part, marked)
+        buckets = [(j, marked[js == j]) for j in _unique(js).tolist()]
+        # a later run at this partition that marks the same leaves would make
+        # this very round and pass the same checks, so it takes the result;
+        # any other stays put and resumes there on its own turn
+        sharers = [r for r in later if r.part is part and np.array_equal(
+            np.flatnonzero(leaf_values > r.eps), positions)]
+        refined = refine(part, marked)
+        for r in (run, *sharers):
+            for j, elems in buckets:
+                r.bucket_members.setdefault(j, []).append(elems)
+            r.rounds.append(len(positions))
+            r.part = refined
 
-    members = {j: np.concatenate(m) for j, m in sorted(bucket_members.items())}
+    members = {j: np.concatenate(m)
+               for j, m in sorted(run.bucket_members.items())}
     _assert_bucket_disjoint(part.forest, members)
     bucket_counts = {j: len(m) for j, m in members.items()}
     for j, m_j in bucket_counts.items():
-        bound = 2.0 ** (j + 1) * total_area
+        bound = 2.0 ** (j + 1) * start.total_area
         if m_j > bound * (1.0 + 1e-12):
             raise AssertionError(
                 f"bucket {j}: {m_j} marked elements exceed the disjointness "
@@ -214,8 +235,8 @@ def _threshold(part: Partition, values: _ElementValues, eps: float,
         raise AssertionError("final partition still has an element above eps")
     return ThresholdReport(
         eps=eps, indicator=values.indicator.name, partition=part,
-        n_initial=n_initial, n_added=part.n_leaves - n_initial,
-        sum_e=float(leaf_values.sum()), rounds=rounds,
+        n_initial=start.n_leaves, n_added=part.n_leaves - start.n_leaves,
+        sum_e=float(leaf_values.sum()), rounds=run.rounds,
         buckets=bucket_counts,
     )
 
@@ -237,14 +258,20 @@ def eps_sweep(part: Partition, indicator: LocalIndicator, eps_values,
     until none does.
 
     The runs share one forest, so each forest element is evaluated once
-    for the whole sweep.
+    for the whole sweep.  The runs are finished in the given order, and a
+    round of one is also a round of every later run that stands at the same
+    partition and marks the same leaves, so tolerances with no leaf value
+    between them share their refinement.  The reports, the forest's ids and
+    the first error raised are those of running the tolerances one by one.
     """
     eps_values = [float(e) for e in eps_values]
     if not eps_values:
         raise ValueError("eps sweep needs at least one value")
     check_threshold_args(eps_values, max_generation)
     values = _ElementValues(indicator, part.forest)
-    return [_threshold(part, values, eps, max_generation) for eps in eps_values]
+    runs = [_Run(eps, part) for eps in eps_values]
+    return [_threshold(run, runs[i + 1:], values, max_generation, part)
+            for i, run in enumerate(runs)]
 
 
 # -- built-in indicators -------------------------------------------------
@@ -259,7 +286,11 @@ def osc_indicator(f: VectorField) -> LocalIndicator:
     """
 
     def compute(part: Partition) -> np.ndarray:
-        return element_oscillation(part, load_at_quadrature(part, f))
+        fq = load_at_quadrature(part, f)
+        # a non-finite load gives non-finite values, which the indicator
+        # check reports as IndicatorFailure instead of a NumPy warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            return element_oscillation(part, fq)
 
     return LocalIndicator(name="osc", fn=compute)
 

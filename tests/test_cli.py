@@ -659,6 +659,16 @@ def test_mesh_info_levels_beyond_the_dof_budget_exit_2_before_refining(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_mesh_info_checks_the_problem_beside_a_mesh_file(tmp_path, capsys):
+    mesh = tmp_path / "m.json"
+    assert main(["mesh-info", "--export-mesh", str(mesh)]) == 0
+    capsys.readouterr()
+    assert main(["mesh-info", "--mesh", str(mesh), "--problem", "no-such"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert "no-such" in err
+
+
 def test_mesh_info_rejects_missing_file(capsys):
     assert main(["mesh-info", "--mesh", "/nonexistent/mesh.json"]) == 2
     assert "cannot load mesh" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -741,7 +741,7 @@ def test_save_mesh_writes_json_encoder_bytes(root, rounds, data):
 
 
 def test_save_mesh_empty_rows_and_nonfinite_coordinates(tmp_path):
-    assert _json_rows(np.zeros((0, 2), dtype=np.int64), "%d") == json.dumps([], indent=1)
+    assert _json_rows(np.empty((0, 2), dtype=object)) == json.dumps([], indent=1)
     part = partition_from_arrays([(0.0, 0.0), (1e308, 0.0), (1e308, 1.0)], [(0, 1, 2)])
     # the second uniform pass halves the edge (1e308, 0)-(1e308, 1), whose
     # midpoint overflows to x = inf
@@ -750,6 +750,17 @@ def test_save_mesh_empty_rows_and_nonfinite_coordinates(tmp_path):
     assert not np.isfinite(fine.corner_xy).all()
     with pytest.raises(ValueError, match="finite"):
         save_mesh(fine, tmp_path / "mesh.json")
+
+
+def test_save_mesh_keeps_the_sign_of_zero(tmp_path):
+    # each coordinate is formatted once per bit pattern, so -0.0 and 0.0,
+    # equal as floats, are still written apart
+    part = partition_from_arrays([(-0.0, 0.0), (1.0, -0.0), (0.0, 1.0)], [(0, 1, 2)])
+    path = tmp_path / "mesh.json"
+    save_mesh(part, path)
+    text = path.read_text()
+    assert text == json_encoder_text(part)
+    assert "-0.0" in text
 
 
 def test_load_mesh_rejects_malformed(tmp_path):
@@ -790,10 +801,12 @@ def test_load_mesh_rejects_malformed(tmp_path):
      "numbers"),
     ({"vertices": [[0, 0], [10 ** 400, 0], [0, 1]], "triangles": [[0, 1, 2]]},
      "numbers"),
+    ({"vertices": [[0, 0], [1e200, 0], [0, 1e200]], "triangles": [[0, 1, 2]]},
+     r"area of triangle \[0, 1, 2\] overflows"),
 ], ids=["id-past-end", "negative-id", "nan-coordinate", "edge-in-three-triangles",
         "fractional-id", "fractional-boundary-id", "duplicate-vertex",
         "scalar-boundary-markers", "id-overflow", "string-id", "bool-id",
-        "string-coordinate", "int-coordinate-overflow"])
+        "string-coordinate", "int-coordinate-overflow", "area-overflow"])
 def test_load_mesh_rejects_malformed_arrays(tmp_path, payload, match):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -851,8 +864,14 @@ def write_payload(directory, payload) -> Path:
     return path
 
 
+# finite coordinates whose triangle area overflows a float
+HUGE_VERTEX_MESH = {**VALID_MESH, "vertices": [
+    [1.3407807929942597e+154, 1.3407807929942597e+154], *VALID_MESH["vertices"][1:]]}
+
+
 @settings(max_examples=300, deadline=None)
 @given(payload=mesh_payloads())
+@example(payload=HUGE_VERTEX_MESH)
 def test_load_mesh_fuzz_loads_or_raises_value_error(payload):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_payload(tmp, payload)

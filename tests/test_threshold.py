@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stokesafem import threshold
 from stokesafem.mesh import Partition, l_shape_partition, refine, unit_square_partition
 from stokesafem.threshold import (
     BudgetExceeded,
@@ -145,6 +146,17 @@ def test_indicator_validation_wrong_shape():
         neg(part)
 
 
+def test_osc_of_an_infinite_load_is_an_indicator_failure():
+    # no NumPy warning on the way: the non-finite values are the error
+    def spike(xy):
+        xy = np.atleast_2d(xy)
+        vals = np.where(xy[:, 0] < 0.5, np.inf, 1.0)
+        return np.stack([vals, vals], axis=1)
+
+    with pytest.raises(IndicatorFailure, match="finite"):
+        eps_sweep(unit_square_partition(), osc_indicator(spike), [0.1])
+
+
 def test_sweep_evaluates_each_forest_element_once():
     osc = osc_indicator(singular_load)
     batches = []
@@ -176,6 +188,54 @@ def test_batches_of_new_elements_are_still_validated():
     # a run that never creates generation 2 passes
     rep = eps_sweep(unit_square_partition(), ind, [2.0 ** -3])[0]
     assert rep.rounds == [4] and rep.n_leaves == 8
+
+
+def counting_refine(monkeypatch) -> list[int]:
+    """Patch ``threshold.refine`` to record the marked count of each call."""
+    calls = []
+
+    def counted(part, marked):
+        calls.append(len(marked))
+        return refine(part, marked)
+
+    monkeypatch.setattr(threshold, "refine", counted)
+    return calls
+
+
+def one_at_a_time(part, indicator, eps_values, max_generation=40):
+    """The sweep as one-tolerance sweeps on one forest, in order."""
+    return [eps_sweep(part, indicator, [eps], max_generation)[0]
+            for eps in eps_values]
+
+
+def test_sweep_refines_each_shared_round_once(monkeypatch):
+    ind = osc_indicator(singular_load)
+    eps_values = [1e-4, 1e-5, 1e-6]
+    want = one_at_a_time(unit_square_partition(), ind, eps_values)
+    calls = counting_refine(monkeypatch)
+    got = eps_sweep(unit_square_partition(), ind, eps_values)
+    # the tolerances mark the same leaves in their first round at least
+    assert len(calls) < sum(len(rep.rounds) for rep in got)
+    for g, w in zip(got, want, strict=True):
+        assert (g.rounds, g.buckets, g.n_leaves) == (w.rounds, w.buckets, w.n_leaves)
+        assert np.array_equal(g.partition.leaves, w.partition.leaves)
+        assert g.sum_e.hex() == w.sum_e.hex()
+
+
+def test_cap_at_a_shared_partition_raises_the_one_at_a_time_error(monkeypatch):
+    # e = |tau| on the unit square: eps = 0.02 stops at generation 4 after
+    # four rounds, which eps = 0.01 shares; at that partition it marks every
+    # leaf, all of generation 4, so it hits the cap of 4 there
+    ind = synthetic_area_indicator(1.0)
+    eps_values = [0.02, 0.01]
+    with pytest.raises(BudgetExceeded) as want:
+        one_at_a_time(unit_square_partition(), ind, eps_values, 4)
+    assert "generation cap 4" in str(want.value)
+    calls = counting_refine(monkeypatch)
+    with pytest.raises(BudgetExceeded) as got:
+        eps_sweep(unit_square_partition(), ind, eps_values, 4)
+    assert str(got.value) == str(want.value)
+    assert calls == [4, 8, 16, 32]
 
 
 def test_element_values_reject_another_forest():

@@ -7,7 +7,9 @@ value and evaluates only the leaves it has not seen, with one store for all
 runs of a sweep.  Both sides start from their own root partition, so the
 element ids they produce must agree too.  The reports must match exactly:
 rounds, buckets, leaf ids, and ``sum_e`` bit for bit; so must the outcome
-of a run that hits the generation cap.
+of a run that hits the generation cap or meets a non-finite indicator.
+The package's sweep also lets tolerances that mark the same leaves share a
+refinement, while the reference runs the tolerances one after another.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stokesafem.mesh import l_shape_partition, refine, unit_square_partition
 from stokesafem.threshold import (
     BudgetExceeded,
+    IndicatorFailure,
     ThresholdReport,
     _assert_bucket_disjoint,
     _bucket_indices,
@@ -73,7 +76,10 @@ def line_load(offset: float, angle: float):
 
     def f(xy):
         xy = np.atleast_2d(xy)
-        mag = np.abs((xy[:, 1] - offset) * cos_a - (xy[:, 0] - 0.5) * sin_a) ** -0.25
+        # a quadrature point on the line gives an infinite load, which both
+        # drivers must report as the same IndicatorFailure
+        with np.errstate(divide="ignore"):
+            mag = np.abs((xy[:, 1] - offset) * cos_a - (xy[:, 0] - 0.5) * sin_a) ** -0.25
         return np.stack([mag, mag], axis=1)
 
     return f
@@ -101,7 +107,7 @@ def indicators(draw):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, IndicatorFailure) as exc:
         return type(exc), str(exc)
 
 
@@ -120,6 +126,14 @@ def assert_same_report(got, want):
 @given(root=st.sampled_from(sorted(ROOTS)), spec=indicators(),
        exponents=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
        max_generation=st.sampled_from([4, 8, 40]))
+# the first tolerance ends at 45 leaves; the second one's rounds put a
+# quadrature point on the line, an infinite load
+@example(root="lshape", spec=(osc_indicator(line_load(0.625, 0.0)), (-6.0, -2.0)),
+         exponents=[1.0, 0.9], max_generation=40)
+# the second tolerance shares every round of the first and then hits the
+# generation cap at the partition where the first one stopped
+@example(root="square", spec=(synthetic_area_indicator(1.0), (-3.0, -0.5)),
+         exponents=[0.52, 0.4], max_generation=4)
 def test_stored_values_match_full_recomputation(root, spec, exponents, max_generation):
     indicator, (lo, hi) = spec
     eps_values = [10.0 ** (lo + (hi - lo) * x) for x in exponents]
