@@ -113,8 +113,7 @@ class AdaptiveConfig:
 
 @dataclass
 class TraceRow:
-    """One iteration of a run; its fields but ``marked_fraction`` are the
-    CSV columns, in order (``TRACE_COLUMNS``)."""
+    """One iteration of a run; its fields are the CSV columns, in order."""
 
     k: int
     N: int
@@ -130,10 +129,9 @@ class TraceRow:
     total_err: float
     n_marked: int
     step_diff_sq: float
-    marked_fraction: float = _NAN   # share fraction actually captured (not in CSV)
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow) if f.name != "marked_fraction")
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 @dataclass
@@ -152,7 +150,7 @@ class AdaptiveTrace:
     final_indicators: ElementIndicators | None = None
 
     def column(self, name: str) -> np.ndarray:
-        if name not in TRACE_COLUMNS and name != "marked_fraction":
+        if name not in TRACE_COLUMNS:
             raise KeyError(name)
         return np.asarray([getattr(r, name) for r in self.rows], dtype=float)
 
@@ -271,7 +269,7 @@ def adaptive_run(cfg: AdaptiveConfig, problem: ProblemDef | None = None) -> Adap
             raise AssertionError(
                 f"iteration {k}: marked set captures {captured} "
                 f"< theta * total = {cfg.theta * total_shares}")
-        return marked_pos, captured / total_shares
+        return marked_pos
 
     return _run(prob, "adaptive", cfg, mark_bulk)
 
@@ -287,19 +285,19 @@ def uniform_run(problem: ProblemDef | str, levels: int,
                          max_iterations=levels + 1, max_dofs=max_dofs,
                          monitors=monitors)
     return _run(prob, "uniform", cfg,
-                lambda k, part, ind, eta_sq: (np.arange(part.n_leaves), 1.0))
+                lambda k, part, ind, eta_sq: np.arange(part.n_leaves))
 
 
 def _run(prob: ProblemDef, mode: str, cfg: AdaptiveConfig, mark) -> AdaptiveTrace:
     """The solve-estimate-mark-refine loop shared by both drivers.
 
-    ``mark(k, part, ind, eta_sq)`` returns the leaf positions to refine and
-    the share fraction they capture, or ``None`` to stop.  The previous
-    iterate is the last column of ``stack``; in front of it the stack holds
-    the earlier iterates when they serve as reference errors, so one
-    ``prolong`` per level lifts them all.  The stack takes in the new
-    iterate only when another level follows, and is all that level keeps
-    of the one before; the coarse stack is dropped as soon as it is lifted.
+    ``mark(k, part, ind, eta_sq)`` returns the leaf positions to refine, or
+    ``None`` to stop.  The previous iterate is the last column of ``stack``;
+    in front of it the stack holds the earlier iterates when they serve as
+    reference errors, so one ``prolong`` per level lifts them all.  The
+    stack takes in the new iterate only when another level follows, and is
+    all that level keeps of the one before; the coarse stack is dropped as
+    soon as it is lifted.
     """
     part = prob.make_partition()
     trace = AdaptiveTrace(mode=mode, problem=prob.name, estimator=cfg.estimator,
@@ -330,10 +328,9 @@ def _run(prob: ProblemDef, mode: str, cfg: AdaptiveConfig, mark) -> AdaptiveTrac
         trace.rows.append(row)
         if sol.dofmap.n_dofs >= cfg.max_dofs or k == cfg.max_iterations - 1:
             break
-        marked = mark(k, part, ind, scalars[ESTIMATOR_KINDS.index(cfg.estimator)])
-        if marked is None:
+        marked_pos = mark(k, part, ind, scalars[ESTIMATOR_KINDS.index(cfg.estimator)])
+        if marked_pos is None:
             break
-        marked_pos, row.marked_fraction = marked
         row.n_marked = len(marked_pos)
         part = refine(part, part.leaves[marked_pos])
         cols = [lifted, sol] if keep and lifted is not None else [sol]

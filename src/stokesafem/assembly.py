@@ -9,12 +9,12 @@ symmetrically via a nodal lift.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import lobpcg, splu
 
 from .femspace import (
     DofMap,
@@ -45,8 +45,9 @@ RESIDUAL_RTOL = 1e-9
 # right-hand side at round-off level is not chased) and iteration cap
 CG_RTOL = 1e-12
 CG_MAXITER = 2000
-# the dense inf-sup diagnostic refuses systems with more dofs than this
-INF_SUP_MAX_DOFS = 4000
+# inf-sup eigensolve: residual tolerance and iteration cap of LOBPCG
+LOBPCG_TOL = 1e-10
+LOBPCG_MAXITER = 1000
 
 
 class SolverFailure(RuntimeError):
@@ -267,17 +268,8 @@ def solve(system: StokesSystem) -> SolutionPair:
     advance, ``lam = 1^T r2 / |Omega|``, and the system is consistent.  The
     pressure mass ``M_p`` is spectrally equivalent to ``S`` (Elman, Silvester
     & Wathen, ch. 4), so CG preconditioned by ``M_p^-1`` converges in a
-    number of iterations that does not grow with the mesh size.
-
-    ``A^-1`` is one sparse LU of the scalar P2 stiffness, exact because
-    ``A = K (x) I_2``, applied to both velocity components at once.  Both
-    ``K_ff`` and ``M_p`` are symmetric positive definite, so both are
-    factored in SuperLU's symmetric mode, from their CSR arrays read as CSC
-    (see ``_spd_lu``); ``B_f^T`` is likewise the CSC view of ``B_f``, and
-    nothing changes format.  ``build_dofmap`` numbers the free nodes first,
-    in factor order, so ``K_ff`` is the leading ``n_free`` block of ``K``
-    and ``B_f`` the leading ``2 n_free`` columns of ``B``; SuperLU's
-    minimum-degree ordering then refines that order.
+    number of iterations that does not grow with the mesh size.  The factors
+    of ``A`` and ``M_p`` come from ``_schur_factors``.
 
     CG starts from ``system.p_start`` when it is set (the adaptive loop sets
     the previous pressure, lifted) and from zero otherwise.  Alongside ``p``
@@ -295,13 +287,7 @@ def solve(system: StokesSystem) -> SolutionPair:
     if not (np.isfinite(r1).all() and np.isfinite(r2).all()):
         raise SolverFailure("non-finite load or boundary data")
     p = _start_pressure(system)
-    lu = _spd_lu(system.k_mat[:n_free, :n_free])
-
-    def a_inv(v: np.ndarray) -> np.ndarray:
-        return lu.solve(v.reshape(n_free, -1)).reshape(v.shape)
-
-    b_f = system.b_mat[:, :2 * n_free]
-    bt_f = b_f.T
+    a_inv, b_f, bt_f, mass_lu = _schur_factors(system)
     if not dm.meets_stability:
         _check_pressure_kernel(b_f, bt_f, np.repeat(system.k_mat.diagonal()[:n_free], 2))
     m = system.mean_vec
@@ -314,7 +300,6 @@ def solve(system: StokesSystem) -> SolutionPair:
     rhs_p = m * lam - r2 - b_f @ a_r1
     data = 1.0 + float(np.abs(np.concatenate([r1, r2])).max())
     tol = max(CG_RTOL * data, CG_RTOL * float(np.linalg.norm(rhs_p)))
-    mass_lu = _spd_lu(system.mass_p)
 
     r = rhs_p - b_f @ v
     rz_prev = d = None
@@ -343,6 +328,25 @@ def solve(system: StokesSystem) -> SolutionPair:
     sol = _verified_pair(system, a_r1 + v, p, data)
     sol.cg_iterations = its
     return sol
+
+
+def _schur_factors(system: StokesSystem):
+    """``(a_inv, b_f, bt_f, mass_lu)``: ``S = B_f A^-1 B_f^T`` and the factor
+    of its preconditioner ``M_p``, for ``solve`` and ``inf_sup_constant``.
+
+    ``a_inv`` applies ``A^-1`` to a vector or a block of columns by one LU of
+    ``K_ff``, exact as ``A = K (x) I_2``.  ``build_dofmap`` numbers the free
+    nodes first, so ``K_ff`` and ``B_f`` are leading blocks, sliced; ``B_f^T``
+    is the CSC view of ``B_f``, as ``_spd_lu`` factors the CSC views.
+    """
+    n_free = system.dofmap.n_free
+    lu = _spd_lu(system.k_mat[:n_free, :n_free])
+
+    def a_inv(v: np.ndarray) -> np.ndarray:
+        return lu.solve(v.reshape(n_free, -1)).reshape(v.shape)
+
+    b_f = system.b_mat[:, :2 * n_free]
+    return a_inv, b_f, b_f.T, _spd_lu(system.mass_p)
 
 
 def _start_pressure(system: StokesSystem) -> np.ndarray:
@@ -488,27 +492,30 @@ def error_norms(sol: SolutionPair, exact) -> tuple[float, float]:
 
 
 def inf_sup_constant(system: StokesSystem) -> float:
-    """Discrete inf-sup constant via the dense pressure Schur complement.
+    """Discrete inf-sup constant; ``beta_h^2`` is the smallest eigenvalue of
+    ``S q = lambda M_p q`` over zero-mean pressures, ``S`` as in ``solve``.
 
-    Smallest generalized eigenvalue of (B A^-1 B^T) q = lambda M_p q over
-    zero-mean pressures, returned as its square root.  Dense diagnostic:
-    refuses systems with more than ``INF_SUP_MAX_DOFS`` total dofs.
+    LOBPCG (Knyazev 2001) from a fixed seed, preconditioned by ``M_p^-1``, on
+    ``S + w w^T``, ``w = m / sqrt(|Omega|)``, which lifts the constants (the
+    kernel) to the top eigenvalue 1, as ``|div v| <= |grad v|``.  SciPy
+    solves densely below five pressures.  Raises ``SolverFailure`` if the
+    residual is above ``LOBPCG_TOL`` after ``LOBPCG_MAXITER`` iterations.
     """
-    dm = system.dofmap
-    if dm.n_dofs > INF_SUP_MAX_DOFS:
-        raise ValueError(f"inf-sup diagnostic is dense; {dm.n_dofs} dofs exceed "
-                         f"the {INF_SUP_MAX_DOFS} limit")
-    nf = 2 * dm.n_free
-    a_ff = system.a_mat[:nf, :nf].toarray()
-    b_f = system.b_mat[:, :nf].toarray()
-    if a_ff.shape[0] == 0:
-        return 0.0
-    schur = b_f @ np.linalg.solve(a_ff, b_f.T)
-    # orthonormal basis of the zero-mean pressure subspace
-    m = system.mean_vec
-    q_full, _ = np.linalg.qr(m[:, None], mode="complete")
-    z = q_full[:, 1:]
-    s_z = z.T @ schur @ z
-    m_z = z.T @ system.mass_p.toarray() @ z
-    lam = scipy.linalg.eigh(s_z, m_z, eigvals_only=True)
+    if system.dofmap.n_free == 0:
+        return 0.0   # no free velocity: S = 0
+    a_inv, b_f, bt_f, mass_lu = _schur_factors(system)
+    w = system.mean_vec / np.sqrt(system.mean_vec.sum())
+
+    def shifted_schur(q: np.ndarray) -> np.ndarray:
+        return b_f @ a_inv(bt_f @ q) + np.multiply.outer(w, w @ q)
+
+    start = np.random.default_rng(0).standard_normal((system.n_p, 1))
+    with warnings.catch_warnings():   # dense fallback; non-convergence
+        warnings.filterwarnings("ignore", "The problem size|Exited", UserWarning)
+        lam, q = lobpcg(shifted_schur, start, B=system.mass_p, M=mass_lu.solve,
+                        tol=LOBPCG_TOL, maxiter=LOBPCG_MAXITER, largest=False)
+    resid = float(np.linalg.norm(shifted_schur(q) - lam * (system.mass_p @ q)))
+    if not resid <= LOBPCG_TOL:
+        raise SolverFailure(f"inf-sup eigensolve residual {resid:.3e} after "
+                            f"LOBPCG_MAXITER={LOBPCG_MAXITER} iterations")
     return float(np.sqrt(max(lam[0], 0.0)))

@@ -39,7 +39,7 @@ from .adaptloop import (
     write_csv,
     write_trace_csv,
 )
-from .assembly import INF_SUP_MAX_DOFS, SolverFailure, assemble, inf_sup_constant
+from .assembly import SolverFailure, assemble, inf_sup_constant
 from .estimators import ESTIMATOR_KINDS, marking_shares
 from .femspace import build_dofmap
 from .mesh import load_mesh, refine, save_mesh
@@ -120,10 +120,17 @@ def _problem(st: _Settings):
         raise ConfigError(str(exc.args[0])) from exc
 
 
-def _levels(st: _Settings, default: int) -> int:
-    levels = st.get("levels", default)
+def _levels(st: _Settings, default: int, part=None) -> int:
+    """The ``levels`` setting, checked; given the initial partition, also
+    held to the default dof budget: each level doubles the leaves, and a
+    mesh with more leaves than the budget also has more dofs."""
+    levels, budget = st.get("levels", default), AdaptiveConfig.max_dofs
     if levels < 0:
         raise ConfigError(f"levels must be >= 0, got {levels}")
+    if part is not None and part.n_leaves * 2 ** levels > budget:
+        raise ConfigError(f"levels={levels} refines {part.n_leaves} leaves to "
+                          f"{part.n_leaves} * 2^{levels}, more than the "
+                          f"default dof budget max_dofs={budget}")
     return levels
 
 
@@ -290,7 +297,6 @@ def cmd_threshold(st: _Settings) -> int:
 
 
 def cmd_mesh_info(st: _Settings) -> int:
-    levels = _levels(st, 0)
     prob = _problem(st)          # checked even when a mesh file overrides it
     mesh_path = st.get("mesh")
     if mesh_path:
@@ -302,13 +308,7 @@ def cmd_mesh_info(st: _Settings) -> int:
     else:
         part = prob.make_partition()
         source = prob.name
-    # each level doubles the leaves; a mesh with more leaves than the
-    # default dof budget also has more dofs
-    budget = AdaptiveConfig.max_dofs
-    if part.n_leaves * 2 ** levels > budget:
-        raise ConfigError(f"levels={levels} refines {part.n_leaves} leaves to "
-                          f"{part.n_leaves} * 2^{levels}, more than the "
-                          f"default dof budget max_dofs={budget}")
+    levels = _levels(st, 0, part)
     _, dest = _outputs(st, artifacts=False)
     for _ in range(levels):
         part = refine(part, part.leaves)
@@ -338,17 +338,12 @@ def cmd_mesh_info(st: _Settings) -> int:
 
 def cmd_infsup(st: _Settings) -> int:
     prob = _problem(st)
-    levels = _levels(st, 3)
     part = prob.make_partition()
+    levels = _levels(st, 3, part)
     print(f"{'level':>5} {'leaves':>8} {'dofs':>8} {'beta':>12}")
     for level in range(levels + 1):
         dm = build_dofmap(part)
-        if dm.n_dofs > INF_SUP_MAX_DOFS:
-            print(f"{level:>5} {part.n_leaves:>8} {dm.n_dofs:>8} {'skipped':>12}  "
-                  f"(dense diagnostic refuses > {INF_SUP_MAX_DOFS} dofs)")
-            break
-        system = assemble(part, dm, prob.f, prob.g)
-        beta = inf_sup_constant(system)
+        beta = inf_sup_constant(assemble(part, dm, prob.f, prob.g))
         print(f"{level:>5} {part.n_leaves:>8} {dm.n_dofs:>8} {beta:>12.6f}")
         if level < levels:
             part = refine(part, part.leaves)

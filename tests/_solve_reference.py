@@ -1,5 +1,7 @@
-"""Reference saddle solve: the pressure Schur-complement CG that
-``assembly.solve`` replaced, kept as the oracle of the differential tests.
+"""Reference saddle solve and inf-sup constant: the pressure
+Schur-complement CG that ``assembly.solve`` replaced, and the dense
+eigensolve that ``assembly.inf_sup_constant`` replaced, kept as the oracles
+of the differential tests.
 
 It factors ``K_ff`` in the dofmap's order of the free nodes, runs SciPy's
 ``cg`` behind ``LinearOperator`` wrappers from a zero start, and forms the
@@ -10,10 +12,14 @@ tolerances are those of ``assembly``.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, cg
 
 from stokesafem import assembly
 from stokesafem.assembly import CG_MAXITER, CG_RTOL, SolverFailure
+
+# the dense inf-sup diagnostic refuses systems with more dofs than this
+INF_SUP_MAX_DOFS = 4000
 
 
 def reference_solve(system):
@@ -49,3 +55,30 @@ def reference_solve(system):
         raise SolverFailure("pressure CG did not converge")
     p = p - (m @ p) / m.sum()
     return a_inv(r1 + bt_f @ p), p, data
+
+
+def inf_sup_constant(system) -> float:
+    """Discrete inf-sup constant via the dense pressure Schur complement.
+
+    Smallest generalized eigenvalue of (B A^-1 B^T) q = lambda M_p q over
+    zero-mean pressures, returned as its square root.  Dense diagnostic:
+    refuses systems with more than ``INF_SUP_MAX_DOFS`` total dofs.
+    """
+    dm = system.dofmap
+    if dm.n_dofs > INF_SUP_MAX_DOFS:
+        raise ValueError(f"inf-sup diagnostic is dense; {dm.n_dofs} dofs exceed "
+                         f"the {INF_SUP_MAX_DOFS} limit")
+    nf = 2 * dm.n_free
+    a_ff = system.a_mat[:nf, :nf].toarray()
+    b_f = system.b_mat[:, :nf].toarray()
+    if a_ff.shape[0] == 0:
+        return 0.0
+    schur = b_f @ np.linalg.solve(a_ff, b_f.T)
+    # orthonormal basis of the zero-mean pressure subspace
+    m = system.mean_vec
+    q_full, _ = np.linalg.qr(m[:, None], mode="complete")
+    z = q_full[:, 1:]
+    s_z = z.T @ schur @ z
+    m_z = z.T @ system.mass_p.toarray() @ z
+    lam = scipy.linalg.eigh(s_z, m_z, eigvals_only=True)
+    return float(np.sqrt(max(lam[0], 0.0)))

@@ -269,10 +269,8 @@ def test_adaptive_trace_structure(mms_trace):
     ns = trace.column("N")
     assert np.all(np.diff(ns) > 0)
     for row in rows[:-1]:
-        assert row.n_marked >= 1
+        assert 1 <= row.n_marked < row.leaves
         assert math.isfinite(row.step_diff_sq) and row.step_diff_sq >= 0.0
-        assert 0.0 < row.marked_fraction <= 1.0
-        assert row.marked_fraction >= trace.theta * (1 - 1e-12)
     last = rows[-1]
     assert last.n_marked == 0
     assert math.isnan(last.step_diff_sq)
@@ -492,8 +490,6 @@ def test_uniform_run_structure():
     np.testing.assert_array_equal(leaves, [4, 8, 16])
     assert trace.rows[0].n_marked == 4 and trace.rows[1].n_marked == 8
     assert trace.rows[2].n_marked == 0
-    np.testing.assert_array_equal(trace.column("marked_fraction")[:-1], 1.0)
-    assert math.isnan(trace.rows[-1].marked_fraction)
     # added elements per marked element is then exactly 1
     assert completion_constant(trace) == pytest.approx(1.0)
     for row in trace.rows:

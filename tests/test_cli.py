@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stokesafem.adaptloop as adaptloop
+import stokesafem.assembly as assembly
 import stokesafem.cli as cli
 import stokesafem.threshold as threshold
 from stokesafem.assembly import SolverFailure
@@ -441,6 +442,7 @@ BAD_THRESHOLD_OPTIONS = [["--eps", "-1"], ["--eps", "nan"], ["--eps", "0.1,-0.5"
     ["threshold", "--problem", "no-such", "--eps", "0.1"],
     ["mesh-info", "--problem", "no-such", "--export-mesh"],
     ["mesh-info", "--mesh", "/nonexistent/mesh.json", "--export-mesh"],
+    ["infsup", "--levels", "16"],      # 4 * 2^16 leaves, past the dof budget
 ])
 def test_bad_numeric_options_exit_2_before_refining(monkeypatch, capsys, tmp_path, argv):
     def no_refine(*args, **kwargs):
@@ -715,12 +717,22 @@ def test_infsup_table(capsys):
     assert all(0.05 <= b <= 1.0 for b in betas)
 
 
-def test_infsup_skips_large_systems(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "inf_sup_constant", lambda system: 0.42)
-    rc = main(["infsup", "--levels", "12"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "skipped" in out and "4000" in out
+def test_infsup_prints_a_beta_on_every_level(capsys):
+    # one path for every size: levels 8-10 have 4,771 to 18,755 dofs
+    assert main(["infsup", "--levels", "10"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    rows = [ln.split() for ln in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(11))
+    assert int(rows[-1][2]) == 18755
+    assert all(0.34 <= float(r[3]) <= 0.51 for r in rows)
+
+
+def test_infsup_nonconvergence_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(assembly, "LOBPCG_MAXITER", 1)
+    assert main(["infsup", "--levels", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: inf-sup eigensolve residual")
+    assert "Traceback" not in err
 
 
 # -- README --------------------------------------------------------------

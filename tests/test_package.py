@@ -27,6 +27,8 @@ PATCH_CHECK_TEST = "test_output_check_catches_missing_completion"
 DIFFERENTIAL_TEST = "test_refine_matches_reference"
 # solve against the SciPy-CG reference, through the residual gate
 SOLVE_DIFFERENTIAL_TEST = "test_solve_matches_reference_solve"
+# inf_sup_constant against the dense eigensolve it replaced
+INF_SUP_DIFFERENTIAL_TEST = "test_inf_sup_matches_dense_reference"
 
 
 def test_no_assert_statements_in_package():
@@ -41,19 +43,22 @@ def test_no_assert_statements_in_package():
 
 
 def test_fast_acceptance_criteria_pass_under_optimize():
-    # the criteria and the differential tests of refine and solve must
-    # still pass, and refine's output check still raise, with every runtime
-    # check they reach still active, when ``python -O`` strips asserts from the package
+    # the criteria and the differential tests of refine, solve and the
+    # inf-sup constant must still pass, and refine's output check still
+    # raise, with every runtime check they reach still active, when
+    # ``python -O`` strips asserts from the package
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(PKG.parent),
                                                        os.environ.get("PYTHONPATH")]))}
     selected = " or ".join([f"criterion_{n}" for n in FAST_CRITERIA]
-                           + [PATCH_CHECK_TEST, DIFFERENTIAL_TEST, SOLVE_DIFFERENTIAL_TEST])
+                           + [PATCH_CHECK_TEST, DIFFERENTIAL_TEST, SOLVE_DIFFERENTIAL_TEST,
+                              INF_SUP_DIFFERENTIAL_TEST])
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_acceptance.py"), str(ROOT / "tests" / "test_mesh.py"),
          str(ROOT / "tests" / "test_refine_differential.py"),
-         str(ROOT / "tests" / "test_solve_differential.py"), "-k", selected],
+         str(ROOT / "tests" / "test_solve_differential.py"),
+         str(ROOT / "tests" / "test_inf_sup_differential.py"), "-k", selected],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr
     for n in FAST_CRITERIA:
@@ -61,6 +66,8 @@ def test_fast_acceptance_criteria_pass_under_optimize():
     assert f"PASSED tests/test_mesh.py::{PATCH_CHECK_TEST}" in proc.stdout
     assert f"PASSED tests/test_refine_differential.py::{DIFFERENTIAL_TEST}" in proc.stdout
     assert (f"PASSED tests/test_solve_differential.py::{SOLVE_DIFFERENTIAL_TEST}"
+            in proc.stdout)
+    assert (f"PASSED tests/test_inf_sup_differential.py::{INF_SUP_DIFFERENTIAL_TEST}"
             in proc.stdout)
 
 
