@@ -51,7 +51,6 @@ from .mesh import (
     MeshStats,
     Partition,
     RefinementError,
-    bisect,
     l_shape_partition,
     load_mesh,
     overlay,
@@ -85,9 +84,8 @@ __all__ = [
     "ESTIMATOR_KINDS", "ElementIndicators", "compute_indicators", "eta",
     "marking_shares", "oscillation",
     "DofMap", "SolutionPair", "build_dofmap", "interpolate", "prolong",
-    "Forest", "MeshStats", "Partition", "RefinementError", "bisect",
-    "l_shape_partition", "load_mesh", "overlay", "partition_from_arrays",
-    "refine", "save_mesh",
+    "Forest", "MeshStats", "Partition", "RefinementError", "l_shape_partition",
+    "load_mesh", "overlay", "partition_from_arrays", "refine", "save_mesh",
     "two_triangle_square", "unit_square_partition",
     "ExactSolution", "ProblemDef", "builtin_problems", "get_problem",
     "BudgetExceeded", "IndicatorFailure", "LocalIndicator", "ThresholdReport",

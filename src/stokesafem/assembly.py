@@ -45,7 +45,7 @@ RESIDUAL_RTOL = 1e-9
 # right-hand side at round-off level is not chased) and iteration cap
 CG_RTOL = 1e-12
 CG_MAXITER = 2000
-# inf-sup eigensolve: residual tolerance and iteration cap of LOBPCG
+# inf-sup eigensolve: LOBPCG's residual tolerance per sqrt(|Omega|), iteration cap
 LOBPCG_TOL = 1e-10
 LOBPCG_MAXITER = 1000
 
@@ -498,13 +498,16 @@ def inf_sup_constant(system: StokesSystem) -> float:
     LOBPCG (Knyazev 2001) from a fixed seed, preconditioned by ``M_p^-1``, on
     ``S + w w^T``, ``w = m / sqrt(|Omega|)``, which lifts the constants (the
     kernel) to the top eigenvalue 1, as ``|div v| <= |grad v|``.  SciPy
-    solves densely below five pressures.  Raises ``SolverFailure`` if the
-    residual is above ``LOBPCG_TOL`` after ``LOBPCG_MAXITER`` iterations.
+    solves densely below five pressures.  The residual of an M_p-normalised
+    vector scales as ``sqrt(|Omega|)``; ``SolverFailure`` is raised if it is
+    above ``LOBPCG_TOL * sqrt(|Omega|)`` after ``LOBPCG_MAXITER`` iterations.
     """
     if system.dofmap.n_free == 0:
         return 0.0   # no free velocity: S = 0
     a_inv, b_f, bt_f, mass_lu = _schur_factors(system)
-    w = system.mean_vec / np.sqrt(system.mean_vec.sum())
+    root_area = np.sqrt(system.mean_vec.sum())
+    w = system.mean_vec / root_area
+    tol = LOBPCG_TOL * root_area
 
     def shifted_schur(q: np.ndarray) -> np.ndarray:
         return b_f @ a_inv(bt_f @ q) + np.multiply.outer(w, w @ q)
@@ -513,9 +516,9 @@ def inf_sup_constant(system: StokesSystem) -> float:
     with warnings.catch_warnings():   # dense fallback; non-convergence
         warnings.filterwarnings("ignore", "The problem size|Exited", UserWarning)
         lam, q = lobpcg(shifted_schur, start, B=system.mass_p, M=mass_lu.solve,
-                        tol=LOBPCG_TOL, maxiter=LOBPCG_MAXITER, largest=False)
+                        tol=tol, maxiter=LOBPCG_MAXITER, largest=False)
     resid = float(np.linalg.norm(shifted_schur(q) - lam * (system.mass_p @ q)))
-    if not resid <= LOBPCG_TOL:
+    if not resid <= tol:
         raise SolverFailure(f"inf-sup eigensolve residual {resid:.3e} after "
                             f"LOBPCG_MAXITER={LOBPCG_MAXITER} iterations")
     return float(np.sqrt(max(lam[0], 0.0)))

@@ -19,7 +19,6 @@ load to elementwise constants (per-component quadrature means).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -82,7 +81,7 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
     """Evaluate all indicator ingredients for one discrete solution from the
     load at its quadrature points (``StokesSystem.load_q``), the velocity
     gradient at the leaf corners (``sol.corner_grads``) and the leaf edges
-    (``Partition.edge_vectors``)."""
+    (``Partition.edge_vectors`` and ``edge_lengths``)."""
     part, dm = sol.partition, sol.dofmap
     T = part.n_leaves
     expected = (T, len(tri_rule().tri_weights), 2)
@@ -121,9 +120,7 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
 
     # trace integral over the element boundary; edge i joins the corners
     # _NEXT[i] and _PREV[i]
-    edge_vec = part.edge_vectors                                  # (T, 3, 2)
-    ex, ey = edge_vec[:, :, 0], edge_vec[:, :, 1]
-    elen = np.sqrt(ex * ex + ey * ey)
+    elen = part.edge_lengths                                      # (T, 3)
     dj, dk = div_v[:, _NEXT], div_v[:, _PREV]
     div_edge = np.sqrt(area) * (elen * (dj * dj + dj * dk + dk * dk)).sum(axis=1) / 3.0
 
@@ -133,7 +130,7 @@ def compute_indicators(sol: SolutionPair, fq: np.ndarray) -> ElementIndicators:
     # leaf's orientation; the jumps enter only squared and as products.
     e_elems = part.interior_edge_elems
     side0 = (e_elems[:, 0], part.interior_edge_local[:, 0])
-    tang, elen = edge_vec[side0], elen[side0]
+    tang, elen = part.edge_vectors[side0], elen[side0]
     normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / elen[:, None]
     g_end = grad_v[e_elems[:, :, None], _edge_end_corners(part)]  # (m, 2, 2, 2, 2)
     j_end = ((g_end[:, 0] - g_end[:, 1]) @ normal[:, None, :, None])[..., 0]
@@ -163,22 +160,14 @@ def _edge_end_corners(part: Partition) -> np.ndarray:
 
 
 def _subset_mask(ind: ElementIndicators, subset) -> np.ndarray:
-    n = ind.n_elements
+    """All-true for ``None``; otherwise ``subset`` must be a boolean mask
+    with one flag per leaf."""
     if subset is None:
-        return np.ones(n, dtype=bool)
-    subset = np.asarray(list(subset) if not isinstance(subset, np.ndarray) else subset)
-    if subset.dtype == bool:
-        if len(subset) != n:
-            raise ValueError("boolean subset mask has wrong length")
-        return subset.copy()
-    leaves = ind.partition.leaves
-    ids = subset.astype(np.int64)
-    pos = np.minimum(np.searchsorted(leaves, ids), n - 1)
-    bad = leaves[pos] != ids
-    if bad.any():
-        raise ValueError(f"element {int(ids[bad][0])} is not a leaf of the partition")
-    mask = np.zeros(n, dtype=bool)
-    mask[pos] = True
+        return np.ones(ind.n_elements, dtype=bool)
+    mask = np.asarray(subset)
+    if mask.dtype != bool or mask.shape != (ind.n_elements,):
+        raise ValueError("subset must be None or a boolean mask over the "
+                         f"{ind.n_elements} leaves")
     return mask
 
 
@@ -191,7 +180,8 @@ def _element_terms(kind: str, ind: ElementIndicators) -> tuple[np.ndarray, ...]:
 
 
 def eta(kind: str, ind: ElementIndicators, subset=None) -> float:
-    """Squared estimator over a subset of elements (ids or boolean mask).
+    """Squared estimator over a subset of the leaves, a boolean mask
+    (default: whole partition).
 
     Jump terms are counted only for edges whose *both* neighbors belong to the
     subset, so the value over the full partition includes every interior edge
@@ -220,7 +210,6 @@ def marking_shares(kind: str, ind: ElementIndicators) -> np.ndarray:
     return shares
 
 
-def oscillation(ind: ElementIndicators, subset=None) -> float:
-    """Squared data oscillation over a subset (default: whole partition)."""
-    mask = _subset_mask(ind, subset)
-    return float(ind.osc[mask].sum())
+def oscillation(ind: ElementIndicators) -> float:
+    """Squared data oscillation over the whole partition."""
+    return float(ind.osc.sum())

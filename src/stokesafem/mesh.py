@@ -8,12 +8,10 @@ midpoint; the midpoint becomes the peak of both children, so every child's
 refinement edge is one of the parent's two non-refinement edges.
 
 ``refine`` performs marked bisection with edge-marking closure and returns a
-new conforming snapshot; ``bisect`` performs a single raw bisection (the
-result may be non-conforming, which the structural check detects); ``overlay``
-returns the smallest common refinement of two snapshots over the same initial
-partition: the leaves of each that lie inside a leaf of the other.  Edges are
-keyed by the integer code ``lo << 32 | hi`` of their sorted vertex pair
-everywhere.
+new conforming snapshot; ``overlay`` returns the smallest common refinement
+of two snapshots over the same initial partition: the leaves of each that
+lie inside a leaf of the other.  Edges are keyed by the integer code
+``lo << 32 | hi`` of their sorted vertex pair everywhere.
 
 Every ancestry query ("which element of this set contains it?") goes through
 one walk, ``Forest.ancestor_in``: ``Partition.ancestor_leaf_in``, ``overlay``
@@ -68,7 +66,6 @@ __all__ = [
     "MeshStats",
     "Partition",
     "RefinementError",
-    "bisect",
     "l_shape_partition",
     "load_mesh",
     "overlay",
@@ -401,8 +398,14 @@ class Partition:
         return xy[:, _PREV] - xy[:, _NEXT]
 
     @cached_property
+    def edge_lengths(self) -> np.ndarray:
+        """(n, 3) length of each leaf's ``edge_vectors``."""
+        ex, ey = self.edge_vectors[:, :, 0], self.edge_vectors[:, :, 1]
+        return np.sqrt(ex * ex + ey * ey)
+
+    @cached_property
     def diams(self) -> np.ndarray:
-        return np.linalg.norm(self.edge_vectors, axis=2).max(axis=1)
+        return self.edge_lengths.max(axis=1)
 
     @property
     def total_area(self) -> float:
@@ -490,28 +493,6 @@ class Partition:
         if defects:
             raise RefinementError("non-conforming partition: " + "; ".join(defects))
         self._verified = True
-
-    # -- neighborhood queries -------------------------------------------
-
-    @cached_property
-    def _vert_leaves(self) -> tuple[np.ndarray, np.ndarray]:
-        """Vertex-to-leaf incidence from one sort: the vertex ids of
-        ``leaf_tris`` in ascending order, and the leaf position of each."""
-        flat = self.leaf_tris.ravel()
-        order = np.argsort(flat, kind="stable")
-        return flat[order], order // 3
-
-    def star(self, elem: int) -> np.ndarray:
-        """Element ids of all leaves whose closure touches ``elem``'s closure."""
-        pos, found = _find(np.array([elem], dtype=np.int64), self.leaves)
-        if not found[0]:
-            raise ValueError(f"element {elem} is not a leaf of this partition")
-        verts, owner = self._vert_leaves
-        tri = self.leaf_tris[pos[0]]
-        lo = np.searchsorted(verts, tri, side="left").tolist()
-        hi = np.searchsorted(verts, tri, side="right").tolist()
-        near = np.concatenate([owner[a:b] for a, b in zip(lo, hi)])
-        return self.leaves[_unique(near)]
 
     def stats(self) -> MeshStats:
         diam = self.diams
@@ -641,17 +622,6 @@ def refine(part: Partition, marked: Iterable[int]) -> Partition:
     # builds the output's edge table, which its dofmap and the next refine reuse
     out.check_conforming()
     return out
-
-
-def bisect(part: Partition, elem: int) -> Partition:
-    """Single raw bisection of one leaf; the result may be non-conforming."""
-    elem = _leaf_ids(part, [elem], "element {} is not a leaf of the partition")
-    f = part.forest
-    v0, v1, _ = f.tri[elem[0]].tolist()
-    code = _edge_code(v0, v1)
-    mid = f.midpoints(np.array([code]), np.array([code in f.boundary]))
-    kids = f.split(elem, mid)
-    return Partition(f, np.concatenate([part.leaves[part.leaves != elem[0]], kids[0]]))
 
 
 def overlay(p: Partition, q: Partition) -> Partition:

@@ -46,7 +46,6 @@ class ProblemDef:
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray] | None
     exact: ExactSolution | None
-    description: str = ""
 
 
 def _columns(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +129,6 @@ _REGISTRY: dict[str, ProblemDef] = {prob.name: prob for prob in (
         f=_patch_f,
         g=_patch_u,
         exact=ExactSolution(u=_patch_u, grad_u=_patch_grad_u, p=_patch_p),
-        description="patch test: linear shear flow reproduced exactly by the "
-                    "discrete space",
     ),
     ProblemDef(
         name="smooth-mms",
@@ -139,8 +136,6 @@ _REGISTRY: dict[str, ProblemDef] = {prob.name: prob for prob in (
         f=_mms_f,
         g=None,
         exact=ExactSolution(u=_mms_u, grad_u=_mms_grad_u, p=_mms_p),
-        description="manufactured smooth vortex on the unit square with no-slip "
-                    "boundary",
     ),
     ProblemDef(
         name="lshape-smoothf",
@@ -148,8 +143,6 @@ _REGISTRY: dict[str, ProblemDef] = {prob.name: prob for prob in (
         f=_lshape_f,
         g=None,
         exact=None,
-        description="smooth rotational load on the L-shaped domain; re-entrant "
-                    "corner singularity, no closed-form solution",
     ),
 )}
 

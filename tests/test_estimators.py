@@ -273,24 +273,27 @@ def test_estimator_ordering(mms_state):
     assert e1 > e0 and e2 > e0       # divergence defect is nonzero here
 
 
+def one_leaf(ind, pos):
+    """Boolean subset mask of the single leaf at position ``pos``."""
+    mask = np.zeros(ind.n_elements, dtype=bool)
+    mask[pos] = True
+    return mask
+
+
 def test_single_element_subset_has_no_jumps(mms_state):
     _, _, ind = mms_state
-    part = ind.partition
-    for pos in (0, part.n_leaves // 2, part.n_leaves - 1):
-        elem = part.leaves[pos]
-        assert eta("eta0", ind, [elem]) == pytest.approx(ind.vol[pos], rel=1e-14)
-        assert eta("eta1", ind, [elem]) == pytest.approx(
+    for pos in (0, ind.n_elements // 2, ind.n_elements - 1):
+        mask = one_leaf(ind, pos)
+        assert eta("eta0", ind, mask) == pytest.approx(ind.vol[pos], rel=1e-14)
+        assert eta("eta1", ind, mask) == pytest.approx(
             ind.vol[pos] + ind.div_l2[pos], rel=1e-14)
 
 
 def test_full_subset_matches_default(mms_state):
     _, _, ind = mms_state
-    all_ids = list(ind.partition.leaves)
     full_mask = np.ones(ind.n_elements, dtype=bool)
     for kind in ESTIMATOR_KINDS:
-        ref = eta(kind, ind)
-        assert eta(kind, ind, all_ids) == ref
-        assert eta(kind, ind, full_mask) == ref
+        assert eta(kind, ind, full_mask) == eta(kind, ind)
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,33 +301,11 @@ def test_full_subset_matches_default(mms_state):
 def test_subset_monotone(mms_state, data):
     _, _, ind = mms_state
     n = ind.n_elements
-    big = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
-    small = data.draw(st.sets(st.sampled_from(sorted(big))) if big else st.just(set()))
-    leaves = ind.partition.leaves
-    eta_small = eta("eta2", ind, [leaves[i] for i in small])
-    eta_big = eta("eta2", ind, [leaves[i] for i in big])
+    big = data.draw(st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+    small = big & data.draw(st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+    eta_small = eta("eta2", ind, small)
+    eta_big = eta("eta2", ind, big)
     assert 0.0 <= eta_small <= eta_big * (1 + 1e-13) + 1e-30
-
-
-def test_id_subset_matches_mask_subset():
-    prob = get_problem("smooth-mms")
-    part = refine_all(prob.make_partition(), 2)
-    part = refine(part, part.leaves[::5])
-    dm = build_dofmap(part)
-    system = assemble(part, dm, prob.f, prob.g)
-    ind = compute_indicators(solve(system), system.load_q)
-    rng = np.random.default_rng(11)
-    mask = rng.random(part.n_leaves) < 0.4
-    ids = rng.permutation(part.leaves[mask])
-    for subset in (ids, ids.tolist(), np.concatenate([ids, ids[:3]])):
-        for kind in ESTIMATOR_KINDS:
-            assert eta(kind, ind, subset) == eta(kind, ind, mask)
-        assert oscillation(ind, subset) == oscillation(ind, mask)
-    refined = int(part.forest.parent[part.leaves[-1]])
-    for bad in (refined, part.forest.n_elements):
-        with pytest.raises(ValueError,
-                           match=f"^element {bad} is not a leaf of the partition$"):
-            eta("eta0", ind, [int(part.leaves[0]), bad, -1])
 
 
 def test_marking_shares_identity(mms_state):
@@ -336,18 +317,18 @@ def test_marking_shares_identity(mms_state):
         assert shares.sum() == pytest.approx(total, rel=1e-12)
         # every element's share dominates its jump-free estimator value
         for pos in (0, ind.n_elements - 1):
-            elem = ind.partition.leaves[pos]
-            assert shares[pos] >= eta(kind, ind, [elem]) - 1e-18
+            assert shares[pos] >= eta(kind, ind, one_leaf(ind, pos)) - 1e-18
 
 
 def test_subset_ratio_eta2_over_eta1(mms_state):
     _, _, ind = mms_state
     rng = np.random.default_rng(7)
-    leaves = ind.partition.leaves
+    n = ind.n_elements
     ratios = []
     for _ in range(20):
-        k = rng.integers(1, len(leaves) + 1)
-        subset = rng.choice(leaves, size=k, replace=False)
+        k = rng.integers(1, n + 1)
+        subset = np.zeros(n, dtype=bool)
+        subset[rng.choice(n, size=k, replace=False)] = True
         e1 = eta("eta1", ind, subset)
         e2 = eta("eta2", ind, subset)
         assert e1 > 0.0 and e2 > 0.0
@@ -374,7 +355,7 @@ def test_invalid_inputs(mms_state):
         eta("eta3", ind)
     with pytest.raises(ValueError, match="unknown estimator"):
         marking_shares("nope", ind)
-    with pytest.raises(ValueError, match="not a leaf"):
-        eta("eta0", ind, [10 ** 9])
-    with pytest.raises(ValueError, match="wrong length"):
-        eta("eta0", ind, np.ones(3, dtype=bool))
+    # a subset is a mask with one flag per leaf, never a list of leaf ids
+    for subset in ([int(ind.partition.leaves[0])], np.ones(3, dtype=bool)):
+        with pytest.raises(ValueError, match="boolean mask over the"):
+            eta("eta0", ind, subset)

@@ -3,9 +3,10 @@ Schur complement) against the dense eigensolve in ``_solve_reference`` that
 it replaced, on every mesh the dense route takes (at most 4,000 dofs).
 
 The meshes are uniform refinements of the unit square and the L-shape,
-random refinements of either drawn by hypothesis, and the two degenerate
-cases: the two-triangle square, whose pair is unstable, and a single
-triangle, which has no free velocity.
+random refinements of either drawn by hypothesis, the unit square's fourth
+level scaled by 1e-6 and 1e6, and the two degenerate cases: the
+two-triangle square, whose pair is unstable, and a single triangle, which
+has no free velocity.
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ def test_inf_sup_matches_dense_reference(root, rounds, seed):
         k = int(rng.integers(1, part.n_leaves + 1))
         part = refine(part, rng.choice(part.leaves, size=k, replace=False).tolist())
     _assert_agree(part)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_inf_sup_matches_dense_reference_on_scaled_meshes(scale):
+    # beta_h does not depend on the size of the domain, and neither may the
+    # accuracy of the eigensolve
+    part = unit_square_partition()
+    for _ in range(4):
+        part = refine(part, part.leaves)
+    _assert_agree(partition_from_arrays(scale * part.forest.verts, part.leaf_tris,
+                                        relabel_longest_edge=False))
 
 
 @pytest.mark.parametrize("part", [

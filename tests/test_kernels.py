@@ -11,9 +11,10 @@ a time and through the adaptive loop's stacked reference errors.
 
 The per-component kernels (the residual and the edge lengths of
 ``compute_indicators``, ``element_oscillation`` and the gradient error of
-``error_norms``) are also compared with the expressions they replaced,
-kept in ``_kernel_reference``, and there nothing may differ: every array
-and scalar must be the same bits (``np.array_equal``, ``==``).
+``error_norms``) and ``Partition.edge_lengths`` are also compared with
+the expressions they replaced, kept in ``_kernel_reference`` or in the test,
+and there nothing may differ: every array and scalar must be the same bits
+(``np.array_equal``, ``==``).
 """
 
 from __future__ import annotations
@@ -371,6 +372,17 @@ def test_stiffness_from_edge_vectors_matches_corner_differences_bitwise(
     assert np.array_equal(k_mat.indptr, want.indptr)
     assert np.array_equal(k_mat.indices, want.indices)
     assert np.array_equal(k_mat.data, want.data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**meshes)
+def test_edge_lengths_match_former_expression_bitwise(root, rounds, seed):
+    # compute_indicators and diams read Partition.edge_lengths; diams was
+    # the largest np.linalg.norm of the edge vectors
+    part = random_partition(root, rounds, np.random.default_rng(seed))
+    want = np.linalg.norm(part.edge_vectors, axis=2)
+    assert np.array_equal(part.edge_lengths, want)
+    assert np.array_equal(part.diams, want.max(axis=1))
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@
 Expected values come from independent routes: hand enumeration of small
 refinements, the Euler formula V - E + T = 1 for disk-like triangulations,
 direct similarity-class enumeration for shape constants, and a brute-force
-angle bound for star sizes.  The one-sort ``_unique`` is compared with
+angle bound for vertex valences.  The one-sort ``_unique`` is compared with
 ``np.unique``, and a spy checks that refinement, the dofmap, ``save_mesh``
 and a threshold sweep never call ``np.unique``.
 """
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from _point_eval import locate
+from _raw_bisect import raw_bisect
 from stokesafem.femspace import build_dofmap
 from stokesafem.mesh import (
     _NEXT,
@@ -34,7 +35,6 @@ from stokesafem.mesh import (
     RefinementError,
     _json_rows,
     _unique,
-    bisect,
     l_shape_partition,
     load_mesh,
     overlay,
@@ -112,7 +112,7 @@ def test_degenerate_triangle_rejected():
 def test_bisect_halves_area_and_creates_children():
     p = two_triangle_square()
     elem = int(p.leaves[0])
-    q = bisect(p, elem)
+    q = raw_bisect(p, elem)
     assert q.n_leaves == 3
     assert q.total_area == pytest.approx(1.0)
     kids = np.setdiff1d(q.leaves, p.leaves)
@@ -128,7 +128,7 @@ def test_bisect_detects_nonconforming_state():
     # hand-derived: splitting one triangle of the two-triangle square hangs
     # the new diagonal midpoint on the unsplit neighbor
     p = two_triangle_square()
-    q = bisect(p, int(p.leaves[0]))
+    q = raw_bisect(p, int(p.leaves[0]))
     assert not q.is_conforming()
     defects = q.conformity_defects()
     assert any("hanging" in d for d in defects)
@@ -138,8 +138,8 @@ def test_bisect_detects_nonconforming_state():
 
 def test_bisect_midpoint_deduplication():
     p = two_triangle_square()
-    q1 = bisect(p, int(p.leaves[0]))
-    q2 = bisect(p, int(p.leaves[1]))
+    q1 = raw_bisect(p, int(p.leaves[0]))
+    q2 = raw_bisect(p, int(p.leaves[1]))
     # both splits share the diagonal -> same midpoint vertex id, created once
     assert q1.forest is q2.forest
     assert q1.forest.n_vertices == 5
@@ -191,7 +191,7 @@ def test_refine_rejects_non_leaf():
 
 def test_refine_rejects_nonconforming_input():
     p = two_triangle_square()
-    q = bisect(p, int(p.leaves[0]))
+    q = raw_bisect(p, int(p.leaves[0]))
     with pytest.raises(RefinementError):
         refine(q, [int(q.leaves[-1])])
 
@@ -476,16 +476,7 @@ def test_grading_constant_graded_mesh():
     assert s.max_generation > s.min_generation
 
 
-# -- star ----------------------------------------------------------------
-
-
-def test_star_corner_element_two_triangle_square():
-    p = two_triangle_square()
-    for e in p.leaves:
-        assert set(p.star(int(e)).tolist()) == set(p.leaves.tolist())
-
-
-def test_star_contains_self_and_respects_angle_bound():
+def test_vertex_valence_respects_angle_bound():
     rng = np.random.default_rng(5)
     p = l_shape_partition()
     for _ in range(5):
@@ -493,28 +484,15 @@ def test_star_contains_self_and_respects_angle_bound():
         p = refine(p, rng.choice(p.leaves, size=k, replace=False))
     s = p.stats()
     # a triangle with diam^2/area <= sigma has every angle >= asin(2/sigma),
-    # so at most 2*pi/asin(2/sigma) leaves meet at any vertex and a star
-    # collects leaves around 3 vertices
+    # so at most 2*pi/asin(2/sigma) leaves meet at any vertex
     angle_min = math.asin(2.0 / s.sigma_shape)
-    bound = 3 * math.ceil(2 * math.pi / angle_min)
-    worst = 0
-    for e in p.leaves[:: max(1, p.n_leaves // 50)]:
-        st = p.star(int(e))
-        assert int(e) in st.tolist()
-        worst = max(worst, len(st))
-    assert worst <= bound
+    valence = np.bincount(p.leaf_tris.ravel())
+    assert valence.max() <= math.ceil(2 * math.pi / angle_min)
 
 
-def test_star_rejects_non_leaf():
-    p = two_triangle_square()
-    q = refine(p, [int(p.leaves[0])])
-    with pytest.raises(ValueError):
-        q.star(int(p.leaves[0]))
-
-
-def per_leaf_grading_and_star(part: Partition):
-    """The per-leaf loops that ``Partition.stats`` and ``star`` replaced: the
-    grading constant and a star function over a dict of vertex -> leaves."""
+def per_leaf_grading(part: Partition) -> float:
+    """The per-leaf loop that ``Partition.stats`` replaced: the grading
+    constant over a dict of vertex -> leaves."""
     vert_leaves: dict[int, list[int]] = {}
     for pos, tri in enumerate(part.leaf_tris):
         for v in tri:
@@ -524,14 +502,7 @@ def per_leaf_grading_and_star(part: Partition):
     for positions in vert_leaves.values():
         d = diam[positions]
         ratio = max(ratio, float(d.max() / d.min()))
-
-    def star_of(elem: int) -> np.ndarray:
-        seen: set[int] = set()
-        for v in part.leaf_tris[np.searchsorted(part.leaves, elem)]:
-            seen.update(vert_leaves[int(v)])
-        return part.leaves[np.sort(np.fromiter(seen, dtype=np.int64))]
-
-    return ratio, star_of
+    return ratio
 
 
 @settings(max_examples=30, deadline=None)
@@ -543,15 +514,11 @@ def test_stats_and_star_match_per_leaf_loops(root, rounds, data):
         pos = data.draw(st.lists(st.integers(0, part.n_leaves - 1), min_size=1,
                                  max_size=12, unique=True))
         part = refine(part, part.leaves[pos])
-    ratio, star_of = per_leaf_grading_and_star(part)
     diam, gens = part.diams, part.generations
     assert part.stats() == MeshStats(
         n_leaves=part.n_leaves, sigma_shape=float((diam * diam / part.areas).max()),
-        sigma_grading=ratio, min_generation=int(gens.min()),
+        sigma_grading=per_leaf_grading(part), min_generation=int(gens.min()),
         max_generation=int(gens.max()))
-    for elem in part.leaves.tolist():
-        got = part.star(elem)
-        assert got.dtype == np.int64 and np.array_equal(got, star_of(elem))
 
 
 # -- generation bookkeeping and ancestry ---------------------------------
@@ -582,9 +549,9 @@ def test_ancestor_in_strict_and_not():
     f = part.forest
     # the chain r -> c -> g: a root, its first child and its first grandchild
     r = int(part.leaves[0])
-    half = bisect(part, r)
+    half = raw_bisect(part, r)
     c = int(f.child0[r])
-    bisect(half, c)
+    raw_bisect(half, c)
     g = int(f.child0[c])
     other = int(part.leaves[1])
     elems = np.array([g, c, r, other])

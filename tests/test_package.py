@@ -1,5 +1,6 @@
 """Package-wide properties: runtime checks that survive ``python -O``,
-import-time cost, and the names the benchmark tracer wraps.
+import-time cost, the names the benchmark tracer wraps, and a reader for
+every exported name.
 """
 
 from __future__ import annotations
@@ -116,3 +117,52 @@ print(json.dumps({"spans": sorted({s[0] for s in tracer.spans}),
     assert "femspace.prolong_ref" not in out["spans"]
     assert out["steps"] == out["iterations"] - 1 == 2
     assert out["nnz"] > 0
+
+
+# exports that nothing in src/ or benchmarks/ reads, each kept on purpose
+UNREAD_EXPORTS = {
+    # acceptance criterion 10: the overlay of two adaptive meshes
+    "overlay",
+    # a README feature: the nodal interpolant of a given velocity and pressure
+    "interpolate",
+    # the canonical mesh that fails the pressure-stability rule
+    "two_triangle_square",
+    # the problem registry's listing
+    "builtin_problems",
+    # the rate of an approximation class, for the paper's rate claims
+    "predicted_rate",
+    # the approximation-class seminorm measured on a threshold sweep
+    "class_seminorm",
+}
+
+
+def _all_names(tree: ast.Module) -> set[str]:
+    """The names listed in a module's ``__all__``."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id == "__all__"
+            for name in ast.literal_eval(node.value)}
+
+
+def test_every_export_has_a_reader():
+    # an exported name must be read by the package or the benchmark: a
+    # loaded name, an attribute, or a name the benchmark imports from
+    # stokesafem; anything else is surface without a caller
+    exported: set[str] = set()
+    read: set[str] = set()
+    for path in [*sorted(PKG.glob("*.py")), *sorted(BENCHMARKS.glob("*.py"))]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.parent == PKG:
+            exported |= _all_names(tree)
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif (isinstance(node, ast.ImportFrom) and path.parent == BENCHMARKS
+                  and (node.module or "").split(".")[0] == "stokesafem"):
+                read |= {alias.name for alias in node.names}
+    assert UNREAD_EXPORTS <= exported - read, "an excepted name is read or gone"
+    assert sorted(exported - read - UNREAD_EXPORTS) == []

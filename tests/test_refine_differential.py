@@ -1,4 +1,5 @@
-"""Differential tests of ``mesh.refine`` and ``mesh.bisect`` against the
+"""Differential tests of ``mesh.refine`` and of a raw bisection
+(``_raw_bisect``, on ``Forest.midpoints`` and ``Forest.split``) against the
 list-based forest and recursive-completion builder in ``_refine_reference``.
 
 Each example grows two forests from the same root partition, one through the
@@ -28,9 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _refine_reference as ref
+from _raw_bisect import raw_bisect
 from stokesafem.mesh import (
     RefinementError,
-    bisect,
     l_shape_partition,
     overlay,
     refine,
@@ -141,13 +142,13 @@ def test_refine_matches_reference(root, rounds, data):
     assert outcome(ref.refine, old_a, [keep_old[0], gone_old[0]]) == \
         (ValueError, message.format(gone_old[0]))
     message = "element {} is not a leaf of the partition"
-    assert outcome(bisect, new_a, gone[0]) == (ValueError, message.format(gone[0]))
+    assert outcome(raw_bisect, new_a, gone[0]) == (ValueError, message.format(gone[0]))
     assert outcome(ref.bisect, old_a, gone_old[0]) == \
         (ValueError, message.format(gone_old[0]))
 
     # a raw bisection, then refinement of the possibly non-conforming result
     elem = np.array([data.draw(st.sampled_from(new_a.leaves.tolist()))])
-    raw_new = bisect(new_a, elem[0])
+    raw_new = raw_bisect(new_a, elem[0])
     raw_old = ref.bisect(old_a, counterpart(new_a, old_a, elem)[0])
     assert_same(raw_new, raw_old)
     marks = draw_marks(data, raw_new)
@@ -163,7 +164,7 @@ def test_nonconforming_input_raises_like_reference():
     # splitting one triangle hangs the diagonal midpoint on the other
     new, old = roots(two_triangle_square)
     elem = int(new.leaves[0])
-    raw_new, raw_old = bisect(new, elem), ref.bisect(old, elem)
+    raw_new, raw_old = raw_bisect(new, elem), ref.bisect(old, elem)
     assert_same(raw_new, raw_old)
     assert not raw_new.is_conforming()
     mark = raw_new.leaves[-1:]
@@ -187,7 +188,7 @@ def grow(data, part):
     for _ in range(data.draw(st.integers(0, 3))):
         part = refine(part, draw_marks(data, part))
     for _ in range(data.draw(st.integers(0, 2))):
-        part = bisect(part, data.draw(st.sampled_from(part.leaves.tolist())))
+        part = raw_bisect(part, data.draw(st.sampled_from(part.leaves.tolist())))
     return part
 
 
