@@ -275,15 +275,14 @@ def adaptive_run(cfg: AdaptiveConfig, problem: ProblemDef | None = None) -> Adap
 
 
 def uniform_run(problem: ProblemDef | str, levels: int,
-                estimator: str = "eta1", max_dofs: int = AdaptiveConfig.max_dofs,
-                monitors: bool = True) -> AdaptiveTrace:
+                estimator: str = "eta1",
+                max_dofs: int = AdaptiveConfig.max_dofs) -> AdaptiveTrace:
     """Refine every element each round; same trace format as the adaptive run."""
     prob = get_problem(problem) if isinstance(problem, str) else problem
     if levels < 0:
         raise ValueError("levels must be >= 0")
     cfg = AdaptiveConfig(problem=prob.name, estimator=estimator, theta=1.0,
-                         max_iterations=levels + 1, max_dofs=max_dofs,
-                         monitors=monitors)
+                         max_iterations=levels + 1, max_dofs=max_dofs)
     return _run(prob, "uniform", cfg,
                 lambda k, part, ind, eta_sq: np.arange(part.n_leaves))
 
@@ -392,20 +391,20 @@ def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def fit_decay(values, drop: int = 2) -> tuple[float, float, float, bool]:
+def fit_decay(values) -> tuple[float, float, float, bool]:
     """Geometric-decay fit of a positive sequence against its index.
 
     Returns ``(rho_fit, rho_max, r2, non_decaying)``: the fitted per-step
     factor, the largest per-step ratio over the fitted tail, the fit quality,
-    and a flag raised when no decay is detected.  The first ``drop`` entries
-    are excluded when enough data remains.
+    and a flag raised when no decay is detected.  The first two entries are
+    excluded as pre-asymptotic when three or more remain.
     """
     values = np.asarray(values, dtype=float)
     if len(values) < 3:
         raise ValueError("need at least 3 values")
     if np.any(values <= 0.0) or not np.all(np.isfinite(values)):
         raise ValueError("values must be positive and finite")
-    drop = min(drop, len(values) - 3)
+    drop = min(2, len(values) - 3)
     tail = values[drop:]
     slope, r2 = _line_fit(np.arange(drop, len(values), dtype=float), np.log(tail))
     rho_fit = float(np.exp(slope))

@@ -123,11 +123,12 @@ def _problem(st: _Settings):
 def _levels(st: _Settings, default: int, part=None) -> int:
     """The ``levels`` setting, checked; given the initial partition, also
     held to the default dof budget: each level doubles the leaves, and a
-    mesh with more leaves than the budget also has more dofs."""
+    mesh with more leaves than the budget also has more dofs.  The power
+    stops at 2^64, past any budget, so a huge ``levels`` costs no memory."""
     levels, budget = st.get("levels", default), AdaptiveConfig.max_dofs
     if levels < 0:
         raise ConfigError(f"levels must be >= 0, got {levels}")
-    if part is not None and part.n_leaves * 2 ** levels > budget:
+    if part is not None and part.n_leaves * 2 ** min(levels, 64) > budget:
         raise ConfigError(f"levels={levels} refines {part.n_leaves} leaves to "
                           f"{part.n_leaves} * 2^{levels}, more than the "
                           f"default dof budget max_dofs={budget}")

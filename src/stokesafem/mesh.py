@@ -223,23 +223,21 @@ class Forest:
     def gen(self) -> np.ndarray:
         return _rows(self._gen, self.n_elements)
 
-    def ancestor_in(self, elems: np.ndarray, mask: np.ndarray,
-                    strict: bool = False) -> np.ndarray:
+    def ancestor_in(self, elems: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """For each of ``elems``, its nearest ancestor flagged in the
-        forest-length boolean ``mask``, or -1 if there is none.  The element
-        itself counts unless ``strict``.  Every chain goes up one level per
-        step and is dropped at its first hit.  Raises ``ValueError`` unless
-        ``mask`` has one flag per element of the forest as it is now."""
+        forest-length boolean ``mask``, itself included, or -1 if there is
+        none, as for an entry -1 (a root's parent).  Every chain goes up one
+        level per step and is dropped at its first hit.  Raises ``ValueError``
+        unless ``mask`` has one flag per element of the forest as it is now."""
         if len(mask) != self.n_elements:
             raise ValueError(f"mask has {len(mask)} flags for "
                              f"{self.n_elements} forest elements")
         parent = self.parent
         # a chain that runs past its root reads index -1: a hit, at -1
         flags = np.append(mask, True)
-        elems = np.asarray(elems, dtype=np.int64)
-        hit = np.full(len(elems), -1, dtype=np.int64)
-        live = np.arange(len(elems))
-        anc = parent[elems] if strict else elems
+        anc = np.asarray(elems, dtype=np.int64)
+        hit = np.full(len(anc), -1, dtype=np.int64)
+        live = np.arange(len(anc))
         while len(live):
             found = flags[anc]
             hit[live[found]] = anc[found]
@@ -841,12 +839,12 @@ def save_mesh(part: Partition, path) -> None:
 
 def load_mesh(path) -> Partition:
     """Read a mesh JSON file as a new initial partition (labels trusted)."""
-    with open(path) as fh:
-        payload = json.load(fh)
     try:
+        with open(path) as fh:
+            payload = json.load(fh)
         verts = payload["vertices"]
         tris = payload["triangles"]
         boundary = payload.get("boundary_markers")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed mesh file {path}: {exc}") from exc
     return partition_from_arrays(verts, tris, boundary, relabel_longest_edge=False)

@@ -109,10 +109,11 @@ def _mms_f(xy: np.ndarray) -> np.ndarray:
 
 
 # The L-shape load must not be a gradient field: f = grad(q) is balanced
-# exactly by the pressure (u = 0, p = q - mean), which the mixed discretization
-# then reproduces to machine precision and no singularity appears.  A rigid
-# rotation field has curl -2 everywhere, drives a nontrivial velocity, and
-# keeps the corner singularity of the re-entrant domain in play.
+# exactly by the pressure (u = 0, p = q - mean), so no singularity appears.
+# Taylor-Hood is not pressure-robust: u_h vanishes to machine precision only
+# for q in P1 (at 1,536 leaves, |u_h|_1 = 2.6e-11 for q = x, 1.3e-4 for
+# q = x^2).  A rigid rotation field has curl -2 everywhere, drives a
+# nontrivial velocity, and keeps the re-entrant corner singularity in play.
 
 def _lshape_f(xy: np.ndarray) -> np.ndarray:
     xy = np.atleast_2d(xy)

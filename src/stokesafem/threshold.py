@@ -8,8 +8,11 @@ the worst offending element.
 
 Marked elements are tallied into dyadic area buckets
 ``j: 2^{-j-1} <= |tau| < 2^{-j}``.  Elements marked within one bucket have
-pairwise disjoint interiors (asserted via ancestor chains), which yields the
-per-bucket cardinality bound ``m_j <= 2^{j+1} |Omega|`` (asserted).
+pairwise disjoint interiors, which yields the per-bucket cardinality bound
+``m_j <= 2^{j+1} |Omega|`` (asserted).  The disjointness is asserted by one
+forest walk per run: each marked element's nearest marked strict ancestor
+must lie in a coarser bucket (smaller j), so the buckets strictly decrease
+along every chain of marked elements.
 
 Cost model: each forest element is evaluated once per sweep.  Indicator
 values are stored by forest element id, every round evaluates only the
@@ -121,21 +124,22 @@ def _bucket_indices(areas: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x - m) < 1e-9, m - 1, np.floor(x)).astype(np.int64)
 
 
-def _assert_bucket_disjoint(forest, bucket_members) -> None:
-    in_bucket = np.zeros(forest.n_elements, dtype=bool)
-    for j, members in bucket_members.items():
-        members = np.asarray(members, dtype=np.int64)
-        in_bucket[members] = True
-        if np.count_nonzero(in_bucket) != len(members):
-            raise AssertionError(f"bucket {j}: element marked twice")
-        hit = forest.ancestor_in(members, in_bucket, strict=True)
-        in_bucket[members] = False
-        bad = np.flatnonzero(hit >= 0)
-        if len(bad):
-            i = bad[0]
-            raise AssertionError(
-                f"bucket {j}: element {members[i]} has marked ancestor "
-                f"{hit[i]}; interiors overlap")
+def _assert_bucket_disjoint(forest, members, js) -> None:
+    """Raise unless ``members`` are distinct forest elements whose bucket
+    labels ``js`` pass the rule above; one ``ancestor_in`` walk."""
+    marked = np.zeros(forest.n_elements, dtype=bool)
+    marked[members] = True
+    if np.count_nonzero(marked) != len(members):
+        raise AssertionError("element marked twice")
+    label = np.zeros(forest.n_elements, dtype=np.int64)
+    label[members] = js
+    hit = forest.ancestor_in(forest.parent[members], marked)
+    bad = np.flatnonzero((hit >= 0) & (label[hit] >= js))
+    if len(bad):
+        i = bad[0]
+        raise AssertionError(
+            f"element {members[i]} in bucket {js[i]} has marked ancestor "
+            f"{hit[i]} in bucket {label[hit[i]]}; interiors overlap")
 
 
 class _ElementValues:
@@ -169,13 +173,12 @@ class _ElementValues:
 
 @dataclass
 class _Run:
-    """One tolerance of a sweep: the partition it stands at, and the marked
-    count of each round and the marked elements of each bucket so far."""
+    """One tolerance of a sweep: the partition it stands at, and the leaf
+    ids each round so far marked."""
 
     eps: float
     part: Partition
-    rounds: list[int] = field(default_factory=list)
-    bucket_members: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    rounds: list[np.ndarray] = field(default_factory=list)
 
 
 def _threshold(run: _Run, later: list[_Run], values: _ElementValues,
@@ -205,9 +208,6 @@ def _threshold(run: _Run, later: list[_Run], values: _ElementValues,
                 f"refining {len(positions)} of {part.n_leaves} leaves (eps "
                 f"{eps:.6g}) passes the default budget max_dofs={budget}")
         marked = part.leaves[positions]
-        # the areas of the marked leaves only, by the same per-leaf formula
-        js = _bucket_indices(Partition(part.forest, marked).areas)
-        buckets = [(j, marked[js == j]) for j in _unique(js).tolist()]
         # a later run at this partition that marks the same leaves would make
         # this very round and pass the same checks, so it takes the result;
         # any other stays put and resumes there on its own turn
@@ -215,28 +215,25 @@ def _threshold(run: _Run, later: list[_Run], values: _ElementValues,
             np.flatnonzero(leaf_values > r.eps), positions)]
         refined = refine(part, marked)
         for r in (run, *sharers):
-            for j, elems in buckets:
-                r.bucket_members.setdefault(j, []).append(elems)
-            r.rounds.append(len(positions))
+            r.rounds.append(marked)
             r.part = refined
 
-    members = {j: np.concatenate(m)
-               for j, m in sorted(run.bucket_members.items())}
-    _assert_bucket_disjoint(part.forest, members)
-    bucket_counts = {j: len(m) for j, m in members.items()}
+    # the areas of the marked elements only, by the same per-leaf formula
+    all_marked = Partition(part.forest, np.concatenate(run.rounds or [[]]))
+    js = _bucket_indices(all_marked.areas)
+    _assert_bucket_disjoint(part.forest, all_marked.leaves, js)
+    bucket_counts = {j: int(np.count_nonzero(js == j))
+                     for j in _unique(js).tolist()}
     for j, m_j in bucket_counts.items():
         bound = 2.0 ** (j + 1) * start.total_area
         if m_j > bound * (1.0 + 1e-12):
             raise AssertionError(
                 f"bucket {j}: {m_j} marked elements exceed the disjointness "
                 f"bound {bound}")
-
-    if len(leaf_values) and leaf_values.max() > eps:
-        raise AssertionError("final partition still has an element above eps")
     return ThresholdReport(
         eps=eps, indicator=values.indicator.name, partition=part,
         n_initial=start.n_leaves, n_added=part.n_leaves - start.n_leaves,
-        sum_e=float(leaf_values.sum()), rounds=run.rounds,
+        sum_e=float(leaf_values.sum()), rounds=[len(m) for m in run.rounds],
         buckets=bucket_counts,
     )
 

@@ -12,6 +12,7 @@ import shutil
 import string
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint, version
 from importlib.util import find_spec
 from pathlib import Path
@@ -659,6 +660,34 @@ def test_mesh_info_levels_beyond_the_dof_budget_exit_2_before_refining(
     assert err.startswith("configuration error: levels=200 ")
     assert "max_dofs=200000" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["mesh-info", "infsup"])
+def test_huge_levels_exit_2_without_a_huge_integer(capsys, command):
+    # 2^100000000 alone would take 12.5 MB; the budget check needs none of it
+    tracemalloc.start()
+    try:
+        rc = main([command, "--levels", "100000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: levels=100000000 refines 4 leaves "
+                          "to 4 * 2^100000000, more than the default dof budget")
+    assert peak < 1_000_000
+
+
+def test_mesh_info_rejects_a_deeply_nested_mesh_file(tmp_path, capsys):
+    # json.load recurses once per nesting level
+    path = tmp_path / "deep.json"
+    path.write_text('{"vertices": ' + "[" * 100_000 + "]" * 100_000
+                    + ', "triangles": []}')
+    assert main(["mesh-info", "--mesh", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot load mesh {str(path)!r}: "
+                          f"malformed mesh file {path}: ")
+    assert "Traceback" not in err
 
 
 def test_mesh_info_checks_the_problem_beside_a_mesh_file(tmp_path, capsys):

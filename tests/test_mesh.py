@@ -555,7 +555,8 @@ def test_ancestor_in_strict_and_not():
     g = int(f.child0[c])
     other = int(part.leaves[1])
     elems = np.array([g, c, r, other])
-    # flagged elements -> (nearest ancestor, nearest proper ancestor)
+    # flagged elements -> (nearest ancestor, nearest proper ancestor); the
+    # proper ones are those of the parents, where a root's parent -1 has none
     cases = {(r,): ([r, r, r, -1], [r, r, -1, -1]),
              (r, c): ([c, c, r, -1], [c, r, -1, -1]),
              (g, other): ([g, -1, -1, other], [-1, -1, -1, -1]),
@@ -564,7 +565,7 @@ def test_ancestor_in_strict_and_not():
         mask = np.zeros(f.n_elements, dtype=bool)
         mask[list(flagged)] = True
         assert f.ancestor_in(elems, mask).tolist() == loose
-        assert f.ancestor_in(elems, mask, strict=True).tolist() == strict
+        assert f.ancestor_in(f.parent[elems], mask).tolist() == strict
     assert f.ancestor_in(np.empty(0, dtype=np.int64), mask).tolist() == []
 
 

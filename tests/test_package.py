@@ -1,6 +1,6 @@
 """Package-wide properties: runtime checks that survive ``python -O``,
-import-time cost, the names the benchmark tracer wraps, and a reader for
-every exported name.
+import-time cost, the names the benchmark tracer wraps, a reader for every
+exported name, and a caller that sets every defaulted parameter.
 """
 
 from __future__ import annotations
@@ -166,3 +166,61 @@ def test_every_export_has_a_reader():
                 read |= {alias.name for alias in node.names}
     assert UNREAD_EXPORTS <= exported - read, "an excepted name is read or gone"
     assert sorted(exported - read - UNREAD_EXPORTS) == []
+
+
+# defaulted parameters that nothing in src/ or benchmarks/ sets, each kept on
+# purpose
+UNSET_PARAMETERS = {
+    # acceptance criterion 05 compares the estimators on subsets of the
+    # leaves, and the discrete-reliability monitor will sum over the
+    # refined set (ROADMAP item 6)
+    ("eta", "subset"),
+    # the tests drive the CLI in-process through an argument list
+    ("main", "argv"),
+}
+
+
+def _defaulted(fn: ast.FunctionDef | ast.AsyncFunctionDef):
+    """(name, position or None) of each parameter with a default; the
+    position counts the arguments a call passes, so it skips ``self``."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def test_every_defaulted_parameter_is_set():
+    # a parameter with a default that no call in src/ or benchmarks/ passes
+    # is an option without a caller; a call by the function's name sets it
+    # by keyword, by position, or through ``*`` or ``**``
+    params: set[tuple[str, str, int | None]] = set()
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*sorted(PKG.glob("*.py")), *sorted(BENCHMARKS.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and path.parent == PKG):
+                params |= {(node.name, *p) for p in _defaulted(node)}
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else \
+                    getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+
+    def is_set(name, param, position):
+        for call in calls.get(name, []):
+            keywords = {kw.arg for kw in call.keywords}
+            if (param in keywords or None in keywords
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (position is not None and len(call.args) > position)):
+                return True
+        return False
+
+    unset = {(name, param) for name, param, position in params
+             if not is_set(name, param, position)}
+    assert UNSET_PARAMETERS <= unset, "an excepted parameter is set or gone"
+    assert sorted(unset - UNSET_PARAMETERS) == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesafem import threshold
-from stokesafem.mesh import Partition, l_shape_partition, refine, unit_square_partition
+from stokesafem.mesh import (
+    Forest,
+    Partition,
+    l_shape_partition,
+    refine,
+    unit_square_partition,
+)
 from stokesafem.threshold import (
     BudgetExceeded,
     IndicatorFailure,
@@ -245,6 +252,12 @@ def test_element_values_reject_another_forest():
         values(unit_square_partition())
 
 
+def guard(forest, labels) -> None:
+    """The bucket guard on ``{element: bucket}``, in insertion order."""
+    _assert_bucket_disjoint(forest, np.array(list(labels), dtype=np.int64),
+                            np.array(list(labels.values()), dtype=np.int64))
+
+
 def test_bucket_disjointness_guard():
     part = unit_square_partition()
     fine = refine(part, [part.leaves[0]])
@@ -252,10 +265,14 @@ def test_bucket_disjointness_guard():
     child = next(e for e in fine.leaves if forest.parent[e] >= 0)
     parent = forest.parent[child]
     with pytest.raises(AssertionError, match="marked ancestor"):
-        _assert_bucket_disjoint(forest, {0: [parent, child]})
+        guard(forest, {parent: 0, child: 0})
+    # an ancestor must lie in a coarser bucket, not a finer one
+    with pytest.raises(AssertionError, match="marked ancestor"):
+        guard(forest, {child: 0, parent: 1})
     with pytest.raises(AssertionError, match="marked twice"):
-        _assert_bucket_disjoint(forest, {0: [child, child]})
-    _assert_bucket_disjoint(forest, {0: [child], 1: [parent]})  # fine
+        _assert_bucket_disjoint(forest, np.array([child, child]), np.array([0, 0]))
+    guard(forest, {child: 1, parent: 0})  # fine
+    guard(forest, {})
 
 
 def scalar_bucket_index(area: float) -> int:
@@ -286,8 +303,33 @@ def test_bucket_disjointness_guard_names_first_offender():
     parent = forest.parent[leaf]
     grandparent = forest.parent[parent]
     with pytest.raises(AssertionError,
-                       match=f"element {leaf} has marked ancestor {parent};"):
-        _assert_bucket_disjoint(forest, {3: [grandparent, leaf, parent]})
+                       match=f"element {leaf} in bucket 3 has marked ancestor "
+                             f"{parent} in bucket 3;"):
+        guard(forest, {grandparent: 3, leaf: 3, parent: 3})
+    # a same-bucket grand-ancestor across a coarser bucket: the leaf's nearest
+    # marked ancestor (the parent) is coarser than the leaf, but the parent's
+    # (the grandparent) is finer than the parent
+    with pytest.raises(AssertionError,
+                       match=f"element {parent} in bucket 2 has marked ancestor "
+                             f"{grandparent} in bucket 3;"):
+        guard(forest, {grandparent: 3, parent: 2, leaf: 3})
+    guard(forest, {grandparent: 1, parent: 2, leaf: 3})
+
+
+def test_bucket_guard_walks_the_forest_once_per_run(monkeypatch):
+    inner = Forest.ancestor_in
+    walked = []
+
+    def spy(self, elems, mask):
+        walked.append(len(elems))
+        return inner(self, elems, mask)
+
+    monkeypatch.setattr(Forest, "ancestor_in", spy)
+    reports = eps_sweep(l_shape_partition(), osc_indicator(singular_load),
+                        [1e-3, 1e-4, 1e-5])
+    # one walk per tolerance, over every element that run marked
+    assert walked == [sum(rep.rounds) for rep in reports]
+    assert all(len(rep.rounds) > 1 for rep in reports)
 
 
 def test_osc_indicator_value_does_not_depend_on_its_batch():
@@ -305,37 +347,18 @@ def test_osc_indicator_value_does_not_depend_on_its_batch():
         assert np.array_equal(batch, full[pos])
 
 
-def reference_bucket_disjoint(forest, bucket_members) -> None:
-    """The guard before the forest-id mask: an ``np.isin`` per ancestor step."""
-    parent = forest.parent
-    for j, members in bucket_members.items():
-        members = np.asarray(members, dtype=np.int64)
-        ids = np.unique(members)
-        if len(ids) != len(members):
-            raise AssertionError(f"bucket {j}: element marked twice")
-        hit = np.full(len(members), -1, dtype=np.int64)
-        live = np.arange(len(members))
-        anc = parent[members]
-        while len(live):
-            keep = anc >= 0
-            live, anc = live[keep], anc[keep]
-            marked = np.isin(anc, ids)
-            hit[live[marked]] = anc[marked]
-            live, anc = live[~marked], parent[anc[~marked]]
-        bad = np.flatnonzero(hit >= 0)
-        if len(bad):
-            i = bad[0]
-            raise AssertionError(
-                f"bucket {j}: element {members[i]} has marked ancestor "
-                f"{hit[i]}; interiors overlap")
-
-
-def guard_outcome(fn, forest, buckets):
-    try:
-        fn(forest, buckets)
-    except AssertionError as exc:
-        return str(exc)
-    return None
+def nested_pairs(forest, members):
+    """Every (marked ancestor, marked descendant) position pair of
+    ``members``, from the full parent chain of each member."""
+    where = {int(e): i for i, e in enumerate(members)}
+    pairs = []
+    for i, e in enumerate(members):
+        a = forest.parent[e]
+        while a >= 0:
+            if int(a) in where:
+                pairs.append((where[int(a)], i))
+            a = forest.parent[a]
+    return pairs
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,12 +370,23 @@ def test_bucket_disjointness_guard_matches_reference(rounds, data):
                                  max_size=8, unique=True))
         part = refine(part, part.leaves[pos])
     forest = part.forest
-    # any forest elements: ancestors of one another, repeats, several buckets
-    ids = st.integers(0, forest.n_elements - 1)
-    buckets = data.draw(st.dictionaries(st.integers(-2, 12),
-                                        st.lists(ids, max_size=12), max_size=4))
-    assert guard_outcome(_assert_bucket_disjoint, forest, buckets) == \
-        guard_outcome(reference_bucket_disjoint, forest, buckets)
+    # any distinct forest elements, ancestors of one another, any labels
+    members = np.array(data.draw(st.lists(st.integers(0, forest.n_elements - 1),
+                                          max_size=16, unique=True)), dtype=np.int64)
+    js = np.array(data.draw(st.lists(st.integers(-2, 12), min_size=len(members),
+                                     max_size=len(members))), dtype=np.int64)
+    pairs = nested_pairs(forest, members)
+    try:
+        _assert_bucket_disjoint(forest, members, js)
+    except AssertionError as exc:
+        # the offender it names is a nested pair whose labels do not drop
+        found = re.fullmatch(r"element (\d+) in bucket (-?\d+) has marked ancestor "
+                             r"(\d+) in bucket (-?\d+); interiors overlap", str(exc))
+        e, j, a, ja = map(int, found.groups())
+        i, k = members.tolist().index(e), members.tolist().index(a)
+        assert (k, i) in pairs and (j, ja) == (js[i], js[k]) and ja >= j
+    else:
+        assert all(js[k] < js[i] for k, i in pairs)
 
 
 # -- indicator parsing ---------------------------------------------------

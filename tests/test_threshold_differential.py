@@ -2,7 +2,9 @@
 
 ``reference_threshold`` below is that loop: every round evaluates the
 indicator on every leaf of the current partition, and the final partition
-is evaluated once more.  The package instead stores each forest element's
+is evaluated once more.  It checks the buckets with the guard that walked
+the forest once per bucket (``reference_bucket_disjoint``); the package
+walks it once per run.  The package instead stores each forest element's
 value and evaluates only the leaves it has not seen, with one store for all
 runs of a sweep.  Both sides start from their own root partition, so the
 element ids they produce must agree too.  The reports must match exactly:
@@ -25,7 +27,6 @@ from stokesafem.threshold import (
     BudgetExceeded,
     IndicatorFailure,
     ThresholdReport,
-    _assert_bucket_disjoint,
     _bucket_indices,
     eps_sweep,
     osc_indicator,
@@ -33,6 +34,25 @@ from stokesafem.threshold import (
 )
 
 ROOTS = {"square": unit_square_partition, "lshape": l_shape_partition}
+
+
+def reference_bucket_disjoint(forest, bucket_members) -> None:
+    """The per-bucket guard the single walk replaced: one strict ancestor
+    walk per bucket, over the members of that bucket only."""
+    in_bucket = np.zeros(forest.n_elements, dtype=bool)
+    for j, members in bucket_members.items():
+        members = np.asarray(members, dtype=np.int64)
+        in_bucket[members] = True
+        if np.count_nonzero(in_bucket) != len(members):
+            raise AssertionError(f"bucket {j}: element marked twice")
+        hit = forest.ancestor_in(forest.parent[members], in_bucket)
+        in_bucket[members] = False
+        bad = np.flatnonzero(hit >= 0)
+        if len(bad):
+            i = bad[0]
+            raise AssertionError(
+                f"bucket {j}: element {members[i]} has marked ancestor "
+                f"{hit[i]}; interiors overlap")
 
 
 def reference_threshold(part, indicator, eps, max_generation=40):
@@ -60,7 +80,7 @@ def reference_threshold(part, indicator, eps, max_generation=40):
         rounds.append(len(positions))
         part = refine(part, marked)
     members = {j: np.concatenate(m) for j, m in sorted(bucket_members.items())}
-    _assert_bucket_disjoint(part.forest, members)
+    reference_bucket_disjoint(part.forest, members)
     final_values = indicator(part)
     return ThresholdReport(
         eps=eps, indicator=indicator.name, partition=part,
